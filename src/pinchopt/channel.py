@@ -59,6 +59,10 @@ class SystemParams:
             raise ValueError("n_antennas must be >= 1")
         if self.delta_min is None:
             object.__setattr__(self, "delta_min", wavelength(self) / 2.0)
+        for name in ("fc", "n_eff", "h", "side_d", "delta_min", "pt_dbm", "noise_dbm"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.delta_min <= 0:
             raise ValueError("delta_min must be positive")
 

@@ -200,19 +200,13 @@ def _pick_candidate(
     return float(cand[int(np.argmin(weighted))])
 
 
-def fine_tune(
+def _tune_layout(
     params: SystemParams,
     layout: AntennaLayout,
     users: tuple[UserPosition, UserPosition],
     cfg: AlgoConfig,
 ) -> AntennaLayout:
-    """Align off-centre antennas' composite phases with their inner neighbour.
-
-    Antennas right of the centre are processed in ascending order shifting
-    right, then antennas left of the centre in descending order shifting
-    left; the centre antenna never moves.  The returned layout always
-    satisfies the spacing and region invariants.
-    """
+    """Uncached body of :func:`fine_tune`."""
     xs = list(layout.xs)
     c = center_index(params.n_antennas)
     step = cfg.resolved_fine_step(params)
@@ -231,6 +225,61 @@ def fine_tune(
             cap=_antenna_cap(params, n, -1),
         )
     return AntennaLayout(xs=tuple(xs), feed_x=layout.feed_x)
+
+
+# Layouts already tuned in the current scope (see ``_tuning_scope``), keyed
+# by the input layout, as one (scope, table) pair.  The pair is read once per
+# call and a new pair is swapped in when the scope changes, so an entry tuned
+# in one scope is never returned in another, even with two threads solving
+# different scenarios; a lost swap costs only repeated tuning.  A sweep that
+# runs one scenario's power levels back to back reuses the table, which holds
+# at most the centres those solves visit.
+_tuned_layouts: tuple[tuple, dict] = ((), {})
+
+
+def _tuning_scope(
+    params: SystemParams,
+    users: tuple[UserPosition, UserPosition],
+    cfg: AlgoConfig,
+) -> tuple:
+    """Everything besides the input layout that ``_tune_layout`` reads:
+    every ``SystemParams`` field except ``pt_dbm`` and ``noise_dbm``."""
+    return (
+        params.fc, params.n_eff, params.h, params.side_d, params.n_antennas,
+        params.delta_min,
+        tuple((u.x, u.y) for u in users),
+        cfg.delta1, cfg.delta2,
+        cfg.resolved_fine_step(params), cfg.resolved_max_shifts(params),
+    )
+
+
+def fine_tune(
+    params: SystemParams,
+    layout: AntennaLayout,
+    users: tuple[UserPosition, UserPosition],
+    cfg: AlgoConfig,
+) -> AntennaLayout:
+    """Align off-centre antennas' composite phases with their inner neighbour.
+
+    Antennas right of the centre are processed in ascending order shifting
+    right, then antennas left of the centre in descending order shifting
+    left; the centre antenna never moves.  The returned layout always
+    satisfies the spacing and region invariants.  It does not depend on the
+    transmit or noise power, so a layout already tuned for the same
+    geometry, users and tolerances is returned again without retuning.
+    """
+    global _tuned_layouts
+    scope = _tuning_scope(params, users, cfg)
+    cached_scope, table = _tuned_layouts
+    if cached_scope != scope:
+        table = {}
+        _tuned_layouts = (scope, table)
+    key = (layout.xs, layout.feed_x)
+    tuned = table.get(key)
+    if tuned is None:
+        tuned = _tune_layout(params, layout, users, cfg)
+        table[key] = tuned
+    return tuned
 
 
 def pinned_antennas(params: SystemParams, layout: AntennaLayout) -> tuple[int, ...]:
@@ -318,6 +367,10 @@ def bisection_solve(
             right = mid
         else:
             left = mid
+        if 0.5 * (left + right) in (left, right):
+            # an epsilon below the float spacing of the coordinates: the
+            # next midpoint would round onto an endpoint and never move
+            break
 
     if best is not None:
         return PlacementSolution(

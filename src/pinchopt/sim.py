@@ -22,6 +22,7 @@ from .noma import (
     FeasibilityReport,
     PowerSplit,
     QosTargets,
+    RATE_TOL,
     optimal_alpha2,
     rate_report,
     snr_scale,
@@ -138,9 +139,9 @@ def _conventional_record(params, scenario, qos, mode, scheme) -> TrialRecord:
     rates = rate_report(snr1, snr2, split)
     report = FeasibilityReport(
         spacing=True,
-        r1_qos=rates.r1 >= qos.r1_min - 1e-9,
-        r2_qos=rates.r2 >= qos.r2_min - 1e-9,
-        sic=rates.r2_to_1 >= qos.r1_min - 1e-9,
+        r1_qos=rates.r1 >= qos.r1_min - RATE_TOL,
+        r2_qos=rates.r2 >= qos.r2_min - RATE_TOL,
+        sic=rates.r2_to_1 >= qos.r1_min - RATE_TOL,
         order_alpha=0.0 <= split.alpha2 <= 0.5,
         order_channel=True,
     )
@@ -208,13 +209,13 @@ def _trial_task(args):
     return evaluate_scheme(params, scenario, qos, cfg, scheme, oracle_cfg, feed_x)
 
 
-def _run_tasks(tasks, threads: int):
+def _run_tasks(tasks, threads: int, chunksize: int = 8):
     if threads == 0:
         threads = os.cpu_count() or 1
     if threads <= 1 or len(tasks) < 2:
         return [_trial_task(t) for t in tasks]
     with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_trial_task, tasks, chunksize=8))
+        return list(pool.map(_trial_task, tasks, chunksize=chunksize))
 
 
 def _scenarios(sweep: SweepSpec, side_d: float) -> list[Scenario]:
@@ -236,17 +237,19 @@ def run_power_sweep(
 
     All schemes in a cell share the same scenario sequence, and the same
     per-trial streams are reused across power levels and region sizes.
+    Each scenario's power levels run back to back, in one worker when
+    pooled, so the solver reuses the layouts it tuned for that scenario.
     """
-    scen_by_d = {d: _scenarios(sweep, d) for d in sweep.d_values}
     keys, tasks = [], []
-    for pt in sweep.pt_dbm_values:
-        for d in sweep.d_values:
-            p = replace(params, pt_dbm=pt, side_d=d)
-            for scheme in sweep.schemes:
-                for scen in scen_by_d[d]:
+    for d in sweep.d_values:
+        p_at = {pt: replace(params, pt_dbm=pt, side_d=d) for pt in sweep.pt_dbm_values}
+        scenarios = _scenarios(sweep, d)
+        for scheme in sweep.schemes:
+            for scen in scenarios:
+                for pt in sweep.pt_dbm_values:
                     keys.append((pt, d, scheme))
-                    tasks.append((p, scen, qos, cfg, scheme, oracle_cfg, None))
-    results = _run_tasks(tasks, threads)
+                    tasks.append((p_at[pt], scen, qos, cfg, scheme, oracle_cfg, None))
+    results = _run_tasks(tasks, threads, chunksize=len(sweep.pt_dbm_values))
     records: dict = {}
     for key, rec in zip(keys, results):
         records.setdefault(key, []).append(rec)
@@ -278,19 +281,20 @@ def run_delta_sweep(
     """Mean sum rate of the waveguide scheme per phase-tolerance pair.
 
     Runs at the first region size of the sweep, with transmit power swept for
-    every (delta1, delta2) pair over paired scenarios.
+    every (delta1, delta2) pair over paired scenarios.  As in
+    :func:`run_power_sweep`, each scenario's power levels run back to back.
     """
     d = sweep.d_values[0]
     scenarios = _scenarios(sweep, d)
+    p_at = {pt: replace(params, pt_dbm=pt, side_d=d) for pt in sweep.pt_dbm_values}
     keys, tasks = [], []
-    for pt in sweep.pt_dbm_values:
-        p = replace(params, pt_dbm=pt, side_d=d)
-        for d1, d2 in sweep.delta_pairs:
-            c = replace(cfg, delta1=d1, delta2=d2)
-            for scen in scenarios:
+    for d1, d2 in sweep.delta_pairs:
+        c = replace(cfg, delta1=d1, delta2=d2)
+        for scen in scenarios:
+            for pt in sweep.pt_dbm_values:
                 keys.append((pt, d1, d2))
-                tasks.append((p, scen, qos, c, "pinching", None, None))
-    results = _run_tasks(tasks, threads)
+                tasks.append((p_at[pt], scen, qos, c, "pinching", None, None))
+    results = _run_tasks(tasks, threads, chunksize=len(sweep.pt_dbm_values))
     records: dict = {}
     for key, rec in zip(keys, results):
         records.setdefault(key, []).append(rec)

@@ -209,6 +209,16 @@ class TestLayoutValidation:
         layout.validate(params)
 
 
+class TestSystemParams:
+    @pytest.mark.parametrize(
+        "name", ["fc", "n_eff", "h", "side_d", "delta_min", "pt_dbm", "noise_dbm"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError):
+            SystemParams(**{name: value})
+
+
 class TestConventionalChannel:
     def test_single_antenna_magnitude(self, params):
         p = SystemParams(n_antennas=1)

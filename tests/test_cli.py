@@ -67,6 +67,14 @@ class TestSolveCommand:
         assert code == 2
         assert out["feasible"] is False
 
+    @pytest.mark.parametrize("value", [
+        "system.pt_dbm=NaN", "system.noise_dbm=-Infinity", "system.fc=Infinity",
+    ])
+    def test_non_finite_system_value_exits_one(self, value, capsys):
+        code = main(["solve", "--set", SCENARIO_SET, "--set", value])
+        assert code == 1
+        assert "must be finite" in capsys.readouterr().err
+
     def test_missing_config_file_exits_one(self, capsys):
         code = main(["solve", "--config", "/no/such/file.json"])
         err = capsys.readouterr().err

@@ -1,4 +1,8 @@
+import dataclasses
 import math
+import signal
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -22,7 +26,7 @@ from pinchopt import (
     wavelength,
 )
 from pinchopt.oracle import batch_solution_metrics
-from pinchopt.placement import center_bounds, center_index
+from pinchopt.placement import _tune_layout, _tuning_scope, center_bounds, center_index
 from pinchopt.sim import sample_scenario, trial_rng
 
 TWO_PI = 2 * math.pi
@@ -177,6 +181,110 @@ class TestFineTune:
                     k += 1
 
 
+class TestTunedLayoutReuse:
+    """fine_tune reuses layouts across power levels, never across scopes."""
+
+    POWERS = (0.0, 20.0, 40.0)
+    PAIRS = ((0.5, 0.02), (0.2, 0.02), (0.5, 100.0))
+
+    @staticmethod
+    def _cases(seed, count, params):
+        """(users, rigid layouts at a few centres) per drawn scenario."""
+        lo, hi = center_bounds(params)
+        cases = []
+        for t in range(count):
+            scen = sample_scenario(trial_rng(seed, t), params.side_d, t)
+            mid = 0.5 * (scen.user1.x + scen.user2.x)
+            centres = [min(max(c, lo), hi) for c in (mid, scen.user2.x, 0.0)]
+            layouts = [initial_layout(params, c, -params.side_d / 2) for c in centres]
+            cases.append(((scen.user1, scen.user2), layouts))
+        return cases
+
+    def test_scope_covers_every_field_but_power(self, params):
+        users = (UserPosition(2.0, 1.0), UserPosition(-2.0, 0.3))
+        # explicit fine-tune steps, so no field reaches the scope only
+        # through the wavelength-derived defaults
+        for cfg in (AlgoConfig(), AlgoConfig(fine_step=1e-4, max_fine_shifts=50)):
+            base = _tuning_scope(params, users, cfg)
+            for f in dataclasses.fields(SystemParams):
+                value = getattr(params, f.name)
+                bumped = value + 2 if isinstance(value, int) else value * 1.25
+                other = dataclasses.replace(params, **{f.name: bumped})
+                shared = _tuning_scope(other, users, cfg) == base
+                assert shared == (f.name in ("pt_dbm", "noise_dbm")), f.name
+            for change in ({"delta1": 0.3}, {"delta2": 0.3}, {"fine_step": 2e-4},
+                           {"max_fine_shifts": 70}):
+                assert _tuning_scope(params, users, dataclasses.replace(cfg, **change)) != base
+            assert _tuning_scope(params, users, dataclasses.replace(cfg, epsilon=1e-3)) == base
+            swapped = (users[0], UserPosition(-2.0, 0.4))
+            assert _tuning_scope(params, swapped, cfg) != base
+
+    def test_reused_across_power_levels(self, params):
+        users, layouts = self._cases(11, 1, params)[0]
+        cfg = AlgoConfig()
+        first = fine_tune(params, layouts[0], users, cfg)
+        again = fine_tune(dataclasses.replace(params, pt_dbm=0.0, noise_dbm=-80.0),
+                          layouts[0], users, cfg)
+        assert again is first
+
+    def test_matches_uncached_over_interleaved_scopes(self, params):
+        cases = self._cases(12, 3, params)
+        calls = [
+            (dataclasses.replace(params, pt_dbm=pt), users, layout,
+             AlgoConfig(delta1=d1, delta2=d2))
+            for users, layouts in cases
+            for d1, d2 in self.PAIRS
+            for pt in self.POWERS
+            for layout in layouts
+        ]
+        order = np.random.default_rng(5).permutation(len(calls))
+        # scenario-major runs (table reused) then shuffled calls (table swapped)
+        for p, users, layout, cfg in calls + [calls[i] for i in order]:
+            assert fine_tune(p, layout, users, cfg) == _tune_layout(p, layout, users, cfg)
+
+    def test_threads_on_different_scenarios(self, params):
+        cfg = AlgoConfig()
+        # the same rigid layouts for every scenario, so a table holding
+        # another scenario's entries would answer the lookup
+        layouts = [initial_layout(params, c, -5.0) for c in (-1.0, 0.0, 1.0)]
+        cases = [(users, layouts) for users, _ in self._cases(13, 4, params)]
+        expected = [
+            [_tune_layout(params, layout, users, cfg) for layout in layouts]
+            for users, _ in cases
+        ]
+        errors = []
+        start = threading.Barrier(len(cases))
+
+        def work(users, layouts, want):
+            try:
+                start.wait(timeout=60)
+                for _ in range(20):
+                    for pt in self.POWERS:
+                        p = dataclasses.replace(params, pt_dbm=pt)
+                        for layout, tuned in zip(layouts, want):
+                            got = fine_tune(p, layout, users, cfg)
+                            if got != tuned:
+                                errors.append((users, layout.xs, got.xs, tuned.xs))
+            except Exception as exc:  # would not reach the test from a thread
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(*case, want))
+                for case, want in zip(cases, expected)
+            ]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+
+
 class TestBisectionSolve:
     def test_degenerate_scenario_rejected(self, params, qos, algo_cfg):
         users = (UserPosition(1.0, 2.0), UserPosition(1.0, 0.5))
@@ -217,6 +325,25 @@ class TestBisectionSolve:
             scen = sample_scenario(trial_rng(3, t), params.side_d, t)
             sol = bisection_solve(params, (scen.user1, scen.user2), qos, algo_cfg)
             assert 1 <= sol.iterations <= bound
+
+    def test_epsilon_below_float_spacing_terminates(self, params, qos):
+        # these scenarios never returned when the midpoint rounded onto an
+        # endpoint and the interval stopped shrinking
+        cfg = AlgoConfig(epsilon=1e-300)
+
+        def timeout(signum, frame):
+            raise TimeoutError("bisection_solve did not return")
+
+        old = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(30)
+        try:
+            for seed, t in ((7, 1), (2024, 39)):
+                scen = sample_scenario(trial_rng(seed, t), params.side_d, t)
+                sol = bisection_solve(params, (scen.user1, scen.user2), qos, cfg)
+                assert 1 <= sol.iterations <= iteration_bound(params, cfg)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
 
     def test_feasible_solutions_pass_full_check(self, params, qos, algo_cfg):
         for t in range(15):

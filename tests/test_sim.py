@@ -156,6 +156,15 @@ class TestPowerSweep:
             fractions.append(res.table.rows[0][5])
         assert fractions[0] >= fractions[1] >= fractions[2]
 
+    def test_parallel_matches_sequential(self):
+        spec = SweepSpec(pt_dbm_values=(0.0, 20.0, 40.0), d_values=(10.0, 20.0),
+                         trials=3, seed=8)
+        args = (SystemParams(), QosTargets(), AlgoConfig(), spec)
+        seq = run_power_sweep(*args)
+        par = run_power_sweep(*args, threads=2)
+        assert seq.table == par.table
+        assert seq.records == par.records
+
 
 class TestDeltaSweep:
     def test_shape_and_order(self):
@@ -173,6 +182,15 @@ class TestDeltaSweep:
         assert len(res.table.rows) == 4
         for row in res.table.rows:
             assert row[3] >= 0.0 and math.isfinite(row[3])
+
+    def test_parallel_matches_sequential(self):
+        spec = SweepSpec(pt_dbm_values=(0.0, 20.0, 40.0), d_values=(10.0,),
+                         delta_pairs=((0.5, 0.02), (0.2, 0.02)), trials=3, seed=9)
+        args = (SystemParams(), QosTargets(), AlgoConfig(), spec)
+        seq = run_delta_sweep(*args)
+        par = run_delta_sweep(*args, threads=2)
+        assert seq.table == par.table
+        assert seq.records == par.records
 
 
 class TestOracleComparison:
