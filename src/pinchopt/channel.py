@@ -23,6 +23,15 @@ class LayoutError(ValueError):
     """An antenna layout violates spacing or region-boundary constraints."""
 
 
+def require_finite(config, names: tuple[str, ...]) -> None:
+    """Raise ValueError if a named field of ``config`` is NaN or infinite
+    (a field left at None is skipped)."""
+    for name in names:
+        value = getattr(config, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Physical constants and deployment geometry.
@@ -59,10 +68,9 @@ class SystemParams:
             raise ValueError("n_antennas must be >= 1")
         if self.delta_min is None:
             object.__setattr__(self, "delta_min", wavelength(self) / 2.0)
-        for name in ("fc", "n_eff", "h", "side_d", "delta_min", "pt_dbm", "noise_dbm"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        require_finite(
+            self, ("fc", "n_eff", "h", "side_d", "delta_min", "pt_dbm", "noise_dbm")
+        )
         if self.delta_min <= 0:
             raise ValueError("delta_min must be positive")
 
@@ -101,11 +109,16 @@ class AntennaLayout:
         for x in self.xs:
             if not (-half <= x <= half):
                 raise LayoutError(f"antenna at {x} outside [-{half}, {half}]")
-        for a, b in zip(self.xs, self.xs[1:]):
-            if b - a < params.delta_min - self.SPACING_SLACK:
-                raise LayoutError(
-                    f"spacing {b - a} below minimum {params.delta_min}"
-                )
+        if not self.spacing_ok(params):
+            gap = min(b - a for a, b in zip(self.xs, self.xs[1:]))
+            raise LayoutError(f"spacing {gap} below minimum {params.delta_min}")
+
+    def spacing_ok(self, params: SystemParams) -> bool:
+        """Whether neighbouring antennas keep at least ``delta_min`` apart."""
+        return all(
+            b - a >= params.delta_min - self.SPACING_SLACK
+            for a, b in zip(self.xs, self.xs[1:])
+        )
 
 
 def wavelength(params: SystemParams) -> float:
@@ -183,17 +196,11 @@ def antenna_user_phase(
 def pinching_gain(
     params: SystemParams, layout: AntennaLayout, user: UserPosition
 ) -> complex:
-    """Effective complex channel gain of the waveguide array toward a user.
-
-    Sum over antennas of sqrt(eta) * exp(j * composite_phase) / distance.
-    The distance is bounded below by the height h, so this never divides
-    by zero.
-    """
-    phases, dist = phases_and_distances(
-        params, user, np.asarray(layout.xs), layout.feed_x
+    """Effective complex channel gain of the waveguide array toward a user:
+    :func:`pinching_gains_batch` on the layout as one row."""
+    return complex(
+        pinching_gains_batch(params, np.asarray(layout.xs), layout.feed_x, user)
     )
-    amp = math.sqrt(path_gain_factor(params))
-    return complex(np.sum(amp * np.exp(1j * phases) / dist))
 
 
 def pinching_gains_batch(
@@ -202,14 +209,16 @@ def pinching_gains_batch(
     feed_x: float,
     user: UserPosition,
 ) -> np.ndarray:
-    """Effective gains for many candidate layouts at once.
+    """Effective complex gains of many candidate layouts toward a user.
 
-    ``xs_layouts`` has shape (M, N); returns M complex gains, evaluated with
-    exactly the same arithmetic as :func:`pinching_gain`.
+    ``xs_layouts`` has shape (M, N), or (N,) for one layout; each gain is the
+    sum over antennas of sqrt(eta) * exp(j * composite_phase) / distance.
+    The distance is bounded below by the height h, so this never divides
+    by zero.
     """
     phases, dist = phases_and_distances(params, user, xs_layouts, feed_x)
     amp = math.sqrt(path_gain_factor(params))
-    return np.sum(amp * np.exp(1j * phases) / dist, axis=-1)
+    return (amp * np.exp(1j * phases) / dist).sum(axis=-1)
 
 
 def conventional_positions(params: SystemParams) -> tuple[float, ...]:

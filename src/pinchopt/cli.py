@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 from .channel import SystemParams, UserPosition
 from .noma import QosTargets
-from .oracle import OracleConfig
+from .oracle import OracleConfig, OracleSizeError
 from .placement import AlgoConfig, bisection_solve
 from .sim import (
+    SamplingError,
     Scenario,
     SweepSpec,
     run_delta_sweep,
@@ -95,28 +96,9 @@ def build_config(doc: dict) -> RunConfig:
 
 
 def effective_config(cfg: RunConfig) -> dict:
-    doc = {
-        "system": dataclasses.asdict(cfg.system),
-        "qos": dataclasses.asdict(cfg.qos),
-        "algo": dataclasses.asdict(cfg.algo),
-        "oracle": dataclasses.asdict(cfg.oracle),
-        "sweep": {
-            "pt_dbm_values": list(cfg.sweep.pt_dbm_values),
-            "d_values": list(cfg.sweep.d_values),
-            "delta_pairs": [list(p) for p in cfg.sweep.delta_pairs],
-            "trials": cfg.sweep.trials,
-            "seed": cfg.sweep.seed,
-            "schemes": list(cfg.sweep.schemes),
-        },
-        "scenario": None,
-    }
-    if cfg.scenario is not None:
-        doc["scenario"] = {
-            "user1": {"x": cfg.scenario.user1.x, "y": cfg.scenario.user1.y},
-            "user2": {"x": cfg.scenario.user2.x, "y": cfg.scenario.user2.y},
-            "seed_id": cfg.scenario.seed_id,
-        }
-    return doc
+    """Every setting in effect, as a JSON-ready document (tuples become lists
+    when serialised)."""
+    return dataclasses.asdict(cfg)
 
 
 def _set_path(doc: dict, dotted: str, value) -> None:
@@ -176,7 +158,6 @@ def cmd_solve(cfg: RunConfig) -> int:
     sol = bisection_solve(
         cfg.system, (scenario.user1, scenario.user2), cfg.qos, cfg.algo
     )
-    rep = sol.feasibility
     out = {
         "scenario": {
             "user1": {"x": scenario.user1.x, "y": scenario.user1.y},
@@ -194,14 +175,7 @@ def cmd_solve(cfg: RunConfig) -> int:
             "sum": sol.rates.sum_rate,
         },
         "feasible": sol.feasible_found,
-        "feasibility": {
-            "spacing": rep.spacing,
-            "r1_qos": rep.r1_qos,
-            "r2_qos": rep.r2_qos,
-            "sic": rep.sic,
-            "order_alpha": rep.order_alpha,
-            "order_channel": rep.order_channel,
-        },
+        "feasibility": dataclasses.asdict(sol.feasibility),
         "iterations": sol.iterations,
         "pinned_antennas": list(sol.pinned_antennas),
     }
@@ -209,19 +183,22 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0 if sol.feasible_found else 2
 
 
-def cmd_sweep(cfg: RunConfig, which: str, out_path: str, threads: int) -> int:
+def _run_sweep(cfg: RunConfig, which: str, threads: int):
     if which == "power":
-        result = run_power_sweep(
+        return run_power_sweep(
             cfg.system, cfg.qos, cfg.algo, cfg.sweep, cfg.oracle, threads
         )
-    elif which == "delta":
-        result = run_delta_sweep(cfg.system, cfg.qos, cfg.algo, cfg.sweep, threads)
-    elif which == "oracle":
-        result = run_oracle_comparison(
+    if which == "delta":
+        return run_delta_sweep(cfg.system, cfg.qos, cfg.algo, cfg.sweep, threads)
+    if which == "oracle":
+        return run_oracle_comparison(
             cfg.system, cfg.qos, cfg.algo, cfg.sweep, cfg.oracle, threads
         )
-    else:
-        raise ConfigError(f"unknown sweep {which!r}; expected power, delta or oracle")
+    raise ConfigError(f"unknown sweep {which!r}; expected power, delta or oracle")
+
+
+def cmd_sweep(cfg: RunConfig, which: str, out_path: str, threads: int) -> int:
+    result = _run_sweep(cfg, which, threads)
     fmt = "json" if out_path.endswith(".json") else "csv"
     write_table(result.table, out_path, fmt)
     _echo_config(cfg, os.path.dirname(out_path))
@@ -234,14 +211,9 @@ def cmd_sweep(cfg: RunConfig, which: str, out_path: str, threads: int) -> int:
 
 def cmd_figures(cfg: RunConfig, out_dir: str, threads: int) -> int:
     os.makedirs(out_dir, exist_ok=True)
-    power = run_power_sweep(
-        cfg.system, cfg.qos, cfg.algo, cfg.sweep, cfg.oracle, threads
-    )
-    delta = run_delta_sweep(cfg.system, cfg.qos, cfg.algo, cfg.sweep, threads)
-    oracle = run_oracle_comparison(
-        cfg.system, cfg.qos, cfg.algo, cfg.sweep, cfg.oracle, threads
-    )
-    for name, result in (("fig2", power), ("fig3", delta), ("fig4", oracle)):
+    figures = (("fig2", "power"), ("fig3", "delta"), ("fig4", "oracle"))
+    results = [(name, _run_sweep(cfg, which, threads)) for name, which in figures]
+    for name, result in results:
         write_table(result.table, os.path.join(out_dir, f"{name}.csv"), "csv")
     _echo_config(cfg, out_dir)
     print(f"wrote fig2.csv, fig3.csv, fig4.csv to {out_dir} (seed {cfg.sweep.seed})")
@@ -263,20 +235,21 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--set", metavar="KEY=VALUE", action="append", default=[],
                    dest="overrides", help="override a config key (repeatable)")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker processes for sweeps; 0 = auto "
-                        "(default: PINCH_THREADS or 1)")
+                   help="worker processes for sweeps; 0 = one per CPU, never "
+                        "more than CPUs or tasks (default: PINCH_THREADS or 1)")
 
 
 def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("PINCH_THREADS")
-    if env is not None:
+    source = "--threads"
+    if value is None:
+        source, env = "PINCH_THREADS", os.environ.get("PINCH_THREADS", "1")
         try:
-            return int(env)
+            value = int(env)
         except ValueError as exc:
             raise ConfigError(f"PINCH_THREADS must be an integer, got {env!r}") from exc
-    return 1
+    if value < 0:
+        raise ConfigError(f"{source} must be >= 0, got {value}")
+    return value
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -309,7 +282,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, args.which, args.out, threads)
         return cmd_figures(cfg, args.out_dir, threads)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, OracleSizeError, SamplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

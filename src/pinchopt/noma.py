@@ -5,14 +5,21 @@ interference; user 2 is the strong user and applies successive interference
 cancellation (SIC).  All rates are in bits/s/Hz.  The per-user operating
 SNR fed to these functions is rho * |g|^2 where rho = Pt / (N * sigma^2)
 and g is the effective channel gain.
+
+Each formula of the chain (the SNR, the closed-form alpha2, the three rates
+and the rate-target test) is written once, as a NumPy function that takes
+floats and arrays alike.  The scalar API (optimal_alpha2, rate_weak,
+rate_sic, rate_strong, rate_report, check_feasibility) wraps them, and the
+solver, the reference search and the fixed-array baseline all call them.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .channel import AntennaLayout, SystemParams, dbm_to_watts, wavelength
+import numpy as np
+
+from .channel import AntennaLayout, SystemParams, dbm_to_watts, require_finite
 
 RATE_TOL = 1e-9  # slack on rate-target comparisons
 ALPHA_TOL = 1e-12  # slack on power-coefficient sanity checks
@@ -44,6 +51,7 @@ class QosTargets:
     r2_min: float = 0.5
 
     def __post_init__(self) -> None:
+        require_finite(self, ("r1_min", "r2_min"))
         if self.r1_min < 0 or self.r2_min < 0:
             raise ValueError("rate targets must be non-negative")
 
@@ -74,14 +82,7 @@ class FeasibilityReport:
 
     @property
     def overall(self) -> bool:
-        return (
-            self.spacing
-            and self.r1_qos
-            and self.r2_qos
-            and self.sic
-            and self.order_alpha
-            and self.order_channel
-        )
+        return self.qos_ok and self.spacing and self.order_alpha and self.order_channel
 
     @property
     def qos_ok(self) -> bool:
@@ -101,25 +102,75 @@ def snr_scale(params: SystemParams) -> float:
     )
 
 
+def gain_snr(rho, gain):
+    """Operating SNR rho * |g|^2 of complex gains ``gain`` (any shape).
+
+    |g| is the C library's hypot and its square the C library's pow, which
+    is what ``abs(g) ** 2`` computes on a Python complex; NumPy's own
+    ``abs`` and ``square`` round differently in the last bit.
+    """
+    return rho * np.float_power(np.hypot(gain.real, gain.imag), 2.0)
+
+
+def _alpha2_raw(snr_weak, qos: QosTargets):
+    """Unclamped closed-form alpha2 giving the weak user exactly its target."""
+    gate = 2.0**qos.r1_min
+    return (snr_weak + 1.0 - gate) / (snr_weak * gate)
+
+
+def optimal_alpha2_batch(snr_weak: np.ndarray, qos: QosTargets) -> np.ndarray:
+    """:func:`optimal_alpha2` over an array of SNRs, without the clamp labels."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        raw = _alpha2_raw(snr_weak, qos)
+    return np.clip(np.where(snr_weak > 0.0, raw, 0.0), 0.0, 0.5)
+
+
+def _interfered_rate(snr, alpha1, alpha2):
+    """Rate of the weak user's signal decoded under the strong user's."""
+    return np.log2(1.0 + alpha1 * snr / (alpha2 * snr + 1.0))
+
+
+def _cancelled_rate(snr, alpha2):
+    """Rate of the strong user's signal after cancelling the weak user's."""
+    return np.log2(1.0 + alpha2 * snr)
+
+
+def noma_rates(snr_weak, snr_strong, alpha1, alpha2):
+    """Rates (r1, r2, r2_to_1): the weak user's, the strong user's after
+    SIC, and the strong user's decoding of the weak user's signal."""
+    return (
+        _interfered_rate(snr_weak, alpha1, alpha2),
+        _cancelled_rate(snr_strong, alpha2),
+        _interfered_rate(snr_strong, alpha1, alpha2),
+    )
+
+
+def qos_verdicts(r1, r2, r2_to_1, qos: QosTargets):
+    """(r1_qos, r2_qos, sic): the rate targets, each with a RATE_TOL slack."""
+    return (
+        r1 >= qos.r1_min - RATE_TOL,
+        r2 >= qos.r2_min - RATE_TOL,
+        r2_to_1 >= qos.r1_min - RATE_TOL,
+    )
+
+
 def rate_weak(snr_weak: float, split: PowerSplit) -> float:
     """Rate of the weak user decoding under the strong user's interference."""
-    return math.log2(1.0 + split.alpha1 * snr_weak / (split.alpha2 * snr_weak + 1.0))
+    return float(_interfered_rate(snr_weak, split.alpha1, split.alpha2))
 
 
 def rate_sic(snr_strong: float, split: PowerSplit) -> float:
     """Rate at which the strong user decodes the weak user's signal for SIC."""
-    return math.log2(
-        1.0 + split.alpha1 * snr_strong / (split.alpha2 * snr_strong + 1.0)
-    )
+    return float(_interfered_rate(snr_strong, split.alpha1, split.alpha2))
 
 
 def rate_strong(snr_strong: float, split: PowerSplit) -> float:
     """Rate of the strong user after perfect interference cancellation."""
-    return math.log2(1.0 + split.alpha2 * snr_strong)
+    return float(_cancelled_rate(snr_strong, split.alpha2))
 
 
-def sum_rate_objective(snr_weak: float, snr_strong: float, alpha2: float) -> float:
-    """Interference-resolved sum-rate objective f(alpha2).
+def sum_rate_objective(snr_weak, snr_strong, alpha2):
+    """Interference-resolved sum-rate objective f(alpha2), any array shape.
 
     log2(1 + f) equals rate_weak + rate_strong, which makes f the quantity
     to maximise; it is nondecreasing in alpha2 whenever snr_strong >=
@@ -132,10 +183,9 @@ def sum_rate_objective(snr_weak: float, snr_strong: float, alpha2: float) -> flo
 
 def rate_report(snr_weak: float, snr_strong: float, split: PowerSplit) -> RateReport:
     """Evaluate all three achievable rates for one power split."""
-    r1 = rate_weak(snr_weak, split)
-    r2 = rate_strong(snr_strong, split)
-    return RateReport(r1=r1, r2=r2, r2_to_1=rate_sic(snr_strong, split),
-                      sum_rate=r1 + r2)
+    r1, r2, r2_to_1 = noma_rates(snr_weak, snr_strong, split.alpha1, split.alpha2)
+    r1, r2 = float(r1), float(r2)
+    return RateReport(r1=r1, r2=r2, r2_to_1=float(r2_to_1), sum_rate=r1 + r2)
 
 
 def optimal_alpha2(snr_weak: float, qos: QosTargets) -> Alpha2Result:
@@ -149,13 +199,35 @@ def optimal_alpha2(snr_weak: float, qos: QosTargets) -> Alpha2Result:
     """
     if snr_weak <= 0.0:
         return Alpha2Result(0.0, "low")
-    gate = 2.0**qos.r1_min
-    raw = (snr_weak + 1.0 - gate) / (snr_weak * gate)
+    raw = _alpha2_raw(snr_weak, qos)
     if raw <= 0.0:
         return Alpha2Result(0.0, "low")
     if raw >= 0.5:
         return Alpha2Result(0.5, "high")
     return Alpha2Result(raw, "none")
+
+
+def _feasibility(snr_weak, snr_strong, split, rates, qos, spacing) -> FeasibilityReport:
+    return FeasibilityReport(
+        spacing,
+        *qos_verdicts(rates.r1, rates.r2, rates.r2_to_1, qos),
+        order_alpha=-ALPHA_TOL <= split.alpha2 <= 0.5 + ALPHA_TOL,
+        order_channel=snr_strong >= snr_weak,
+    )
+
+
+def evaluate_snrs(
+    snr_weak: float, snr_strong: float, qos: QosTargets, spacing: bool = True
+) -> tuple[PowerSplit, RateReport, FeasibilityReport, Alpha2Result]:
+    """Closed-form power split, its rates and every verdict at one SNR pair.
+
+    ``spacing`` is the layout's spacing verdict, which SNRs cannot tell.
+    """
+    alpha = optimal_alpha2(snr_weak, qos)
+    split = PowerSplit.from_alpha2(alpha.alpha2)
+    rates = rate_report(snr_weak, snr_strong, split)
+    report = _feasibility(snr_weak, snr_strong, split, rates, qos, spacing)
+    return split, rates, report, alpha
 
 
 def check_feasibility(
@@ -167,26 +239,11 @@ def check_feasibility(
 ) -> FeasibilityReport:
     """Evaluate every constraint of the sum-rate problem for one candidate.
 
-    Rate comparisons carry a 1e-9 slack and the spacing check a 1e-12 *
-    wavelength slack.  The alpha ordering accepts the closed interval
-    [0, 0.5]: the equal-split boundary is the clamped optimum at high SNR,
-    not a violation.
+    Rate comparisons carry a RATE_TOL slack and the spacing check
+    ``AntennaLayout.SPACING_SLACK``.  The alpha ordering accepts the closed
+    interval [0, 0.5]: the equal-split boundary is the clamped optimum at
+    high SNR, not a violation.
     """
-    lam = wavelength(params)
-    spacing_tol = 1e-12 * lam
-    spacing = all(
-        b - a >= params.delta_min - spacing_tol
-        for a, b in zip(layout.xs, layout.xs[1:])
-    )
-    rho = snr_scale(params)
-    snr1 = rho * abs(gains[0]) ** 2
-    snr2 = rho * abs(gains[1]) ** 2
+    snr1, snr2 = gain_snr(snr_scale(params), np.array(gains)).tolist()
     rates = rate_report(snr1, snr2, split)
-    return FeasibilityReport(
-        spacing=spacing,
-        r1_qos=rates.r1 >= qos.r1_min - RATE_TOL,
-        r2_qos=rates.r2 >= qos.r2_min - RATE_TOL,
-        sic=rates.r2_to_1 >= qos.r1_min - RATE_TOL,
-        order_alpha=(-ALPHA_TOL <= split.alpha2 <= 0.5 + ALPHA_TOL),
-        order_channel=abs(gains[1]) ** 2 >= abs(gains[0]) ** 2,
-    )
+    return _feasibility(snr1, snr2, split, rates, qos, layout.spacing_ok(params))

@@ -22,9 +22,19 @@ from .channel import (
     UserPosition,
     guided_wavelength,
     pinching_gains_batch,
+    require_finite,
     wavelength,
 )
-from .noma import QosTargets, RATE_TOL, ZERO_RATES, sum_rate_objective, snr_scale
+from .noma import (
+    QosTargets,
+    ZERO_RATES,
+    gain_snr,
+    noma_rates,
+    optimal_alpha2_batch,
+    qos_verdicts,
+    snr_scale,
+    sum_rate_objective,
+)
 from .placement import (
     PlacementError,
     PlacementSolution,
@@ -58,6 +68,7 @@ class OracleConfig:
     strategy: str = "two-stage"
 
     def __post_init__(self) -> None:
+        require_finite(self, ("position_step", "alpha_step", "search_window"))
         if self.position_step is not None and self.position_step <= 0:
             raise ValueError("position_step must be positive")
         if self.alpha_step <= 0:
@@ -86,19 +97,13 @@ def grid_alpha2(
     alphas = np.minimum(cfg.alpha_step * np.arange(n), 0.5)
     if alphas[-1] < 0.5:
         alphas = np.append(alphas, 0.5)
-    r1 = np.log2(1.0 + (1.0 - alphas) * snr_weak / (alphas * snr_weak + 1.0))
-    r2 = np.log2(1.0 + alphas * snr_strong)
-    r21 = np.log2(1.0 + (1.0 - alphas) * snr_strong / (alphas * snr_strong + 1.0))
-    ok = (
-        (r1 >= qos.r1_min - RATE_TOL)
-        & (r2 >= qos.r2_min - RATE_TOL)
-        & (r21 >= qos.r1_min - RATE_TOL)
+    r1_qos, r2_qos, sic = qos_verdicts(
+        *noma_rates(snr_weak, snr_strong, 1.0 - alphas, alphas), qos
     )
+    ok = r1_qos & r2_qos & sic
     if not ok.any():
         return None
-    values = np.array(
-        [sum_rate_objective(snr_weak, snr_strong, float(a)) for a in alphas[ok]]
-    )
+    values = sum_rate_objective(snr_weak, snr_strong, alphas[ok])
     return float(alphas[ok][int(np.argmax(values))])
 
 
@@ -115,26 +120,15 @@ def batch_solution_metrics(
     already (the enumerators only generate admissible rows), so feasibility
     here covers the rate targets and the channel-ordering requirement.
     """
-    g1 = pinching_gains_batch(params, xs_layouts, feed_x, users[0])
-    g2 = pinching_gains_batch(params, xs_layouts, feed_x, users[1])
     rho = snr_scale(params)
-    s1 = rho * np.abs(g1) ** 2
-    s2 = rho * np.abs(g2) ** 2
-    gate = 2.0**qos.r1_min
-    with np.errstate(divide="ignore", invalid="ignore"):
-        raw = (s1 + 1.0 - gate) / (s1 * gate)
-    raw = np.where(s1 > 0.0, raw, 0.0)
-    a2 = np.clip(raw, 0.0, 0.5)
-    r1 = np.log2(1.0 + (1.0 - a2) * s1 / (a2 * s1 + 1.0))
-    r2 = np.log2(1.0 + a2 * s2)
-    r21 = np.log2(1.0 + (1.0 - a2) * s2 / (a2 * s2 + 1.0))
-    feasible = (
-        (r1 >= qos.r1_min - RATE_TOL)
-        & (r2 >= qos.r2_min - RATE_TOL)
-        & (r21 >= qos.r1_min - RATE_TOL)
-        & (s2 >= s1)
+    s1, s2 = (
+        gain_snr(rho, pinching_gains_batch(params, xs_layouts, feed_x, u))
+        for u in users
     )
-    return r1 + r2, feasible, a2
+    a2 = optimal_alpha2_batch(s1, qos)
+    r1, r2, r21 = noma_rates(s1, s2, 1.0 - a2, a2)
+    r1_qos, r2_qos, sic = qos_verdicts(r1, r2, r21, qos)
+    return r1 + r2, r1_qos & r2_qos & sic & (s2 >= s1), a2
 
 
 def _grid(params: SystemParams, users, cfg: OracleConfig) -> np.ndarray:

@@ -11,7 +11,7 @@ turns the per-antenna contributions from incoherent into coherent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .channel import (
     UserPosition,
     phases_and_distances,
     pinching_gain,
+    require_finite,
     wavelength,
 )
 from .noma import (
@@ -30,9 +31,8 @@ from .noma import (
     QosTargets,
     RateReport,
     ZERO_RATES,
-    check_feasibility,
-    optimal_alpha2,
-    rate_report,
+    evaluate_snrs,
+    gain_snr,
     snr_scale,
 )
 
@@ -52,7 +52,6 @@ class AlgoConfig:
     fine_step        fine-tuning step, m (default: wavelength / 100)
     max_fine_shifts  cap on outward steps per antenna (default: a
                      10-wavelength window, ceil(10 * wavelength / fine_step))
-    baseline_mode    fixed-antenna combining used by comparison harnesses
     """
 
     epsilon: float = 1e-5
@@ -60,9 +59,11 @@ class AlgoConfig:
     delta2: float = 0.02
     fine_step: float | None = None
     max_fine_shifts: int | None = None
-    baseline_mode: str = "uniform"
 
     def __post_init__(self) -> None:
+        require_finite(
+            self, ("epsilon", "delta1", "delta2", "fine_step", "max_fine_shifts")
+        )
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.delta1 < 0 or self.delta2 < 0:
@@ -95,10 +96,10 @@ class PlacementSolution:
     pinned_antennas: tuple[int, ...] = ()
 
 
-def circular_phase_error(a: float, b: float) -> float:
-    """Distance between two phases on the circle, in [0, pi]."""
-    m = abs(a - b) % TWO_PI
-    return min(m, TWO_PI - m)
+def circular_phase_error(a, b):
+    """Distance between two phases on the circle, in [0, pi], any shape."""
+    m = np.abs(a - b) % TWO_PI
+    return np.minimum(m, TWO_PI - m)
 
 
 def center_index(n_antennas: int) -> int:
@@ -186,11 +187,10 @@ def _pick_candidate(
         float(phases_and_distances(params, u, np.asarray(inner_x), feed_x)[0])
         for u in users
     ]
-    errs = []
-    for u, ref in zip(users, phase_inner):
-        ph, _ = phases_and_distances(params, u, cand, feed_x)
-        m = np.abs(ph - ref) % TWO_PI
-        errs.append(np.minimum(m, TWO_PI - m))
+    errs = [
+        circular_phase_error(phases_and_distances(params, u, cand, feed_x)[0], ref)
+        for u, ref in zip(users, phase_inner)
+    ]
     ok = spacing_ok & (errs[0] <= cfg.delta1) & (errs[1] <= cfg.delta2)
     if ok.any():
         return float(cand[int(np.argmax(ok))])
@@ -302,16 +302,9 @@ def evaluate_placement(
     qos: QosTargets,
 ) -> tuple[PowerSplit, RateReport, FeasibilityReport, Alpha2Result]:
     """Optimal power split, rates and constraint verdicts for one layout."""
-    g1 = pinching_gain(params, layout, users[0])
-    g2 = pinching_gain(params, layout, users[1])
-    rho = snr_scale(params)
-    snr1 = rho * abs(g1) ** 2
-    snr2 = rho * abs(g2) ** 2
-    alpha = optimal_alpha2(snr1, qos)
-    split = PowerSplit.from_alpha2(alpha.alpha2)
-    rates = rate_report(snr1, snr2, split)
-    report = check_feasibility(params, layout, (g1, g2), split, qos)
-    return split, rates, report, alpha
+    gains = np.array([pinching_gain(params, layout, u) for u in users])
+    snr1, snr2 = gain_snr(snr_scale(params), gains).tolist()
+    return evaluate_snrs(snr1, snr2, qos, layout.spacing_ok(params))
 
 
 def bisection_solve(
@@ -373,26 +366,8 @@ def bisection_solve(
             break
 
     if best is not None:
-        return PlacementSolution(
-            layout=best.layout,
-            split=best.split,
-            rates=best.rates,
-            feasibility=best.feasibility,
-            iterations=iterations,
-            feasible_found=True,
-            alpha_clamped=best.alpha_clamped,
-            pinned_antennas=best.pinned_antennas,
-        )
-    return PlacementSolution(
-        layout=last.layout,
-        split=last.split,
-        rates=ZERO_RATES,
-        feasibility=last.feasibility,
-        iterations=iterations,
-        feasible_found=False,
-        alpha_clamped=last.alpha_clamped,
-        pinned_antennas=last.pinned_antennas,
-    )
+        return replace(best, iterations=iterations)
+    return replace(last, rates=ZERO_RATES, iterations=iterations)
 
 
 def iteration_bound(params: SystemParams, cfg: AlgoConfig) -> int:

@@ -18,15 +18,7 @@ from statistics import mean, median
 import numpy as np
 
 from .channel import SystemParams, UserPosition, conventional_effective_gain
-from .noma import (
-    FeasibilityReport,
-    PowerSplit,
-    QosTargets,
-    RATE_TOL,
-    optimal_alpha2,
-    rate_report,
-    snr_scale,
-)
+from .noma import QosTargets, evaluate_snrs, snr_scale
 from .oracle import OracleConfig, exhaustive_placement
 from .placement import AlgoConfig, bisection_solve
 
@@ -132,19 +124,10 @@ def _conventional_record(params, scenario, qos, mode, scheme) -> TrialRecord:
     swapped = g2_sq < g1_sq
     if swapped:
         g1_sq, g2_sq = g2_sq, g1_sq
+    # a fixed array has no spacing to violate, and the relabel leaves the
+    # channels in order
     rho = snr_scale(params)
-    snr1, snr2 = rho * g1_sq, rho * g2_sq
-    alpha = optimal_alpha2(snr1, qos)
-    split = PowerSplit.from_alpha2(alpha.alpha2)
-    rates = rate_report(snr1, snr2, split)
-    report = FeasibilityReport(
-        spacing=True,
-        r1_qos=rates.r1 >= qos.r1_min - RATE_TOL,
-        r2_qos=rates.r2 >= qos.r2_min - RATE_TOL,
-        sic=rates.r2_to_1 >= qos.r1_min - RATE_TOL,
-        order_alpha=0.0 <= split.alpha2 <= 0.5,
-        order_channel=True,
-    )
+    split, rates, report, _ = evaluate_snrs(rho * g1_sq, rho * g2_sq, qos)
     ok = report.overall
     return TrialRecord(
         scheme=scheme,
@@ -173,8 +156,14 @@ def evaluate_scheme(
     antenna baselines relabel users up front so the stronger effective
     channel is user 2, recording the swap.
     """
-    if scheme == "pinching":
-        sol = bisection_solve(params, (scenario.user1, scenario.user2), qos, cfg, feed_x)
+    users = (scenario.user1, scenario.user2)
+    if scheme in ("pinching", "exhaustive"):
+        if scheme == "pinching":
+            sol = bisection_solve(params, users, qos, cfg, feed_x)
+        else:
+            sol = exhaustive_placement(
+                params, users, qos, oracle_cfg or OracleConfig(), feed_x
+            )
         return TrialRecord(
             scheme=scheme,
             sum_rate=sol.rates.sum_rate,
@@ -183,19 +172,6 @@ def evaluate_scheme(
             alpha2=sol.split.alpha2,
             feasible=sol.feasible_found,
             iterations=sol.iterations,
-        )
-    if scheme == "exhaustive":
-        sol = exhaustive_placement(
-            params, (scenario.user1, scenario.user2), qos,
-            oracle_cfg or OracleConfig(), feed_x,
-        )
-        return TrialRecord(
-            scheme=scheme,
-            sum_rate=sol.rates.sum_rate,
-            r1=sol.rates.r1,
-            r2=sol.rates.r2,
-            alpha2=sol.split.alpha2,
-            feasible=sol.feasible_found,
         )
     if scheme == "conventional-uniform":
         return _conventional_record(params, scenario, qos, "uniform", scheme)
@@ -209,12 +185,19 @@ def _trial_task(args):
     return evaluate_scheme(params, scenario, qos, cfg, scheme, oracle_cfg, feed_x)
 
 
+def worker_count(threads: int, cpus: int, n_tasks: int) -> int:
+    """Worker processes for ``n_tasks`` tasks when ``threads`` are asked for
+    (0 = one per CPU): never more than the CPUs or the tasks, at least 1."""
+    if threads < 0:
+        raise ValueError(f"threads must be >= 0, got {threads}")
+    return max(1, min(threads or cpus, cpus, n_tasks))
+
+
 def _run_tasks(tasks, threads: int, chunksize: int = 8):
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    if threads <= 1 or len(tasks) < 2:
+    workers = worker_count(threads, os.cpu_count() or 1, len(tasks))
+    if workers == 1:
         return [_trial_task(t) for t in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_trial_task, tasks, chunksize=chunksize))
 
 

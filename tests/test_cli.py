@@ -5,6 +5,7 @@ import time
 import pytest
 
 from pinchopt.cli import ConfigError, build_config, effective_config, load_config, main
+from pinchopt.sim import SamplingError
 
 SCENARIO_SET = 'scenario={"user1":{"x":2.0,"y":1.0},"user2":{"x":-2.0,"y":0.3}}'
 SMALL_SWEEP = [
@@ -69,11 +70,31 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("value", [
         "system.pt_dbm=NaN", "system.noise_dbm=-Infinity", "system.fc=Infinity",
+        "algo.epsilon=NaN", "algo.delta1=NaN", "algo.delta2=Infinity",
+        "algo.fine_step=Infinity", "qos.r1_min=NaN", "qos.r2_min=Infinity",
+        "oracle.position_step=NaN", "oracle.alpha_step=Infinity",
+        "oracle.search_window=NaN",
     ])
     def test_non_finite_system_value_exits_one(self, value, capsys):
         code = main(["solve", "--set", SCENARIO_SET, "--set", value])
         assert code == 1
         assert "must be finite" in capsys.readouterr().err
+
+    def test_removed_baseline_mode_is_unknown(self, capsys):
+        code = main(
+            ["solve", "--set", SCENARIO_SET, "--set", 'algo.baseline_mode="bogus"']
+        )
+        assert code == 1
+        assert "unknown key: algo.baseline_mode" in capsys.readouterr().err
+
+    def test_sampling_error_exits_one(self, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise SamplingError("could not draw a non-degenerate scenario")
+
+        monkeypatch.setattr("pinchopt.cli.sample_scenario", exhausted)
+        code = main(["solve", "--seed", "3"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: could not draw")
 
     def test_missing_config_file_exits_one(self, capsys):
         code = main(["solve", "--config", "/no/such/file.json"])
@@ -145,6 +166,16 @@ class TestSweepCommand:
         assert rows[0] == ["trial", "sum_rate_algo", "sum_rate_oracle", "rel_gap"]
         assert len(rows) == 6
 
+    def test_oversized_full_grid_exits_one(self, tmp_path, capsys):
+        code = main([
+            "sweep", "oracle", "--out", str(tmp_path / "oracle.csv"),
+            "--set", 'oracle.strategy="full-grid"', "--set", "sweep.trials=1",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: full-grid search would enumerate")
+        assert "Traceback" not in err
+
 
 class TestFiguresCommand:
     def test_writes_three_tables_and_config(self, tmp_path, capsys):
@@ -182,6 +213,18 @@ class TestUsageErrors:
                      "--seed", "5", *SMALL_SWEEP])
         assert code == 1
         assert "PINCH_THREADS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--threads", "env"])
+    def test_negative_threads_exit_one(self, tmp_path, monkeypatch, capsys, flag):
+        args = ["sweep", "power", "--out", str(tmp_path / "t.csv"), "--seed", "5",
+                *SMALL_SWEEP]
+        if flag == "env":
+            monkeypatch.setenv("PINCH_THREADS", "-2")
+        else:
+            args += ["--threads", "-3"]
+        assert main(args) == 1
+        assert "must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
 
     def test_threads_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PINCH_THREADS", "1")

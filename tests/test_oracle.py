@@ -5,19 +5,28 @@ import pytest
 
 from pinchopt import (
     AlgoConfig,
+    AntennaLayout,
     OracleConfig,
     OracleSizeError,
+    PowerSplit,
     QosTargets,
     SystemParams,
     UserPosition,
     bisection_solve,
+    conventional_effective_gain,
+    evaluate_placement,
     exhaustive_placement,
     grid_alpha2,
     optimal_alpha2,
+    rate_report,
+    sample_scenario,
+    snr_scale,
     sum_rate_objective,
+    trial_rng,
     wavelength,
 )
-from pinchopt.oracle import batch_solution_metrics
+from pinchopt.oracle import _grid, batch_solution_metrics
+from pinchopt.sim import _conventional_record
 
 
 class TestGridAlpha2:
@@ -193,3 +202,70 @@ class TestOracleConfig:
             OracleConfig(alpha_step=0.0)
         with pytest.raises(ValueError):
             OracleConfig(strategy="random-restart")
+
+
+class TestEvaluationPathsAgree:
+    """The batched oracle metrics and the solver's per-layout evaluation run
+    the same NOMA formulas, so on the same layouts they must agree."""
+
+    USERS = (UserPosition(12.0, -14.0), UserPosition(-9.0, 0.5))
+
+    @staticmethod
+    def _grid_rows(params, users, count=300):
+        # admissible N = 3 rows on the oracle's position grid
+        cfg = OracleConfig()
+        grid = _grid(params, users, cfg)
+        step = cfg.resolved_step(params)
+        gap = math.ceil((params.delta_min - AntennaLayout.SPACING_SLACK) / step)
+        rng = np.random.default_rng(3)
+        i0 = rng.integers(0, grid.size - 3 * gap - 20, count)
+        i1 = i0 + gap + rng.integers(0, 10, count)
+        i2 = i1 + gap + rng.integers(0, 10, count)
+        return grid[np.stack([i0, i1, i2], axis=1)]
+
+    @pytest.mark.parametrize("pt_dbm", [0.0, 30.0])
+    def test_batch_matches_evaluate_placement(self, pt_dbm):
+        params = SystemParams(side_d=30.0, pt_dbm=pt_dbm)
+        qos = QosTargets()
+        feed_x = -params.side_d / 2.0
+        rows = self._grid_rows(params, self.USERS)
+        rates, feasible, alpha2 = batch_solution_metrics(
+            params, rows, feed_x, self.USERS, qos
+        )
+        assert 0 < feasible.sum() < len(rows)
+        if pt_dbm == 0.0:
+            # the closed form is unclamped on part of the rows
+            assert np.any((alpha2 > 0.0) & (alpha2 < 0.5))
+        for row, rate, ok, a2 in zip(rows, rates, feasible, alpha2):
+            layout = AntennaLayout(xs=tuple(row), feed_x=feed_x)
+            split, report_rates, report, _ = evaluate_placement(
+                params, layout, self.USERS, qos
+            )
+            assert split.alpha2 == a2
+            assert report.overall == ok
+            # array and scalar log2 may differ in the last bit
+            assert abs(report_rates.sum_rate - rate) <= 4 * np.spacing(rate)
+
+    @pytest.mark.parametrize("mode", ["uniform", "mrt-strong"])
+    @pytest.mark.parametrize("seed_id", range(6))
+    def test_conventional_record_matches_scalar_api(self, mode, seed_id):
+        # at 0 dBm over 30 m these drops mix swaps, clamps, interior splits
+        # and infeasible cells
+        params = SystemParams(pt_dbm=0.0, side_d=30.0)
+        qos = QosTargets()
+        scen = sample_scenario(trial_rng(11, seed_id), params.side_d, seed_id)
+        rec = _conventional_record(params, scen, qos, mode, "baseline")
+        g1_sq, g2_sq = conventional_effective_gain(
+            params, (scen.user1, scen.user2), mode
+        )
+        assert rec.swapped == (g2_sq < g1_sq)
+        g1_sq, g2_sq = sorted((g1_sq, g2_sq))
+        rho = snr_scale(params)
+        alpha2, _ = optimal_alpha2(rho * g1_sq, qos)
+        rates = rate_report(rho * g1_sq, rho * g2_sq, PowerSplit.from_alpha2(alpha2))
+        assert rec.alpha2 == alpha2
+        if rec.feasible:
+            assert (rec.r1, rec.r2) == (rates.r1, rates.r2)
+            assert rec.sum_rate == rates.sum_rate
+        else:
+            assert rec.sum_rate == 0.0

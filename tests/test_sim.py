@@ -20,6 +20,7 @@ from pinchopt import (
     trial_rng,
     write_table,
 )
+from pinchopt.sim import worker_count
 
 
 class TestSampleScenario:
@@ -209,6 +210,28 @@ class TestOracleComparison:
             SystemParams(), QosTargets(), AlgoConfig(), spec, threads=2
         )
         assert seq.table == par.table
+
+
+class TestWorkerCount:
+    def test_capped_by_cpus_for_a_huge_request(self):
+        assert worker_count(10**6, cpus=2, n_tasks=10**6) == 2
+
+    def test_capped_by_tasks(self):
+        assert worker_count(10**6, cpus=64, n_tasks=3) == 3
+
+    def test_zero_means_one_per_cpu(self):
+        assert worker_count(0, cpus=4, n_tasks=100) == 4
+
+    def test_explicit_request_below_the_caps(self):
+        assert worker_count(3, cpus=8, n_tasks=100) == 3
+
+    @pytest.mark.parametrize("threads,n_tasks", [(1, 100), (8, 1), (8, 0)])
+    def test_serial_cases_give_one(self, threads, n_tasks):
+        assert worker_count(threads, cpus=8, n_tasks=n_tasks) == 1
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError, match="threads must be >= 0"):
+            worker_count(-3, cpus=8, n_tasks=100)
 
 
 class TestWriteTable:
