@@ -10,6 +10,7 @@ the feed point and the radiation point.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,17 @@ def require_finite(config, names: tuple[str, ...]) -> None:
         value = getattr(config, name)
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def require_int(config, names: tuple[str, ...]) -> None:
+    """Raise ValueError if a named field of ``config`` is not an integer;
+    a bool is not one (a field left at None is skipped)."""
+    for name in names:
+        value = getattr(config, name)
+        if value is not None and (
+            isinstance(value, bool) or not isinstance(value, numbers.Integral)
+        ):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -56,6 +68,7 @@ class SystemParams:
     noise_dbm: float = -90.0
 
     def __post_init__(self) -> None:
+        require_int(self, ("n_antennas",))
         if self.fc <= 0:
             raise ValueError("fc must be positive")
         if self.n_eff < 1:

@@ -70,7 +70,7 @@ def _build_scenario(section: dict | None) -> Scenario | None:
     try:
         u1 = UserPosition(**section["user1"])
         u2 = UserPosition(**section["user2"])
-        return Scenario(u1, u2, int(section.get("seed_id", 0)))
+        return Scenario(u1, u2, section.get("seed_id", 0))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid scenario section: {exc}") from exc
 

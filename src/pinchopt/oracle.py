@@ -41,6 +41,7 @@ from .placement import (
     center_bounds,
     center_index,
     evaluate_placement,
+    feed_point,
     pinned_antennas,
 )
 
@@ -314,8 +315,7 @@ def exhaustive_placement(
     Deterministic: identical inputs always yield identical output, with
     ties broken lexicographically on (sum rate, first antenna coordinate).
     """
-    if feed_x is None:
-        feed_x = -params.side_d / 2.0
+    feed_x = feed_point(params, feed_x)
     if cfg.strategy == "full-grid":
         return _full_grid_search(params, users, qos, cfg, feed_x)
     return _two_stage_search(params, users, qos, cfg, feed_x)

@@ -11,7 +11,8 @@ turns the per-antenna contributions from incoherent into coherent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .channel import (
     phases_and_distances,
     pinching_gain,
     require_finite,
+    require_int,
     wavelength,
 )
 from .noma import (
@@ -61,6 +63,7 @@ class AlgoConfig:
     max_fine_shifts: int | None = None
 
     def __post_init__(self) -> None:
+        require_int(self, ("max_fine_shifts",))
         require_finite(
             self, ("epsilon", "delta1", "delta2", "fine_step", "max_fine_shifts")
         )
@@ -98,8 +101,17 @@ class PlacementSolution:
 
 def circular_phase_error(a, b):
     """Distance between two phases on the circle, in [0, pi], any shape."""
-    m = np.abs(a - b) % TWO_PI
+    m = np.fmod(np.abs(a - b), TWO_PI)  # equals % on non-negative operands
     return np.minimum(m, TWO_PI - m)
+
+
+def feed_point(params: SystemParams, feed_x: float | None) -> float:
+    """The feed point, by default the region's left edge; PlacementError
+    unless it is finite and inside [-D/2, D/2]."""
+    half = params.side_d / 2.0
+    if feed_x is not None and not -half <= feed_x <= half:  # NaN fails too
+        raise PlacementError(f"feed_x {feed_x} outside [{-half}, {half}]")
+    return -half if feed_x is None else feed_x
 
 
 def center_index(n_antennas: int) -> int:
@@ -183,14 +195,12 @@ def _pick_candidate(
         fallback = inner_x + side * params.delta_min
         return min(fallback, cap) if side > 0 else max(fallback, cap)
 
-    phase_inner = [
-        float(phases_and_distances(params, u, np.asarray(inner_x), feed_x)[0])
-        for u in users
-    ]
-    errs = [
-        circular_phase_error(phases_and_distances(params, u, cand, feed_x)[0], ref)
-        for u, ref in zip(users, phase_inner)
-    ]
+    # the inner neighbour rides along as element 0: one phase call per user
+    xs = np.concatenate(([inner_x], cand))
+    errs = []
+    for u in users:
+        phases = phases_and_distances(params, u, xs, feed_x)[0]
+        errs.append(circular_phase_error(phases[1:], phases[0]))
     ok = spacing_ok & (errs[0] <= cfg.delta1) & (errs[1] <= cfg.delta2)
     if ok.any():
         return float(cand[int(np.argmax(ok))])
@@ -227,14 +237,37 @@ def _tune_layout(
     return AntennaLayout(xs=tuple(xs), feed_x=layout.feed_x)
 
 
-# Layouts already tuned in the current scope (see ``_tuning_scope``), keyed
-# by the input layout, as one (scope, table) pair.  The pair is read once per
-# call and a new pair is swapped in when the scope changes, so an entry tuned
-# in one scope is never returned in another, even with two threads solving
-# different scenarios; a lost swap costs only repeated tuning.  A sweep that
-# runs one scenario's power levels back to back reuses the table, which holds
-# at most the centres those solves visit.
-_tuned_layouts: tuple[tuple, dict] = ((), {})
+class _ScopedTable:
+    """Values per layout for one scope at a time, as one (scope, table) pair
+    that is read once per call and replaced by a new pair when the scope
+    changes: an entry is never returned in another scope, even to threads
+    solving different scenarios, and a lost swap only repeats work."""
+
+    def __init__(self) -> None:
+        self._pair: tuple[tuple, dict] = ((), {})
+
+    def lookup(self, scope: tuple, layout: AntennaLayout, compute):
+        cached_scope, table = self._pair
+        if cached_scope != scope:
+            table = {}
+            self._pair = (scope, table)
+        key = (layout.xs, layout.feed_x)
+        value = table.get(key)
+        if value is None:
+            value = table[key] = compute()
+        return value
+
+
+# every SystemParams field but the two powers, which enter only via snr_scale
+_power_free_fields = operator.attrgetter(*(
+    f.name for f in fields(SystemParams) if f.name not in ("pt_dbm", "noise_dbm")
+))
+
+
+def _channel_scope(params: SystemParams, users: tuple[UserPosition, UserPosition]) -> tuple:
+    """Everything besides the layout that its |g|^2 at unit rho and its
+    spacing verdict depend on."""
+    return _power_free_fields(params), tuple((u.x, u.y) for u in users)
 
 
 def _tuning_scope(
@@ -242,15 +275,18 @@ def _tuning_scope(
     users: tuple[UserPosition, UserPosition],
     cfg: AlgoConfig,
 ) -> tuple:
-    """Everything besides the input layout that ``_tune_layout`` reads:
-    every ``SystemParams`` field except ``pt_dbm`` and ``noise_dbm``."""
-    return (
-        params.fc, params.n_eff, params.h, params.side_d, params.n_antennas,
-        params.delta_min,
-        tuple((u.x, u.y) for u in users),
+    """Everything besides the input layout that ``_tune_layout`` reads."""
+    return _channel_scope(params, users) + (
         cfg.delta1, cfg.delta2,
         cfg.resolved_fine_step(params), cfg.resolved_max_shifts(params),
     )
+
+
+# A sweep runs each scenario's power levels back to back, so one scope's
+# tables hold at most the layouts its solves visit (power levels times
+# ``iteration_bound``) plus one per reference search.
+_tuned_layouts = _ScopedTable()  # input layout -> tuned layout
+_channel_terms = _ScopedTable()  # layout -> (|g|^2 at unit rho, spacing verdict)
 
 
 def fine_tune(
@@ -268,18 +304,10 @@ def fine_tune(
     transmit or noise power, so a layout already tuned for the same
     geometry, users and tolerances is returned again without retuning.
     """
-    global _tuned_layouts
-    scope = _tuning_scope(params, users, cfg)
-    cached_scope, table = _tuned_layouts
-    if cached_scope != scope:
-        table = {}
-        _tuned_layouts = (scope, table)
-    key = (layout.xs, layout.feed_x)
-    tuned = table.get(key)
-    if tuned is None:
-        tuned = _tune_layout(params, layout, users, cfg)
-        table[key] = tuned
-    return tuned
+    return _tuned_layouts.lookup(
+        _tuning_scope(params, users, cfg), layout,
+        lambda: _tune_layout(params, layout, users, cfg),
+    )
 
 
 def pinned_antennas(params: SystemParams, layout: AntennaLayout) -> tuple[int, ...]:
@@ -301,10 +329,21 @@ def evaluate_placement(
     users: tuple[UserPosition, UserPosition],
     qos: QosTargets,
 ) -> tuple[PowerSplit, RateReport, FeasibilityReport, Alpha2Result]:
-    """Optimal power split, rates and constraint verdicts for one layout."""
-    gains = np.array([pinching_gain(params, layout, u) for u in users])
-    snr1, snr2 = gain_snr(snr_scale(params), gains).tolist()
-    return evaluate_snrs(snr1, snr2, qos, layout.spacing_ok(params))
+    """Optimal power split, rates and constraint verdicts for one layout.
+
+    |g|^2 and the spacing verdict do not depend on the powers, so a layout
+    seen before in the same scope costs only the closed-form step; rho times
+    ``gain_snr`` at unit rho is bit-equal, as its last operation is that product.
+    """
+    def channel_terms():
+        gains = np.array([pinching_gain(params, layout, u) for u in users])
+        return gain_snr(1.0, gains), layout.spacing_ok(params)
+
+    g_sq, spacing = _channel_terms.lookup(
+        _channel_scope(params, users), layout, channel_terms
+    )
+    snr1, snr2 = (snr_scale(params) * g_sq).tolist()
+    return evaluate_snrs(snr1, snr2, qos, spacing)
 
 
 def bisection_solve(
@@ -329,8 +368,7 @@ def bisection_solve(
         raise PlacementError("user coordinates must be finite")
     if u1.x == u2.x:
         raise PlacementError("degenerate scenario: users share the same x-coordinate")
-    if feed_x is None:
-        feed_x = -params.side_d / 2.0
+    feed_x = feed_point(params, feed_x)
     lo_bound, hi_bound = center_bounds(params)
 
     left = u2.x

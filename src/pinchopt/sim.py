@@ -11,13 +11,14 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 from statistics import mean, median
 
 import numpy as np
 
-from .channel import SystemParams, UserPosition, conventional_effective_gain
+from .channel import SystemParams, UserPosition, conventional_effective_gain, require_int
 from .noma import QosTargets, evaluate_snrs, snr_scale
 from .oracle import OracleConfig, exhaustive_placement
 from .placement import AlgoConfig, bisection_solve
@@ -38,6 +39,7 @@ class Scenario:
     seed_id: int = 0
 
     def __post_init__(self) -> None:
+        require_int(self, ("seed_id",))
         if abs(self.user2.y) > abs(self.user1.y):
             raise ValueError("user2 must be the user closer to the waveguide")
         if self.user1.x == self.user2.x:
@@ -56,10 +58,20 @@ class SweepSpec:
     schemes: tuple[str, ...] = ("pinching", "conventional-uniform")
 
     def __post_init__(self) -> None:
+        require_int(self, ("trials", "seed"))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not self.pt_dbm_values or not self.d_values or not self.delta_pairs:
             raise ValueError("sweep value lists must be non-empty")
+        # checked before any output exists, not when a sweep reaches them
+        if not all(map(math.isfinite, self.pt_dbm_values)):
+            raise ValueError(f"pt_dbm_values must be finite: {self.pt_dbm_values}")
+        if not all(0 < d < math.inf for d in self.d_values):
+            raise ValueError(f"d_values must be finite and positive: {self.d_values}")
+        if not all(0 <= t < math.inf for pair in self.delta_pairs for t in pair):
+            raise ValueError(f"delta_pairs must be finite and >= 0: {self.delta_pairs}")
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ValueError(f"unknown scheme {s!r}; expected one of {SCHEMES}")

@@ -68,17 +68,41 @@ class TestSolveCommand:
         assert code == 2
         assert out["feasible"] is False
 
-    @pytest.mark.parametrize("value", [
-        "system.pt_dbm=NaN", "system.noise_dbm=-Infinity", "system.fc=Infinity",
-        "algo.epsilon=NaN", "algo.delta1=NaN", "algo.delta2=Infinity",
-        "algo.fine_step=Infinity", "qos.r1_min=NaN", "qos.r2_min=Infinity",
-        "oracle.position_step=NaN", "oracle.alpha_step=Infinity",
-        "oracle.search_window=NaN",
-    ])
-    def test_non_finite_system_value_exits_one(self, value, capsys):
+    BAD_VALUES = [
+        *((v, "must be finite") for v in (
+            "system.pt_dbm=NaN", "system.noise_dbm=-Infinity", "system.fc=Infinity",
+            "algo.epsilon=NaN", "algo.delta1=NaN", "algo.delta2=Infinity",
+            "algo.fine_step=Infinity", "qos.r1_min=NaN", "qos.r2_min=Infinity",
+            "oracle.position_step=NaN", "oracle.alpha_step=Infinity",
+            "oracle.search_window=NaN", "sweep.pt_dbm_values=[0,NaN]",
+            "sweep.d_values=[10,Infinity]", "sweep.delta_pairs=[[0.5,NaN]]",
+        )),
+        *((v, "must be an integer") for v in (
+            "system.n_antennas=2.5", "system.n_antennas=true",
+            "algo.max_fine_shifts=3.5", "sweep.trials=2.5", "sweep.seed=1.5",
+            "sweep.seed=false", "scenario.seed_id=1.5",
+        )),
+        ("sweep.seed=-1", "seed must be >= 0"),
+        ("sweep.d_values=[-5]", "must be finite and positive"),
+        ("sweep.d_values=[0]", "must be finite and positive"),
+        ("sweep.delta_pairs=[[0.5,-0.1]]", "must be finite and >= 0"),
+    ]
+
+    @pytest.mark.parametrize(
+        "value, message", BAD_VALUES, ids=[v for v, _ in BAD_VALUES]
+    )
+    def test_non_finite_system_value_exits_one(self, value, message, tmp_path, capsys):
+        # rejected while loading the config: before any solve, and before
+        # `figures` creates its output directory
         code = main(["solve", "--set", SCENARIO_SET, "--set", value])
         assert code == 1
-        assert "must be finite" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+        out = tmp_path / "D"
+        code = main(["figures", "--out", str(out), "--set", SCENARIO_SET, "--set", value])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_removed_baseline_mode_is_unknown(self, capsys):
         code = main(

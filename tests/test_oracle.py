@@ -8,6 +8,7 @@ from pinchopt import (
     AntennaLayout,
     OracleConfig,
     OracleSizeError,
+    PlacementError,
     PowerSplit,
     QosTargets,
     SystemParams,
@@ -189,6 +190,16 @@ class TestFullGrid:
         a = exhaustive_placement(p, users, qos, cfg)
         b = exhaustive_placement(p, users, qos, cfg)
         assert a == b
+
+
+@pytest.mark.parametrize("strategy", ["full-grid", "two-stage"])
+@pytest.mark.parametrize("feed_x", [math.nan, -math.inf, 1e9, 5.001])
+def test_feed_point_outside_region_rejected(qos, strategy, feed_x):
+    p = SystemParams(n_antennas=2)
+    users = (UserPosition(0.15, 2.0), UserPosition(-0.15, 0.5))
+    cfg = OracleConfig(strategy=strategy, search_window=0.01)
+    with pytest.raises(PlacementError, match="feed_x"):
+        exhaustive_placement(p, users, qos, cfg, feed_x=feed_x)
 
 
 class TestOracleConfig:

@@ -18,6 +18,7 @@ from pinchopt import (
     bisection_solve,
     check_feasibility,
     circular_phase_error,
+    evaluate_placement,
     fine_tune,
     initial_layout,
     iteration_bound,
@@ -25,8 +26,15 @@ from pinchopt import (
     snr_scale,
     wavelength,
 )
+from pinchopt.noma import evaluate_snrs, gain_snr
 from pinchopt.oracle import batch_solution_metrics
-from pinchopt.placement import _tune_layout, _tuning_scope, center_bounds, center_index
+from pinchopt.placement import (
+    _channel_scope,
+    _tune_layout,
+    _tuning_scope,
+    center_bounds,
+    center_index,
+)
 from pinchopt.sim import sample_scenario, trial_rng
 
 TWO_PI = 2 * math.pi
@@ -50,6 +58,15 @@ class TestCircularPhaseError:
             a, b = rng.uniform(-1e4, 1e4, size=2)
             e = circular_phase_error(a, b)
             assert 0.0 <= e <= math.pi + 1e-12
+
+    def test_bit_equal_to_remainder_form(self, rng):
+        # the phase differences fine-tuning meets run to several hundred rad
+        a = rng.uniform(-800.0, 800.0, size=100_000)
+        b = rng.uniform(-800.0, 800.0, size=100_000)
+        m = np.abs(a - b) % TWO_PI
+        expected = np.minimum(m, TWO_PI - m)
+        assert np.array_equal(circular_phase_error(a, b), expected)
+        assert circular_phase_error(a[0], b[0]) == expected[0]
 
 
 class TestInitialLayout:
@@ -188,6 +205,13 @@ class TestTunedLayoutReuse:
     PAIRS = ((0.5, 0.02), (0.2, 0.02), (0.5, 100.0))
 
     @staticmethod
+    def _evaluate_uncached(params, layout, users, qos):
+        """evaluate_placement's chain with nothing kept between calls."""
+        gains = np.array([pinching_gain(params, layout, u) for u in users])
+        snr1, snr2 = gain_snr(snr_scale(params), gains).tolist()
+        return evaluate_snrs(snr1, snr2, qos, layout.spacing_ok(params))
+
+    @staticmethod
     def _cases(seed, count, params):
         """(users, rigid layouts at a few centres) per drawn scenario."""
         lo, hi = center_bounds(params)
@@ -202,6 +226,7 @@ class TestTunedLayoutReuse:
 
     def test_scope_covers_every_field_but_power(self, params):
         users = (UserPosition(2.0, 1.0), UserPosition(-2.0, 0.3))
+        channel_base = _channel_scope(params, users)
         # explicit fine-tune steps, so no field reaches the scope only
         # through the wavelength-derived defaults
         for cfg in (AlgoConfig(), AlgoConfig(fine_step=1e-4, max_fine_shifts=50)):
@@ -210,14 +235,16 @@ class TestTunedLayoutReuse:
                 value = getattr(params, f.name)
                 bumped = value + 2 if isinstance(value, int) else value * 1.25
                 other = dataclasses.replace(params, **{f.name: bumped})
-                shared = _tuning_scope(other, users, cfg) == base
-                assert shared == (f.name in ("pt_dbm", "noise_dbm")), f.name
+                power = f.name in ("pt_dbm", "noise_dbm")
+                assert (_tuning_scope(other, users, cfg) == base) == power, f.name
+                assert (_channel_scope(other, users) == channel_base) == power, f.name
             for change in ({"delta1": 0.3}, {"delta2": 0.3}, {"fine_step": 2e-4},
                            {"max_fine_shifts": 70}):
                 assert _tuning_scope(params, users, dataclasses.replace(cfg, **change)) != base
             assert _tuning_scope(params, users, dataclasses.replace(cfg, epsilon=1e-3)) == base
             swapped = (users[0], UserPosition(-2.0, 0.4))
             assert _tuning_scope(params, swapped, cfg) != base
+            assert _channel_scope(params, swapped) != channel_base
 
     def test_reused_across_power_levels(self, params):
         users, layouts = self._cases(11, 1, params)[0]
@@ -238,12 +265,19 @@ class TestTunedLayoutReuse:
             for layout in layouts
         ]
         order = np.random.default_rng(5).permutation(len(calls))
+        qos = QosTargets()
         # scenario-major runs (table reused) then shuffled calls (table swapped)
         for p, users, layout, cfg in calls + [calls[i] for i in order]:
-            assert fine_tune(p, layout, users, cfg) == _tune_layout(p, layout, users, cfg)
+            tuned = fine_tune(p, layout, users, cfg)
+            assert tuned == _tune_layout(p, layout, users, cfg)
+            for evaluated in (tuned, layout):
+                assert evaluate_placement(p, evaluated, users, qos) == (
+                    self._evaluate_uncached(p, evaluated, users, qos)
+                )
 
     def test_threads_on_different_scenarios(self, params):
         cfg = AlgoConfig()
+        qos = QosTargets()
         # the same rigid layouts for every scenario, so a table holding
         # another scenario's entries would answer the lookup
         layouts = [initial_layout(params, c, -5.0) for c in (-1.0, 0.0, 1.0)]
@@ -252,19 +286,32 @@ class TestTunedLayoutReuse:
             [_tune_layout(params, layout, users, cfg) for layout in layouts]
             for users, _ in cases
         ]
+        powers = [dataclasses.replace(params, pt_dbm=pt) for pt in self.POWERS]
+        # per scenario and power: uncached results for its tuned layouts and
+        # for the rigid ones, which every scenario shares as keys
+        evaluated = [
+            [
+                [self._evaluate_uncached(p, layout, users, qos) for layout in want + layouts]
+                for p in powers
+            ]
+            for (users, _), want in zip(cases, expected)
+        ]
         errors = []
         start = threading.Barrier(len(cases))
 
-        def work(users, layouts, want):
+        def work(users, layouts, want, want_eval):
             try:
                 start.wait(timeout=60)
                 for _ in range(20):
-                    for pt in self.POWERS:
-                        p = dataclasses.replace(params, pt_dbm=pt)
+                    for p, want_at_p in zip(powers, want_eval):
                         for layout, tuned in zip(layouts, want):
                             got = fine_tune(p, layout, users, cfg)
                             if got != tuned:
                                 errors.append((users, layout.xs, got.xs, tuned.xs))
+                        for layout, ev in zip(want + layouts, want_at_p):
+                            got_ev = evaluate_placement(p, layout, users, qos)
+                            if got_ev != ev:
+                                errors.append((users, layout.xs, got_ev, ev))
             except Exception as exc:  # would not reach the test from a thread
                 errors.append(exc)
 
@@ -272,8 +319,8 @@ class TestTunedLayoutReuse:
         sys.setswitchinterval(1e-6)
         try:
             threads = [
-                threading.Thread(target=work, args=(*case, want))
-                for case, want in zip(cases, expected)
+                threading.Thread(target=work, args=(*case, want, want_eval))
+                for case, want, want_eval in zip(cases, expected, evaluated)
             ]
             for th in threads:
                 th.start()
@@ -295,6 +342,20 @@ class TestBisectionSolve:
         users = (UserPosition(math.inf, 2.0), UserPosition(1.0, 0.5))
         with pytest.raises(PlacementError):
             bisection_solve(params, users, qos, algo_cfg)
+
+    @pytest.mark.parametrize("feed_x", [math.nan, math.inf, 1e9, -5.001])
+    def test_feed_point_outside_region_rejected(self, params, qos, algo_cfg, feed_x):
+        # a NaN feed used to come back "infeasible" and 1e9 m used to solve
+        users = (UserPosition(2.0, 1.0), UserPosition(-2.0, 0.3))
+        with pytest.raises(PlacementError, match="feed_x"):
+            bisection_solve(params, users, qos, algo_cfg, feed_x=feed_x)
+
+    def test_feed_point_on_region_edge_accepted(self, params, qos, algo_cfg):
+        users = (UserPosition(2.0, 1.0), UserPosition(-2.0, 0.3))
+        half = params.side_d / 2
+        default = bisection_solve(params, users, qos, algo_cfg)
+        assert bisection_solve(params, users, qos, algo_cfg, feed_x=-half) == default
+        assert bisection_solve(params, users, qos, algo_cfg, feed_x=half).feasible_found
 
     def test_single_antenna_converges_to_grid_optimum(self):
         p = SystemParams(n_antennas=1)
