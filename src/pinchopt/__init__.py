@@ -53,6 +53,7 @@ from .sim import (
     TrialRecord,
     evaluate_scheme,
     run_delta_sweep,
+    run_figures,
     run_oracle_comparison,
     run_power_sweep,
     sample_scenario,

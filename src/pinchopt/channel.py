@@ -110,7 +110,7 @@ class AntennaLayout:
     SPACING_SLACK = 1e-12
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "xs", tuple(float(x) for x in self.xs))
+        object.__setattr__(self, "xs", tuple(map(float, self.xs)))
 
     def validate(self, params: SystemParams) -> None:
         """Raise LayoutError unless spacing and region bounds hold."""

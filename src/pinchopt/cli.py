@@ -24,6 +24,7 @@ from .sim import (
     Scenario,
     SweepSpec,
     run_delta_sweep,
+    run_figures,
     run_oracle_comparison,
     run_power_sweep,
     sample_scenario,
@@ -85,7 +86,7 @@ def build_config(doc: dict) -> RunConfig:
             sweep_raw[key] = tuple(sweep_raw[key])
     if "delta_pairs" in sweep_raw:
         sweep_raw["delta_pairs"] = tuple(tuple(p) for p in sweep_raw["delta_pairs"])
-    return RunConfig(
+    cfg = RunConfig(
         system=_build(SystemParams, doc.get("system", {}), "system"),
         qos=_build(QosTargets, doc.get("qos", {}), "qos"),
         algo=_build(AlgoConfig, doc.get("algo", {}), "algo"),
@@ -93,6 +94,8 @@ def build_config(doc: dict) -> RunConfig:
         sweep=_build(SweepSpec, sweep_raw, "sweep"),
         scenario=_build_scenario(doc.get("scenario")),
     )
+    cfg.algo.resolved_max_shifts(cfg.system)  # an oversized budget fails before any output
+    return cfg
 
 
 def effective_config(cfg: RunConfig) -> dict:
@@ -211,9 +214,8 @@ def cmd_sweep(cfg: RunConfig, which: str, out_path: str, threads: int) -> int:
 
 def cmd_figures(cfg: RunConfig, out_dir: str, threads: int) -> int:
     os.makedirs(out_dir, exist_ok=True)
-    figures = (("fig2", "power"), ("fig3", "delta"), ("fig4", "oracle"))
-    results = [(name, _run_sweep(cfg, which, threads)) for name, which in figures]
-    for name, result in results:
+    results = run_figures(cfg.system, cfg.qos, cfg.algo, cfg.sweep, cfg.oracle, threads)
+    for name, result in zip(("fig2", "fig3", "fig4"), results):
         write_table(result.table, os.path.join(out_dir, f"{name}.csv"), "csv")
     _echo_config(cfg, out_dir)
     print(f"wrote fig2.csv, fig3.csv, fig4.csv to {out_dir} (seed {cfg.sweep.seed})")

@@ -183,9 +183,9 @@ def sum_rate_objective(snr_weak, snr_strong, alpha2):
 
 def rate_report(snr_weak: float, snr_strong: float, split: PowerSplit) -> RateReport:
     """Evaluate all three achievable rates for one power split."""
-    r1, r2, r2_to_1 = noma_rates(snr_weak, snr_strong, split.alpha1, split.alpha2)
-    r1, r2 = float(r1), float(r2)
-    return RateReport(r1=r1, r2=r2, r2_to_1=float(r2_to_1), sum_rate=r1 + r2)
+    rates = noma_rates(snr_weak, snr_strong, split.alpha1, split.alpha2)
+    r1, r2, r2_to_1 = map(float, rates)
+    return RateReport(r1, r2, r2_to_1, r1 + r2)
 
 
 def optimal_alpha2(snr_weak: float, qos: QosTargets) -> Alpha2Result:
@@ -211,8 +211,8 @@ def _feasibility(snr_weak, snr_strong, split, rates, qos, spacing) -> Feasibilit
     return FeasibilityReport(
         spacing,
         *qos_verdicts(rates.r1, rates.r2, rates.r2_to_1, qos),
-        order_alpha=-ALPHA_TOL <= split.alpha2 <= 0.5 + ALPHA_TOL,
-        order_channel=snr_strong >= snr_weak,
+        -ALPHA_TOL <= split.alpha2 <= 0.5 + ALPHA_TOL,  # order_alpha
+        snr_strong >= snr_weak,  # order_channel
     )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,6 +39,8 @@ from .noma import (
 )
 
 TWO_PI = 2.0 * math.pi
+MAX_FINE_SHIFTS = 10**6  # candidates per antenna; 1000x the default budget
+CAP_SLACK = 1e-15  # a candidate this close to its region cap counts as on it
 
 
 class PlacementError(ValueError):
@@ -80,9 +82,13 @@ class AlgoConfig:
         return self.fine_step if self.fine_step is not None else wavelength(params) / 100.0
 
     def resolved_max_shifts(self, params: SystemParams) -> int:
-        if self.max_fine_shifts is not None:
-            return self.max_fine_shifts
-        return math.ceil(10.0 * wavelength(params) / self.resolved_fine_step(params))
+        shifts = self.max_fine_shifts
+        if shifts is None:
+            shifts = 10.0 * wavelength(params) / self.resolved_fine_step(params)
+        if shifts > MAX_FINE_SHIFTS:  # checked before anything is allocated
+            raise PlacementError(f"fine-tune budget of {shifts:.6g} shifts per antenna "
+                                 f"exceeds {MAX_FINE_SHIFTS}")
+        return math.ceil(shifts)
 
 
 @dataclass(frozen=True)
@@ -133,6 +139,12 @@ def center_bounds(params: SystemParams) -> tuple[float, float]:
     return lo, hi
 
 
+def _pitch_offsets(params: SystemParams) -> tuple[float, ...]:
+    """Each antenna's offset from the centre antenna in the rigid array."""
+    c = center_index(params.n_antennas)
+    return tuple((n - c) * params.delta_min for n in range(params.n_antennas))
+
+
 def initial_layout(params: SystemParams, center_x: float, feed_x: float) -> AntennaLayout:
     """Rigid array at minimum pitch with its centre antenna at ``center_x``."""
     lo, hi = center_bounds(params)
@@ -141,11 +153,7 @@ def initial_layout(params: SystemParams, center_x: float, feed_x: float) -> Ante
             f"centre {center_x} leaves no room for the array; "
             f"valid range is [{lo}, {hi}]"
         )
-    c = center_index(params.n_antennas)
-    xs = tuple(
-        center_x + (n - c) * params.delta_min for n in range(params.n_antennas)
-    )
-    return AntennaLayout(xs=xs, feed_x=feed_x)
+    return AntennaLayout(tuple(center_x + o for o in _pitch_offsets(params)), feed_x)
 
 
 def _antenna_cap(params: SystemParams, n: int, side: int) -> float:
@@ -176,17 +184,17 @@ def _pick_candidate(
     the valid candidate with the smallest tolerance-weighted error is used.
     """
     if side > 0:
-        keep = cand <= cap + 1e-15
+        keep = cand <= cap + CAP_SLACK
         truncated = not keep.all()
         cand = cand[keep]
-        if truncated and (cand.size == 0 or cand[-1] < cap - 1e-15):
+        if truncated and (cand.size == 0 or cand[-1] < cap - CAP_SLACK):
             cand = np.append(cand, cap)
         spacing_ok = cand - inner_x >= params.delta_min - AntennaLayout.SPACING_SLACK
     else:
-        keep = cand >= cap - 1e-15
+        keep = cand >= cap - CAP_SLACK
         truncated = not keep.all()
         cand = cand[keep]
-        if truncated and (cand.size == 0 or cand[-1] > cap + 1e-15):
+        if truncated and (cand.size == 0 or cand[-1] > cap + CAP_SLACK):
             cand = np.append(cand, cap)
         spacing_ok = inner_x - cand >= params.delta_min - AntennaLayout.SPACING_SLACK
 
@@ -237,27 +245,6 @@ def _tune_layout(
     return AntennaLayout(xs=tuple(xs), feed_x=layout.feed_x)
 
 
-class _ScopedTable:
-    """Values per layout for one scope at a time, as one (scope, table) pair
-    that is read once per call and replaced by a new pair when the scope
-    changes: an entry is never returned in another scope, even to threads
-    solving different scenarios, and a lost swap only repeats work."""
-
-    def __init__(self) -> None:
-        self._pair: tuple[tuple, dict] = ((), {})
-
-    def lookup(self, scope: tuple, layout: AntennaLayout, compute):
-        cached_scope, table = self._pair
-        if cached_scope != scope:
-            table = {}
-            self._pair = (scope, table)
-        key = (layout.xs, layout.feed_x)
-        value = table.get(key)
-        if value is None:
-            value = table[key] = compute()
-        return value
-
-
 # every SystemParams field but the two powers, which enter only via snr_scale
 _power_free_fields = operator.attrgetter(*(
     f.name for f in fields(SystemParams) if f.name not in ("pt_dbm", "noise_dbm")
@@ -265,27 +252,39 @@ _power_free_fields = operator.attrgetter(*(
 
 
 def _channel_scope(params: SystemParams, users: tuple[UserPosition, UserPosition]) -> tuple:
-    """Everything besides the layout that its |g|^2 at unit rho and its
-    spacing verdict depend on."""
+    """Everything besides the layout and the tolerances that a layout's
+    tuning, its |g|^2 at unit rho and its spacing verdict depend on."""
     return _power_free_fields(params), tuple((u.x, u.y) for u in users)
 
 
-def _tuning_scope(
-    params: SystemParams,
-    users: tuple[UserPosition, UserPosition],
-    cfg: AlgoConfig,
-) -> tuple:
-    """Everything besides the input layout that ``_tune_layout`` reads."""
-    return _channel_scope(params, users) + (
-        cfg.delta1, cfg.delta2,
-        cfg.resolved_fine_step(params), cfg.resolved_max_shifts(params),
-    )
+class _ScopedTable:
+    """Values for one scenario at a time, the scenario being its
+    :func:`_channel_scope`.  The state is one (params, users, scope, table)
+    tuple, read once per call and replaced whole: the scope is rebuilt only
+    when the argument objects change and the table only when the scope does,
+    so an entry is never returned in another scope, even to threads solving
+    different scenarios, and a lost swap only repeats work."""
+
+    def __init__(self) -> None:
+        self._state: tuple = (None, None, None, {})
+
+    def lookup(self, params: SystemParams, users: tuple, key, compute):
+        state = self._state
+        if params is not state[0] or users is not state[1]:
+            scope = _channel_scope(params, users)
+            table = state[3] if scope == state[2] else {}
+            state = self._state = (params, users, scope, table)
+        table = state[3]
+        value = table.get(key)
+        if value is None:
+            value = table[key] = compute()
+        return value
 
 
-# A sweep runs each scenario's power levels back to back, so one scope's
-# tables hold at most the layouts its solves visit (power levels times
-# ``iteration_bound``) plus one per reference search.
-_tuned_layouts = _ScopedTable()  # input layout -> tuned layout
+# Sweeps run each scenario's tasks back to back, so one scope's tables hold
+# at most the layouts its solves visit (tolerance pairs times power levels
+# times ``iteration_bound``) plus one per reference search.
+_tuned_layouts = _ScopedTable()  # (input layout, tolerances) -> tuned layout
 _channel_terms = _ScopedTable()  # layout -> (|g|^2 at unit rho, spacing verdict)
 
 
@@ -304,9 +303,12 @@ def fine_tune(
     transmit or noise power, so a layout already tuned for the same
     geometry, users and tolerances is returned again without retuning.
     """
+    key = (
+        layout.xs, layout.feed_x, cfg.delta1, cfg.delta2,
+        cfg.resolved_fine_step(params), cfg.resolved_max_shifts(params),
+    )
     return _tuned_layouts.lookup(
-        _tuning_scope(params, users, cfg), layout,
-        lambda: _tune_layout(params, layout, users, cfg),
+        params, users, key, lambda: _tune_layout(params, layout, users, cfg)
     )
 
 
@@ -337,13 +339,13 @@ def evaluate_placement(
     """
     def channel_terms():
         gains = np.array([pinching_gain(params, layout, u) for u in users])
-        return gain_snr(1.0, gains), layout.spacing_ok(params)
+        return gain_snr(1.0, gains).tolist(), layout.spacing_ok(params)
 
-    g_sq, spacing = _channel_terms.lookup(
-        _channel_scope(params, users), layout, channel_terms
+    (g1_sq, g2_sq), spacing = _channel_terms.lookup(
+        params, users, (layout.xs, layout.feed_x), channel_terms
     )
-    snr1, snr2 = (snr_scale(params) * g_sq).tolist()
-    return evaluate_snrs(snr1, snr2, qos, spacing)
+    rho = snr_scale(params)
+    return evaluate_snrs(rho * g1_sq, rho * g2_sq, qos, spacing)
 
 
 def bisection_solve(
@@ -371,28 +373,21 @@ def bisection_solve(
     feed_x = feed_point(params, feed_x)
     lo_bound, hi_bound = center_bounds(params)
 
+    offsets = _pitch_offsets(params)
+
     left = u2.x
     right = u1.x
-    best: PlacementSolution | None = None
-    last: PlacementSolution | None = None
+    best = last = None  # (layout, split, rates, report, alpha) of an iterate
     iterations = 0
     while iterations == 0 or abs(right - left) > cfg.epsilon:
         iterations += 1
         mid = 0.5 * (left + right)
         center = min(max(mid, lo_bound), hi_bound)
-        layout = fine_tune(params, initial_layout(params, center, feed_x), users, cfg)
+        rigid = AntennaLayout(tuple(center + o for o in offsets), feed_x)
+        layout = fine_tune(params, rigid, users, cfg)
         split, rates, report, alpha = evaluate_placement(params, layout, users, qos)
-        last = PlacementSolution(
-            layout=layout,
-            split=split,
-            rates=rates,
-            feasibility=report,
-            iterations=iterations,
-            feasible_found=report.overall,
-            alpha_clamped=alpha.clamped,
-            pinned_antennas=pinned_antennas(params, layout),
-        )
-        if report.overall and (best is None or rates.sum_rate > best.rates.sum_rate):
+        last = (layout, split, rates, report, alpha)
+        if report.overall and (best is None or rates.sum_rate > best[2].sum_rate):
             best = last
         if report.qos_ok:
             right = mid
@@ -403,9 +398,13 @@ def bisection_solve(
             # next midpoint would round onto an endpoint and never move
             break
 
-    if best is not None:
-        return replace(best, iterations=iterations)
-    return replace(last, rates=ZERO_RATES, iterations=iterations)
+    found = best is not None
+    layout, split, rates, report, alpha = best if found else last
+    return PlacementSolution(
+        layout=layout, split=split, rates=rates if found else ZERO_RATES,
+        feasibility=report, iterations=iterations, feasible_found=found,
+        alpha_clamped=alpha.clamped, pinned_antennas=pinned_antennas(params, layout),
+    )
 
 
 def iteration_bound(params: SystemParams, cfg: AlgoConfig) -> int:

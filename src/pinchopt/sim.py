@@ -192,11 +192,6 @@ def evaluate_scheme(
     raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
 
-def _trial_task(args):
-    params, scenario, qos, cfg, scheme, oracle_cfg, feed_x = args
-    return evaluate_scheme(params, scenario, qos, cfg, scheme, oracle_cfg, feed_x)
-
-
 def worker_count(threads: int, cpus: int, n_tasks: int) -> int:
     """Worker processes for ``n_tasks`` tasks when ``threads`` are asked for
     (0 = one per CPU): never more than the CPUs or the tasks, at least 1."""
@@ -205,12 +200,34 @@ def worker_count(threads: int, cpus: int, n_tasks: int) -> int:
     return max(1, min(threads or cpus, cpus, n_tasks))
 
 
-def _run_tasks(tasks, threads: int, chunksize: int = 8):
-    workers = worker_count(threads, os.cpu_count() or 1, len(tasks))
+def _run_group(jobs):
+    return [(i, evaluate_scheme(*task)) for i, task in jobs]
+
+
+def _run_plans(plans, threads: int) -> list[SweepResult]:
+    """Run sweeps' ``(jobs, finish)`` plans as one task list.  A job is a
+    ``(key, task)`` pair, and each ``finish`` gets ``{key: [record, ...]}``
+    of its own jobs.  Each scenario's tasks, from whichever sweep, run back to
+    back as one chunk (in one worker when pooled), so the solver's tables
+    serve all of them."""
+    groups: dict = {}  # (side_d, trial) -> numbered tasks (params, scenario, ...)
+    for i, task in enumerate(task for jobs, _ in plans for _, task in jobs):
+        groups.setdefault((task[0].side_d, task[1].seed_id), []).append((i, task))
+    chunks = list(groups.values())
+    workers = worker_count(threads, os.cpu_count() or 1, len(chunks))
     if workers == 1:
-        return [_trial_task(t) for t in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_trial_task, tasks, chunksize=chunksize))
+        done = [_run_group(chunk) for chunk in chunks]
+    else:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(_run_group, chunks))
+    results = iter(sorted(pair for recs in done for pair in recs))
+    out = []
+    for jobs, finish in plans:
+        records: dict = {}
+        for (key, _), (_, rec) in zip(jobs, results):
+            records.setdefault(key, []).append(rec)
+        out.append(finish(records))
+    return out
 
 
 def _scenarios(sweep: SweepSpec, side_d: float) -> list[Scenario]:
@@ -218,6 +235,85 @@ def _scenarios(sweep: SweepSpec, side_d: float) -> list[Scenario]:
         sample_scenario(trial_rng(sweep.seed, t), side_d, seed_id=t)
         for t in range(sweep.trials)
     ]
+
+
+def _power_plan(params, qos, cfg, sweep, oracle_cfg):
+    jobs = []
+    for d in sweep.d_values:
+        p_at = {pt: replace(params, pt_dbm=pt, side_d=d) for pt in sweep.pt_dbm_values}
+        for scen in _scenarios(sweep, d):
+            for scheme in sweep.schemes:
+                for pt in sweep.pt_dbm_values:
+                    task = (p_at[pt], scen, qos, cfg, scheme, oracle_cfg, None)
+                    jobs.append(((pt, d, scheme), task))
+
+    def finish(records) -> SweepResult:
+        rows = []
+        for pt in sweep.pt_dbm_values:
+            for d in sweep.d_values:
+                for scheme in sweep.schemes:
+                    recs = records[(pt, d, scheme)]
+                    rows.append((
+                        float(pt), float(d), scheme, sweep.trials,
+                        mean(r.sum_rate for r in recs),
+                        sum(r.feasible for r in recs) / len(recs),
+                    ))
+        header = ("pt_dbm", "side_d_m", "scheme", "trials",
+                  "mean_sum_rate_bpshz", "feasible_fraction")
+        return SweepResult(ResultTable(header, tuple(rows)), records)
+
+    return jobs, finish
+
+
+def _delta_plan(params, qos, cfg, sweep):
+    d = sweep.d_values[0]
+    p_at = {pt: replace(params, pt_dbm=pt, side_d=d) for pt in sweep.pt_dbm_values}
+    jobs = []
+    for scen in _scenarios(sweep, d):
+        for d1, d2 in sweep.delta_pairs:
+            c = replace(cfg, delta1=d1, delta2=d2)
+            for pt in sweep.pt_dbm_values:
+                jobs.append(((pt, d1, d2), (p_at[pt], scen, qos, c, "pinching", None, None)))
+
+    def finish(records) -> SweepResult:
+        rows = []
+        for pt in sweep.pt_dbm_values:
+            for d1, d2 in sweep.delta_pairs:
+                recs = records[(pt, d1, d2)]
+                rows.append((float(pt), float(d1), float(d2),
+                             mean(r.sum_rate for r in recs)))
+        header = ("pt_dbm", "delta1_rad", "delta2_rad", "mean_sum_rate_bpshz")
+        return SweepResult(ResultTable(header, tuple(rows)), records)
+
+    return jobs, finish
+
+
+def _oracle_plan(params, qos, cfg, sweep, oracle_cfg):
+    oracle_cfg = oracle_cfg or OracleConfig()
+    p = replace(params, pt_dbm=sweep.pt_dbm_values[0], side_d=sweep.d_values[0])
+    jobs = []
+    for scen in _scenarios(sweep, p.side_d):
+        jobs.append((scen.seed_id, (p, scen, qos, cfg, "pinching", None, None)))
+        jobs.append((scen.seed_id, (p, scen, qos, cfg, "exhaustive", oracle_cfg, None)))
+
+    def finish(by_trial) -> SweepResult:
+        rows, gaps = [], []
+        records: dict = {"pairs": []}
+        for t in range(sweep.trials):
+            algo, orac = by_trial[t]
+            rel = (orac.sum_rate - algo.sum_rate) / orac.sum_rate if orac.sum_rate > 0 else 0.0
+            rows.append((t, algo.sum_rate, orac.sum_rate, rel))
+            records["pairs"].append((algo, orac))
+            if orac.feasible:
+                gaps.append(rel)
+        records["stats"] = {
+            f"{name}_rel_gap": stat(gaps) if gaps else 0.0
+            for name, stat in (("mean", mean), ("min", min), ("median", median), ("max", max))
+        }
+        header = ("trial", "sum_rate_algo", "sum_rate_oracle", "rel_gap")
+        return SweepResult(ResultTable(header, tuple(rows)), records)
+
+    return jobs, finish
 
 
 def run_power_sweep(
@@ -232,38 +328,8 @@ def run_power_sweep(
 
     All schemes in a cell share the same scenario sequence, and the same
     per-trial streams are reused across power levels and region sizes.
-    Each scenario's power levels run back to back, in one worker when
-    pooled, so the solver reuses the layouts it tuned for that scenario.
     """
-    keys, tasks = [], []
-    for d in sweep.d_values:
-        p_at = {pt: replace(params, pt_dbm=pt, side_d=d) for pt in sweep.pt_dbm_values}
-        scenarios = _scenarios(sweep, d)
-        for scheme in sweep.schemes:
-            for scen in scenarios:
-                for pt in sweep.pt_dbm_values:
-                    keys.append((pt, d, scheme))
-                    tasks.append((p_at[pt], scen, qos, cfg, scheme, oracle_cfg, None))
-    results = _run_tasks(tasks, threads, chunksize=len(sweep.pt_dbm_values))
-    records: dict = {}
-    for key, rec in zip(keys, results):
-        records.setdefault(key, []).append(rec)
-    rows = []
-    for pt in sweep.pt_dbm_values:
-        for d in sweep.d_values:
-            for scheme in sweep.schemes:
-                recs = records[(pt, d, scheme)]
-                rows.append((
-                    float(pt), float(d), scheme, sweep.trials,
-                    mean(r.sum_rate for r in recs),
-                    sum(r.feasible for r in recs) / len(recs),
-                ))
-    table = ResultTable(
-        header=("pt_dbm", "side_d_m", "scheme", "trials",
-                "mean_sum_rate_bpshz", "feasible_fraction"),
-        rows=tuple(rows),
-    )
-    return SweepResult(table=table, records=records)
+    return _run_plans([_power_plan(params, qos, cfg, sweep, oracle_cfg)], threads)[0]
 
 
 def run_delta_sweep(
@@ -276,34 +342,9 @@ def run_delta_sweep(
     """Mean sum rate of the waveguide scheme per phase-tolerance pair.
 
     Runs at the first region size of the sweep, with transmit power swept for
-    every (delta1, delta2) pair over paired scenarios.  As in
-    :func:`run_power_sweep`, each scenario's power levels run back to back.
+    every (delta1, delta2) pair over paired scenarios.
     """
-    d = sweep.d_values[0]
-    scenarios = _scenarios(sweep, d)
-    p_at = {pt: replace(params, pt_dbm=pt, side_d=d) for pt in sweep.pt_dbm_values}
-    keys, tasks = [], []
-    for d1, d2 in sweep.delta_pairs:
-        c = replace(cfg, delta1=d1, delta2=d2)
-        for scen in scenarios:
-            for pt in sweep.pt_dbm_values:
-                keys.append((pt, d1, d2))
-                tasks.append((p_at[pt], scen, qos, c, "pinching", None, None))
-    results = _run_tasks(tasks, threads, chunksize=len(sweep.pt_dbm_values))
-    records: dict = {}
-    for key, rec in zip(keys, results):
-        records.setdefault(key, []).append(rec)
-    rows = []
-    for pt in sweep.pt_dbm_values:
-        for d1, d2 in sweep.delta_pairs:
-            recs = records[(pt, d1, d2)]
-            rows.append((float(pt), float(d1), float(d2),
-                         mean(r.sum_rate for r in recs)))
-    table = ResultTable(
-        header=("pt_dbm", "delta1_rad", "delta2_rad", "mean_sum_rate_bpshz"),
-        rows=tuple(rows),
-    )
-    return SweepResult(table=table, records=records)
+    return _run_plans([_delta_plan(params, qos, cfg, sweep)], threads)[0]
 
 
 def run_oracle_comparison(
@@ -320,36 +361,18 @@ def run_oracle_comparison(
     relative gap is (oracle - solver) / oracle, zero when the oracle found
     nothing.  Aggregate gap statistics land in ``records['stats']``.
     """
-    oracle_cfg = oracle_cfg or OracleConfig()
-    d = sweep.d_values[0]
-    p = replace(params, pt_dbm=sweep.pt_dbm_values[0], side_d=d)
-    scenarios = _scenarios(sweep, d)
-    tasks = []
-    for scen in scenarios:
-        tasks.append((p, scen, qos, cfg, "pinching", None, None))
-        tasks.append((p, scen, qos, cfg, "exhaustive", oracle_cfg, None))
-    results = _run_tasks(tasks, threads)
-    rows = []
-    gaps = []
-    records: dict = {"pairs": []}
-    for t in range(sweep.trials):
-        algo, orac = results[2 * t], results[2 * t + 1]
-        rel = (orac.sum_rate - algo.sum_rate) / orac.sum_rate if orac.sum_rate > 0 else 0.0
-        rows.append((t, algo.sum_rate, orac.sum_rate, rel))
-        records["pairs"].append((algo, orac))
-        if orac.feasible:
-            gaps.append(rel)
-    records["stats"] = {
-        "mean_rel_gap": mean(gaps) if gaps else 0.0,
-        "min_rel_gap": min(gaps) if gaps else 0.0,
-        "median_rel_gap": median(gaps) if gaps else 0.0,
-        "max_rel_gap": max(gaps) if gaps else 0.0,
-    }
-    table = ResultTable(
-        header=("trial", "sum_rate_algo", "sum_rate_oracle", "rel_gap"),
-        rows=tuple(rows),
-    )
-    return SweepResult(table=table, records=records)
+    return _run_plans([_oracle_plan(params, qos, cfg, sweep, oracle_cfg)], threads)[0]
+
+
+def run_figures(params: SystemParams, qos: QosTargets, cfg: AlgoConfig, sweep: SweepSpec,
+                oracle_cfg: OracleConfig | None = None, threads: int = 1) -> list[SweepResult]:
+    """The fig2, fig3 and fig4 sweeps as from running each alone, but from one
+    task list, so fig3 and fig4 meet the layouts fig2 tuned on each scenario."""
+    return _run_plans([
+        _power_plan(params, qos, cfg, sweep, oracle_cfg),
+        _delta_plan(params, qos, cfg, sweep),
+        _oracle_plan(params, qos, cfg, sweep, oracle_cfg),
+    ], threads)
 
 
 def _cell(value) -> str:

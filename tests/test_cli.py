@@ -86,6 +86,7 @@ class TestSolveCommand:
         ("sweep.d_values=[-5]", "must be finite and positive"),
         ("sweep.d_values=[0]", "must be finite and positive"),
         ("sweep.delta_pairs=[[0.5,-0.1]]", "must be finite and >= 0"),
+        ("algo.fine_step=1e-16", "fine-tune budget"),
     ]
 
     @pytest.mark.parametrize(

@@ -3,9 +3,11 @@ import math
 import signal
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pinchopt import (
     AlgoConfig,
@@ -28,10 +30,12 @@ from pinchopt import (
 )
 from pinchopt.noma import evaluate_snrs, gain_snr
 from pinchopt.oracle import batch_solution_metrics
+from pinchopt import placement
 from pinchopt.placement import (
+    MAX_FINE_SHIFTS,
     _channel_scope,
+    _ScopedTable,
     _tune_layout,
-    _tuning_scope,
     center_bounds,
     center_index,
 )
@@ -98,6 +102,19 @@ class TestInitialLayout:
 
 
 class TestFineTune:
+    def test_shift_budget_is_bounded_before_allocation(self, params):
+        assert AlgoConfig(max_fine_shifts=MAX_FINE_SHIFTS).resolved_max_shifts(params) == (
+            MAX_FINE_SHIFTS
+        )
+        # 5e-324 makes the default budget infinite: still a PlacementError
+        for cfg in (AlgoConfig(max_fine_shifts=MAX_FINE_SHIFTS + 1),
+                    AlgoConfig(fine_step=1e-16), AlgoConfig(fine_step=5e-324)):
+            with pytest.raises(PlacementError, match="fine-tune budget"):
+                cfg.resolved_max_shifts(params)
+        users = (UserPosition(2.0, 1.0), UserPosition(-2.0, 0.3))
+        with pytest.raises(PlacementError, match="fine-tune budget"):
+            bisection_solve(params, users, QosTargets(), AlgoConfig(fine_step=1e-16))
+
     def test_single_antenna_unchanged(self):
         p = SystemParams(n_antennas=1)
         users = (UserPosition(2.0, 1.0), UserPosition(-2.0, 0.3))
@@ -226,24 +243,34 @@ class TestTunedLayoutReuse:
 
     def test_scope_covers_every_field_but_power(self, params):
         users = (UserPosition(2.0, 1.0), UserPosition(-2.0, 0.3))
+        layout = initial_layout(params, 0.0, -params.side_d / 2)
         channel_base = _channel_scope(params, users)
-        # explicit fine-tune steps, so no field reaches the scope only
+
+        def hit(p, u, c):
+            """Whether fine_tune answers (p, u, c) with the entry just made
+            for (params, users, cfg): _tune_layout makes a new object."""
+            first = fine_tune(params, layout, users, cfg)
+            return fine_tune(p, layout, u, c) is first
+
+        # explicit fine-tune steps, so no field reaches the table only
         # through the wavelength-derived defaults
         for cfg in (AlgoConfig(), AlgoConfig(fine_step=1e-4, max_fine_shifts=50)):
-            base = _tuning_scope(params, users, cfg)
             for f in dataclasses.fields(SystemParams):
                 value = getattr(params, f.name)
                 bumped = value + 2 if isinstance(value, int) else value * 1.25
                 other = dataclasses.replace(params, **{f.name: bumped})
                 power = f.name in ("pt_dbm", "noise_dbm")
-                assert (_tuning_scope(other, users, cfg) == base) == power, f.name
+                # both tables key on the channel scope; a layout of another
+                # length is never tuned for the same key anyway
                 assert (_channel_scope(other, users) == channel_base) == power, f.name
+                if f.name != "n_antennas":
+                    assert hit(other, users, cfg) == power, f.name
             for change in ({"delta1": 0.3}, {"delta2": 0.3}, {"fine_step": 2e-4},
                            {"max_fine_shifts": 70}):
-                assert _tuning_scope(params, users, dataclasses.replace(cfg, **change)) != base
-            assert _tuning_scope(params, users, dataclasses.replace(cfg, epsilon=1e-3)) == base
+                assert not hit(params, users, dataclasses.replace(cfg, **change))
+            assert hit(params, users, dataclasses.replace(cfg, epsilon=1e-3))
             swapped = (users[0], UserPosition(-2.0, 0.4))
-            assert _tuning_scope(params, swapped, cfg) != base
+            assert not hit(params, swapped, cfg)
             assert _channel_scope(params, swapped) != channel_base
 
     def test_reused_across_power_levels(self, params):
@@ -330,6 +357,86 @@ class TestTunedLayoutReuse:
             sys.setswitchinterval(old)
         assert not any(th.is_alive() for th in threads)
         assert errors == []
+
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        side_d=st.sampled_from((10.0, 30.0)),
+        coords=st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4),
+        powers=st.lists(st.floats(-10.0, 40.0), min_size=1, max_size=3),
+        pairs=st.lists(
+            st.tuples(st.sampled_from((0.2, 0.5, 3.2)), st.sampled_from((0.02, 0.3, 100.0))),
+            min_size=1, max_size=2,
+        ),
+    )
+    def test_warm_tables_match_reset_tables(self, side_d, coords, powers, pairs):
+        x1, y1, x2, y2 = (c * side_d for c in coords)
+        assume(x1 != x2 and abs(y2) < abs(y1))
+        users = (UserPosition(x1, y1), UserPosition(x2, y2))
+        qos = QosTargets()
+        runs = [
+            (SystemParams(side_d=side_d, pt_dbm=pt), AlgoConfig(delta1=d1, delta2=d2))
+            for d1, d2 in pairs
+            for pt in powers
+        ]
+        # one scenario's solves back to back, the tables warm from the first
+        warm = [bisection_solve(p, users, qos, cfg) for p, cfg in runs]
+        for (p, cfg), want in zip(runs, warm):
+            with mock.patch.object(placement, "_tuned_layouts", _ScopedTable()), \
+                    mock.patch.object(placement, "_channel_terms", _ScopedTable()):
+                assert bisection_solve(p, users, qos, cfg) == want
+
+
+class TestScopedTable:
+    """The one-scope table on its own, without threads or timing."""
+
+    USERS = (UserPosition(2.0, 1.0), UserPosition(-2.0, 0.3))
+
+    @staticmethod
+    def _never():
+        raise AssertionError("computed again: the lookup should have hit")
+
+    def test_compute_that_changes_scope_keeps_its_entry_out(self, params):
+        other = dataclasses.replace(params, side_d=20.0)
+        table = _ScopedTable()
+
+        def compute():
+            # a nested lookup in another scope swaps the state mid-call
+            assert table.lookup(other, self.USERS, "inner", lambda: "other") == "other"
+            return "first"
+
+        assert table.lookup(params, self.USERS, "key", compute) == "first"
+        assert table.lookup(other, self.USERS, "inner", self._never) == "other"
+        assert table.lookup(other, self.USERS, "key", lambda: "fresh") == "fresh"
+
+    def test_equal_distinct_arguments_hit(self, params):
+        table = _ScopedTable()
+        value = object()
+        assert table.lookup(params, self.USERS, "key", lambda: value) is value
+        copies = (dataclasses.replace(params),
+                  tuple(UserPosition(u.x, u.y) for u in self.USERS))
+        assert copies[0] is not params and copies[1] is not self.USERS
+        assert table.lookup(*copies, "key", self._never) is value
+        # the powers are not part of the scope
+        louder = dataclasses.replace(params, pt_dbm=0.0, noise_dbm=-80.0)
+        assert table.lookup(louder, self.USERS, "key", self._never) is value
+
+    def test_other_scope_never_returns_stale_entry(self, params):
+        others = [
+            (dataclasses.replace(params, **{name: value}), self.USERS)
+            for name, value in (("fc", 30e9), ("n_eff", 1.5), ("h", 2.0),
+                                ("side_d", 20.0), ("n_antennas", 5),
+                                ("delta_min", 0.01))
+        ] + [
+            (params, (self.USERS[1], self.USERS[0])),
+            (params, (self.USERS[0], UserPosition(-2.0, 0.4))),
+        ]
+        table = _ScopedTable()
+        for p, users in others:
+            table.lookup(params, self.USERS, "key", lambda: "base")
+            assert table.lookup(p, users, "key", lambda: "new") == "new"
+        # back in the first scope, its entries are gone, never mixed in
+        assert table.lookup(params, self.USERS, "key", lambda: "again") == "again"
 
 
 class TestBisectionSolve:

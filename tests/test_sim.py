@@ -14,6 +14,7 @@ from pinchopt import (
     UserPosition,
     evaluate_scheme,
     run_delta_sweep,
+    run_figures,
     run_oracle_comparison,
     run_power_sweep,
     sample_scenario,
@@ -106,6 +107,16 @@ class TestEvaluateScheme:
         assert wins >= trials * 0.8
 
 
+def assert_figures_table_matches(spec, index, alone):
+    """``run_figures``' table ``index`` (fig2, fig3, fig4), serial and pooled,
+    equals the sweep ``alone`` run by itself."""
+    for threads in (1, 2):
+        merged = run_figures(SystemParams(), QosTargets(), AlgoConfig(), spec,
+                             threads=threads)[index]
+        assert merged.table == alone.table
+        assert merged.records == alone.records
+
+
 @pytest.fixture(scope="module")
 def sweep_result():
     spec = SweepSpec(
@@ -165,6 +176,7 @@ class TestPowerSweep:
         par = run_power_sweep(*args, threads=2)
         assert seq.table == par.table
         assert seq.records == par.records
+        assert_figures_table_matches(spec, 0, seq)
 
 
 class TestDeltaSweep:
@@ -192,6 +204,7 @@ class TestDeltaSweep:
         par = run_delta_sweep(*args, threads=2)
         assert seq.table == par.table
         assert seq.records == par.records
+        assert_figures_table_matches(spec, 1, seq)
 
 
 class TestOracleComparison:
@@ -210,6 +223,8 @@ class TestOracleComparison:
             SystemParams(), QosTargets(), AlgoConfig(), spec, threads=2
         )
         assert seq.table == par.table
+        assert seq.records == par.records
+        assert_figures_table_matches(spec, 2, seq)
 
 
 class TestWorkerCount:
