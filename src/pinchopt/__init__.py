@@ -10,8 +10,6 @@ from .channel import (
     conventional_effective_gain,
     dbm_to_watts,
     guided_wavelength,
-    inwaveguide_phase,
-    antenna_user_phase,
     path_gain_factor,
     pinching_gain,
     watts_to_dbm,
@@ -26,9 +24,6 @@ from .noma import (
     check_feasibility,
     optimal_alpha2,
     rate_report,
-    rate_sic,
-    rate_strong,
-    rate_weak,
     snr_scale,
     sum_rate_objective,
 )
@@ -52,10 +47,7 @@ from .sim import (
     SweepSpec,
     TrialRecord,
     evaluate_scheme,
-    run_delta_sweep,
-    run_figures,
-    run_oracle_comparison,
-    run_power_sweep,
+    run_sweeps,
     sample_scenario,
     trial_rng,
     write_table,

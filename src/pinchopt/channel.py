@@ -162,14 +162,6 @@ def watts_to_dbm(p_watts: float) -> float:
     return 10.0 * math.log10(p_watts) + 30.0
 
 
-def inwaveguide_phase(params: SystemParams, feed_x: float, antenna_x: float) -> float:
-    """Phase accumulated from the feed point to an antenna, rad.
-
-    Always >= 0 and deliberately not reduced mod 2 pi.
-    """
-    return 2.0 * math.pi * abs(feed_x - antenna_x) / guided_wavelength(params)
-
-
 def phases_and_distances(
     params: SystemParams,
     user: UserPosition,
@@ -189,21 +181,6 @@ def phases_and_distances(
     lam = wavelength(params)
     phases = 2.0 * np.pi * (dist / lam - guide / (lam / params.n_eff))
     return phases, dist
-
-
-def antenna_user_phase(
-    params: SystemParams, layout: AntennaLayout, user: UserPosition, n: int
-) -> float:
-    """Composite (free-space minus in-waveguide) phase of antenna ``n``, rad.
-
-    Raises IndexError for an out-of-range antenna index.
-    """
-    if not 0 <= n < len(layout.xs):
-        raise IndexError(f"antenna index {n} out of range 0..{len(layout.xs) - 1}")
-    phases, _ = phases_and_distances(
-        params, user, np.asarray(layout.xs[n]), layout.feed_x
-    )
-    return float(phases)
 
 
 def pinching_gain(

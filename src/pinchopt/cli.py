@@ -20,13 +20,11 @@ from .noma import QosTargets
 from .oracle import OracleConfig, OracleSizeError
 from .placement import AlgoConfig, bisection_solve
 from .sim import (
+    SWEEPS,
     SamplingError,
     Scenario,
     SweepSpec,
-    run_delta_sweep,
-    run_figures,
-    run_oracle_comparison,
-    run_power_sweep,
+    run_sweeps,
     sample_scenario,
     trial_rng,
     write_table,
@@ -186,22 +184,9 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0 if sol.feasible_found else 2
 
 
-def _run_sweep(cfg: RunConfig, which: str, threads: int):
-    if which == "power":
-        return run_power_sweep(
-            cfg.system, cfg.qos, cfg.algo, cfg.sweep, cfg.oracle, threads
-        )
-    if which == "delta":
-        return run_delta_sweep(cfg.system, cfg.qos, cfg.algo, cfg.sweep, threads)
-    if which == "oracle":
-        return run_oracle_comparison(
-            cfg.system, cfg.qos, cfg.algo, cfg.sweep, cfg.oracle, threads
-        )
-    raise ConfigError(f"unknown sweep {which!r}; expected power, delta or oracle")
-
-
 def cmd_sweep(cfg: RunConfig, which: str, out_path: str, threads: int) -> int:
-    result = _run_sweep(cfg, which, threads)
+    result = run_sweeps([which], cfg.system, cfg.qos, cfg.algo, cfg.sweep, cfg.oracle,
+                        threads)[0]
     fmt = "json" if out_path.endswith(".json") else "csv"
     write_table(result.table, out_path, fmt)
     _echo_config(cfg, os.path.dirname(out_path))
@@ -214,7 +199,8 @@ def cmd_sweep(cfg: RunConfig, which: str, out_path: str, threads: int) -> int:
 
 def cmd_figures(cfg: RunConfig, out_dir: str, threads: int) -> int:
     os.makedirs(out_dir, exist_ok=True)
-    results = run_figures(cfg.system, cfg.qos, cfg.algo, cfg.sweep, cfg.oracle, threads)
+    results = run_sweeps(["power", "delta", "oracle"], cfg.system, cfg.qos, cfg.algo,
+                         cfg.sweep, cfg.oracle, threads)
     for name, result in zip(("fig2", "fig3", "fig4"), results):
         write_table(result.table, os.path.join(out_dir, f"{name}.csv"), "csv")
     _echo_config(cfg, out_dir)
@@ -262,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
     _add_common(p_solve)
 
     p_sweep = sub.add_parser("sweep", help="run one experiment sweep to a table")
-    p_sweep.add_argument("which", choices=("power", "delta", "oracle"))
+    p_sweep.add_argument("which", choices=tuple(SWEEPS))
     _add_common(p_sweep)
     p_sweep.add_argument("--out", metavar="PATH", required=True,
                          help="output table (.csv or .json)")

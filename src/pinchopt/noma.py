@@ -8,9 +8,9 @@ and g is the effective channel gain.
 
 Each formula of the chain (the SNR, the closed-form alpha2, the three rates
 and the rate-target test) is written once, as a NumPy function that takes
-floats and arrays alike.  The scalar API (optimal_alpha2, rate_weak,
-rate_sic, rate_strong, rate_report, check_feasibility) wraps them, and the
-solver, the reference search and the fixed-array baseline all call them.
+floats and arrays alike.  The scalar API (optimal_alpha2, rate_report,
+check_feasibility) wraps them, and the solver, the reference search and the
+fixed-array baseline all call them.
 """
 from __future__ import annotations
 
@@ -154,25 +154,10 @@ def qos_verdicts(r1, r2, r2_to_1, qos: QosTargets):
     )
 
 
-def rate_weak(snr_weak: float, split: PowerSplit) -> float:
-    """Rate of the weak user decoding under the strong user's interference."""
-    return float(_interfered_rate(snr_weak, split.alpha1, split.alpha2))
-
-
-def rate_sic(snr_strong: float, split: PowerSplit) -> float:
-    """Rate at which the strong user decodes the weak user's signal for SIC."""
-    return float(_interfered_rate(snr_strong, split.alpha1, split.alpha2))
-
-
-def rate_strong(snr_strong: float, split: PowerSplit) -> float:
-    """Rate of the strong user after perfect interference cancellation."""
-    return float(_cancelled_rate(snr_strong, split.alpha2))
-
-
 def sum_rate_objective(snr_weak, snr_strong, alpha2):
     """Interference-resolved sum-rate objective f(alpha2), any array shape.
 
-    log2(1 + f) equals rate_weak + rate_strong, which makes f the quantity
+    log2(1 + f) equals the sum rate r1 + r2, which makes f the quantity
     to maximise; it is nondecreasing in alpha2 whenever snr_strong >=
     snr_weak, so the optimum sits on the feasible upper boundary.
     """

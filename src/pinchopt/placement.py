@@ -128,9 +128,7 @@ def center_index(n_antennas: int) -> int:
 def center_bounds(params: SystemParams) -> tuple[float, float]:
     """Admissible centre-antenna range so the rigid array fits the region."""
     c = center_index(params.n_antennas)
-    half = params.side_d / 2.0
-    lo = -half + c * params.delta_min
-    hi = half - (params.n_antennas - 1 - c) * params.delta_min
+    lo, hi = _antenna_cap(params, c, -1), _antenna_cap(params, c, +1)
     if lo > hi:
         raise PlacementError(
             f"{params.n_antennas} antennas at spacing {params.delta_min} "
@@ -172,36 +170,28 @@ def _pick_candidate(
     feed_x: float,
     cand: np.ndarray,
     inner_x: float,
-    side: int,
     cap: float,
 ) -> float:
     """Pick the tuned position of one antenna from an outward candidate grid.
 
-    The grid is truncated at the room-preserving region cap (keeping the cap
-    itself as a final candidate).  The first candidate that keeps spacing
-    >= delta_min to the inner neighbour and aligns the composite-phase
-    difference within (delta1, delta2) for both users wins; if none does,
-    the valid candidate with the smallest tolerance-weighted error is used.
+    Positions are outward coordinates, ascending away from the centre
+    antenna: a left-side antenna passes its mirror image (x -> -x for the
+    positions, the feed and the users), whose phases are bit-equal because
+    rounding is symmetric under negation.  The grid is truncated at the
+    room-preserving region cap (keeping the cap itself as a final
+    candidate).  The first candidate that keeps spacing >= delta_min to the
+    inner neighbour and aligns the composite-phase difference within
+    (delta1, delta2) for both users wins; if none does, the valid candidate
+    with the smallest tolerance-weighted error is used.
     """
-    if side > 0:
-        keep = cand <= cap + CAP_SLACK
-        truncated = not keep.all()
-        cand = cand[keep]
-        if truncated and (cand.size == 0 or cand[-1] < cap - CAP_SLACK):
+    if cand[-1] > cap + CAP_SLACK:  # the grid ascends, so only its tail can pass the cap
+        cand = cand[cand <= cap + CAP_SLACK]
+        if cand.size == 0 or cand[-1] < cap - CAP_SLACK:
             cand = np.append(cand, cap)
-        spacing_ok = cand - inner_x >= params.delta_min - AntennaLayout.SPACING_SLACK
-    else:
-        keep = cand >= cap - CAP_SLACK
-        truncated = not keep.all()
-        cand = cand[keep]
-        if truncated and (cand.size == 0 or cand[-1] > cap + CAP_SLACK):
-            cand = np.append(cand, cap)
-        spacing_ok = inner_x - cand >= params.delta_min - AntennaLayout.SPACING_SLACK
-
+    spacing_ok = cand - inner_x >= params.delta_min - AntennaLayout.SPACING_SLACK
     if not spacing_ok.any():
         # inner neighbour moved past the whole grid; sit at minimum pitch
-        fallback = inner_x + side * params.delta_min
-        return min(fallback, cap) if side > 0 else max(fallback, cap)
+        return min(inner_x + params.delta_min, cap)
 
     # the inner neighbour rides along as element 0: one phase call per user
     xs = np.concatenate(([inner_x], cand))
@@ -228,20 +218,16 @@ def _tune_layout(
     xs = list(layout.xs)
     c = center_index(params.n_antennas)
     step = cfg.resolved_fine_step(params)
-    max_shifts = cfg.resolved_max_shifts(params)
-    offsets = step * np.arange(max_shifts + 1)
-    for n in range(c + 1, params.n_antennas):
-        xs[n] = _pick_candidate(
-            params, users, cfg, layout.feed_x,
-            cand=xs[n] + offsets, inner_x=xs[n - 1], side=+1,
-            cap=_antenna_cap(params, n, +1),
-        )
-    for n in range(c - 1, -1, -1):
-        xs[n] = _pick_candidate(
-            params, users, cfg, layout.feed_x,
-            cand=xs[n] - offsets, inner_x=xs[n + 1], side=-1,
-            cap=_antenna_cap(params, n, -1),
-        )
+    offsets = step * np.arange(cfg.resolved_max_shifts(params) + 1)
+    for side, order in ((+1, range(c + 1, params.n_antennas)), (-1, range(c - 1, -1, -1))):
+        # outward coordinates side * x, in which the left side is the right's mirror
+        seen = users if side > 0 else tuple(UserPosition(-u.x, u.y) for u in users)
+        for n in order:
+            xs[n] = side * _pick_candidate(
+                params, seen, cfg, side * layout.feed_x,
+                cand=side * xs[n] + offsets, inner_x=side * xs[n - side],
+                cap=side * _antenna_cap(params, n, side),
+            )
     return AntennaLayout(xs=tuple(xs), feed_x=layout.feed_x)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import functools
 import json
 import math
 import os
@@ -159,7 +160,6 @@ def evaluate_scheme(
     cfg: AlgoConfig,
     scheme: str,
     oracle_cfg: OracleConfig | None = None,
-    feed_x: float | None = None,
 ) -> TrialRecord:
     """Run one scheme on one scenario and summarise the outcome.
 
@@ -171,11 +171,9 @@ def evaluate_scheme(
     users = (scenario.user1, scenario.user2)
     if scheme in ("pinching", "exhaustive"):
         if scheme == "pinching":
-            sol = bisection_solve(params, users, qos, cfg, feed_x)
+            sol = bisection_solve(params, users, qos, cfg)
         else:
-            sol = exhaustive_placement(
-                params, users, qos, oracle_cfg or OracleConfig(), feed_x
-            )
+            sol = exhaustive_placement(params, users, qos, oracle_cfg or OracleConfig())
         return TrialRecord(
             scheme=scheme,
             sum_rate=sol.rates.sum_rate,
@@ -230,22 +228,19 @@ def _run_plans(plans, threads: int) -> list[SweepResult]:
     return out
 
 
-def _scenarios(sweep: SweepSpec, side_d: float) -> list[Scenario]:
-    return [
-        sample_scenario(trial_rng(sweep.seed, t), side_d, seed_id=t)
-        for t in range(sweep.trials)
-    ]
+def _power_plan(params, qos, cfg, sweep, oracle_cfg, drops):
+    """fig2: mean sum rate per (transmit power, region size, scheme) cell.
 
-
-def _power_plan(params, qos, cfg, sweep, oracle_cfg):
+    All schemes in a cell share the same scenario sequence, and the same
+    per-trial streams are reused across power levels and region sizes.
+    """
     jobs = []
     for d in sweep.d_values:
         p_at = {pt: replace(params, pt_dbm=pt, side_d=d) for pt in sweep.pt_dbm_values}
-        for scen in _scenarios(sweep, d):
+        for scen in drops(d):
             for scheme in sweep.schemes:
                 for pt in sweep.pt_dbm_values:
-                    task = (p_at[pt], scen, qos, cfg, scheme, oracle_cfg, None)
-                    jobs.append(((pt, d, scheme), task))
+                    jobs.append(((pt, d, scheme), (p_at[pt], scen, qos, cfg, scheme, oracle_cfg)))
 
     def finish(records) -> SweepResult:
         rows = []
@@ -265,15 +260,20 @@ def _power_plan(params, qos, cfg, sweep, oracle_cfg):
     return jobs, finish
 
 
-def _delta_plan(params, qos, cfg, sweep):
+def _delta_plan(params, qos, cfg, sweep, oracle_cfg, drops):
+    """fig3: mean sum rate of the waveguide scheme per phase-tolerance pair.
+
+    Runs at the first region size of the sweep, with transmit power swept for
+    every (delta1, delta2) pair over paired scenarios.
+    """
     d = sweep.d_values[0]
     p_at = {pt: replace(params, pt_dbm=pt, side_d=d) for pt in sweep.pt_dbm_values}
     jobs = []
-    for scen in _scenarios(sweep, d):
+    for scen in drops(d):
         for d1, d2 in sweep.delta_pairs:
             c = replace(cfg, delta1=d1, delta2=d2)
             for pt in sweep.pt_dbm_values:
-                jobs.append(((pt, d1, d2), (p_at[pt], scen, qos, c, "pinching", None, None)))
+                jobs.append(((pt, d1, d2), (p_at[pt], scen, qos, c, "pinching")))
 
     def finish(records) -> SweepResult:
         rows = []
@@ -288,13 +288,19 @@ def _delta_plan(params, qos, cfg, sweep):
     return jobs, finish
 
 
-def _oracle_plan(params, qos, cfg, sweep, oracle_cfg):
+def _oracle_plan(params, qos, cfg, sweep, oracle_cfg, drops):
+    """fig4: per-trial sum-rate gap between the solver and the exhaustive search.
+
+    Runs at the first power level and region size of the sweep.  The
+    relative gap is (oracle - solver) / oracle, zero when the oracle found
+    nothing.  Aggregate gap statistics land in ``records['stats']``.
+    """
     oracle_cfg = oracle_cfg or OracleConfig()
     p = replace(params, pt_dbm=sweep.pt_dbm_values[0], side_d=sweep.d_values[0])
     jobs = []
-    for scen in _scenarios(sweep, p.side_d):
-        jobs.append((scen.seed_id, (p, scen, qos, cfg, "pinching", None, None)))
-        jobs.append((scen.seed_id, (p, scen, qos, cfg, "exhaustive", oracle_cfg, None)))
+    for scen in drops(p.side_d):
+        jobs.append((scen.seed_id, (p, scen, qos, cfg, "pinching")))
+        jobs.append((scen.seed_id, (p, scen, qos, cfg, "exhaustive", oracle_cfg)))
 
     def finish(by_trial) -> SweepResult:
         rows, gaps = [], []
@@ -316,63 +322,31 @@ def _oracle_plan(params, qos, cfg, sweep, oracle_cfg):
     return jobs, finish
 
 
-def run_power_sweep(
+# sweep name -> plan builder (params, qos, cfg, sweep, oracle_cfg, drops), where
+# drops(side_d) gives the sweep's scenarios, one per trial, at that region size
+SWEEPS = {"power": _power_plan, "delta": _delta_plan, "oracle": _oracle_plan}
+
+
+def run_sweeps(
+    names,
     params: SystemParams,
     qos: QosTargets,
     cfg: AlgoConfig,
     sweep: SweepSpec,
     oracle_cfg: OracleConfig | None = None,
     threads: int = 1,
-) -> SweepResult:
-    """Mean sum rate per (transmit power, region size, scheme) cell.
+) -> list[SweepResult]:
+    """The named :data:`SWEEPS`, in order, each as from running it alone, but
+    from one task list, so every sweep meets the layouts the others tuned on
+    each scenario.  Each (region size, trial) drop is drawn once and the same
+    :class:`Scenario` goes to every sweep."""
+    @functools.cache
+    def drops(side_d: float) -> list[Scenario]:
+        return [sample_scenario(trial_rng(sweep.seed, t), side_d, seed_id=t)
+                for t in range(sweep.trials)]
 
-    All schemes in a cell share the same scenario sequence, and the same
-    per-trial streams are reused across power levels and region sizes.
-    """
-    return _run_plans([_power_plan(params, qos, cfg, sweep, oracle_cfg)], threads)[0]
-
-
-def run_delta_sweep(
-    params: SystemParams,
-    qos: QosTargets,
-    cfg: AlgoConfig,
-    sweep: SweepSpec,
-    threads: int = 1,
-) -> SweepResult:
-    """Mean sum rate of the waveguide scheme per phase-tolerance pair.
-
-    Runs at the first region size of the sweep, with transmit power swept for
-    every (delta1, delta2) pair over paired scenarios.
-    """
-    return _run_plans([_delta_plan(params, qos, cfg, sweep)], threads)[0]
-
-
-def run_oracle_comparison(
-    params: SystemParams,
-    qos: QosTargets,
-    cfg: AlgoConfig,
-    sweep: SweepSpec,
-    oracle_cfg: OracleConfig | None = None,
-    threads: int = 1,
-) -> SweepResult:
-    """Per-trial sum-rate gap between the solver and the exhaustive search.
-
-    Runs at the first power level and region size of the sweep.  The
-    relative gap is (oracle - solver) / oracle, zero when the oracle found
-    nothing.  Aggregate gap statistics land in ``records['stats']``.
-    """
-    return _run_plans([_oracle_plan(params, qos, cfg, sweep, oracle_cfg)], threads)[0]
-
-
-def run_figures(params: SystemParams, qos: QosTargets, cfg: AlgoConfig, sweep: SweepSpec,
-                oracle_cfg: OracleConfig | None = None, threads: int = 1) -> list[SweepResult]:
-    """The fig2, fig3 and fig4 sweeps as from running each alone, but from one
-    task list, so fig3 and fig4 meet the layouts fig2 tuned on each scenario."""
-    return _run_plans([
-        _power_plan(params, qos, cfg, sweep, oracle_cfg),
-        _delta_plan(params, qos, cfg, sweep),
-        _oracle_plan(params, qos, cfg, sweep, oracle_cfg),
-    ], threads)
+    plans = [SWEEPS[name](params, qos, cfg, sweep, oracle_cfg, drops) for name in names]
+    return _run_plans(plans, threads)
 
 
 def _cell(value) -> str:

@@ -26,10 +26,8 @@ from pinchopt import (
     optimal_alpha2,
     path_gain_factor,
     pinching_gain,
-    rate_strong,
-    rate_weak,
-    run_delta_sweep,
-    run_power_sweep,
+    rate_report,
+    run_sweeps,
     sum_rate_objective,
     wavelength,
 )
@@ -71,7 +69,7 @@ def power_sweep(reference_setting):
         schemes=("pinching", "conventional-uniform"),
     )
     start = time.perf_counter()
-    result = run_power_sweep(params, qos, cfg, spec)
+    result = run_sweeps(["power"], params, qos, cfg, spec)[0]
     return result, spec, time.perf_counter() - start
 
 
@@ -85,7 +83,7 @@ def delta_sweep(reference_setting):
         trials=100,
         seed=SEED,
     )
-    return run_delta_sweep(params, qos, cfg, spec), spec
+    return run_sweeps(["delta"], params, qos, cfg, spec)[0], spec
 
 
 @pytest.fixture(scope="session")
@@ -149,7 +147,7 @@ def test_sum_rate_identity():
         alpha2 = rng.uniform(0.0, 0.5)
         split = PowerSplit.from_alpha2(alpha2)
         lhs = math.log2(1.0 + sum_rate_objective(snr1, snr2, alpha2))
-        rhs = rate_weak(snr1, split) + rate_strong(snr2, split)
+        rhs = rate_report(snr1, snr2, split).sum_rate
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
     assert time.perf_counter() - start < 1.0
 
@@ -170,7 +168,7 @@ def test_closed_form_power_allocation():
         alpha2, clamped = optimal_alpha2(snr1, qos)
         assert abs(alpha2 - best) <= 2e-4
         if clamped == "none":
-            rate = rate_weak(snr1, PowerSplit.from_alpha2(alpha2))
+            rate = rate_report(snr1, snr2, PowerSplit.from_alpha2(alpha2)).r1
             assert abs(rate - qos.r1_min) <= 1e-9
         checked += 1
     assert time.perf_counter() - start < 10.0

@@ -10,12 +10,10 @@ from pinchopt import (
     LayoutError,
     SystemParams,
     UserPosition,
-    antenna_user_phase,
     conventional_channel,
     conventional_effective_gain,
     dbm_to_watts,
     guided_wavelength,
-    inwaveguide_phase,
     path_gain_factor,
     pinching_gain,
     watts_to_dbm,
@@ -70,19 +68,32 @@ class TestPowerConversion:
         assert dbm_to_watts(watts_to_dbm(watts)) == pytest.approx(watts, rel=1e-12)
 
 
+def composite_phases(params, layout, user):
+    """Composite phase of every antenna of ``layout`` toward ``user``."""
+    return phases_and_distances(params, user, np.asarray(layout.xs), layout.feed_x)[0]
+
+
+def guide_phase(params, feed_x, antenna_x):
+    """In-waveguide phase from the feed to one antenna: its free-space phase
+    toward a user straight below it minus its composite phase."""
+    user = UserPosition(antenna_x, 0.0)
+    phases, dist = phases_and_distances(params, user, np.asarray(antenna_x), feed_x)
+    return float(2.0 * np.pi * (dist / wavelength(params)) - phases)
+
+
 class TestInwaveguidePhase:
     def test_zero_at_feed(self, params):
-        assert inwaveguide_phase(params, 1.25, 1.25) == 0.0
+        assert guide_phase(params, 1.25, 1.25) == 0.0
 
     def test_full_guided_wavelength(self, params):
         lg = guided_wavelength(params)
-        assert inwaveguide_phase(params, 0.0, lg) == pytest.approx(
+        assert guide_phase(params, 0.0, lg) == pytest.approx(
             2 * math.pi, rel=1e-12
         )
 
     def test_half_guided_wavelength(self, params):
         lg = guided_wavelength(params)
-        assert inwaveguide_phase(params, 0.0, -lg / 2) == pytest.approx(
+        assert guide_phase(params, 0.0, -lg / 2) == pytest.approx(
             math.pi, rel=1e-12
         )
 
@@ -93,7 +104,7 @@ class TestAntennaUserPhase:
         user = UserPosition(0.5, 2.0)
         d = math.sqrt(2.0**2 + params.h**2)
         expected = 2 * math.pi * d / wavelength(params)
-        assert antenna_user_phase(params, layout, user, 0) == pytest.approx(
+        assert composite_phases(params, layout, user)[0] == pytest.approx(
             expected, rel=1e-12
         )
 
@@ -101,7 +112,7 @@ class TestAntennaUserPhase:
         # oracle: 2 pi (h / lambda - (D/2) / lambda_g) at h=3, D=10
         layout = AntennaLayout(xs=(0.0,), feed_x=-params.side_d / 2)
         user = UserPosition(0.0, 0.0)
-        assert antenna_user_phase(params, layout, user, 0) == pytest.approx(
+        assert composite_phases(params, layout, user)[0] == pytest.approx(
             -2347.3464245858827, rel=1e-12
         )
 
@@ -110,8 +121,7 @@ class TestAntennaUserPhase:
         layout = AntennaLayout(xs=(-0.25, 0.25), feed_x=-2.0)
         lam = wavelength(params)
         lg = guided_wavelength(params)
-        p0 = antenna_user_phase(params, layout, user, 0)
-        p1 = antenna_user_phase(params, layout, user, 1)
+        p0, p1 = composite_phases(params, layout, user)
         # equal distances to the user, so the difference is purely in-waveguide
         guide_diff = 2 * math.pi * (abs(-2.0 - 0.25) - abs(-2.0 + 0.25)) / lg
         assert p0 - p1 == pytest.approx(guide_diff, rel=1e-9)
@@ -119,11 +129,6 @@ class TestAntennaUserPhase:
         assert p0 + 2 * math.pi * abs(-2.0 + 0.25) / lg == pytest.approx(
             2 * math.pi * dist / lam, rel=1e-12
         )
-
-    def test_index_out_of_range(self, params):
-        layout = AntennaLayout(xs=(0.0,), feed_x=0.0)
-        with pytest.raises(IndexError):
-            antenna_user_phase(params, layout, UserPosition(0, 0), 1)
 
 
 class TestPinchingGain:

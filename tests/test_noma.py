@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pinchopt.noma import noma_rates
+
 from pinchopt import (
     AntennaLayout,
     PowerSplit,
@@ -11,9 +13,7 @@ from pinchopt import (
     SystemParams,
     check_feasibility,
     optimal_alpha2,
-    rate_sic,
-    rate_strong,
-    rate_weak,
+    rate_report,
     snr_scale,
     sum_rate_objective,
 )
@@ -37,40 +37,46 @@ class TestSnrScale:
 
 
 class TestRates:
+    """r1 is the weak user's rate, r2 the strong user's after SIC and
+    r2_to_1 the strong user's decoding of the weak user's signal."""
+
     def test_weak_user_unit_rate(self):
         split = PowerSplit.from_alpha2(1.0 / 3.0)
-        assert rate_weak(3.0, split) == pytest.approx(1.0, rel=1e-12)
+        assert rate_report(3.0, 3.0, split).r1 == pytest.approx(1.0, rel=1e-12)
 
     def test_weak_user_zero_channel(self):
-        assert rate_weak(0.0, PowerSplit.from_alpha2(0.3)) == 0.0
+        assert rate_report(0.0, 0.0, PowerSplit.from_alpha2(0.3)).r1 == 0.0
 
     def test_weak_user_oma_limit(self):
         split = PowerSplit.from_alpha2(0.0)
-        assert rate_weak(7.0, split) == pytest.approx(math.log2(8.0), rel=1e-12)
+        assert rate_report(7.0, 7.0, split).r1 == pytest.approx(math.log2(8.0), rel=1e-12)
 
     def test_sic_rate_value(self):
         # oracle: log2(1 + 6/4) = log2(2.5)
         split = PowerSplit.from_alpha2(1.0 / 3.0)
-        assert rate_sic(9.0, split) == pytest.approx(1.3219280948873624, rel=1e-12)
+        assert rate_report(9.0, 9.0, split).r2_to_1 == pytest.approx(
+            1.3219280948873624, rel=1e-12
+        )
 
     def test_sic_equals_weak_formula(self):
         split = PowerSplit.from_alpha2(0.21)
-        assert rate_sic(4.2, split) == rate_weak(4.2, split)
+        r1, _, r2_to_1 = noma_rates(4.2, 4.2, split.alpha1, split.alpha2)
+        assert r2_to_1 == r1
 
     def test_sic_interference_limited_ceiling(self):
         split = PowerSplit.from_alpha2(0.25)
         ceiling = math.log2(1.0 + split.alpha1 / split.alpha2)
-        assert rate_sic(1e15, split) == pytest.approx(ceiling, rel=1e-6)
+        assert rate_report(1e15, 1e15, split).r2_to_1 == pytest.approx(ceiling, rel=1e-6)
 
     def test_strong_user_value(self):
         split = PowerSplit.from_alpha2(1.0 / 3.0)
-        assert rate_strong(9.0, split) == pytest.approx(2.0, rel=1e-12)
+        assert rate_report(9.0, 9.0, split).r2 == pytest.approx(2.0, rel=1e-12)
 
     def test_strong_user_no_power(self):
-        assert rate_strong(9.0, PowerSplit.from_alpha2(0.0)) == 0.0
+        assert rate_report(9.0, 9.0, PowerSplit.from_alpha2(0.0)).r2 == 0.0
 
     def test_strong_user_zero_channel(self):
-        assert rate_strong(0.0, PowerSplit.from_alpha2(0.4)) == 0.0
+        assert rate_report(0.0, 0.0, PowerSplit.from_alpha2(0.4)).r2 == 0.0
 
 
 class TestObjective:
@@ -80,7 +86,7 @@ class TestObjective:
         assert f == pytest.approx(7.0, rel=1e-12)
         split = PowerSplit.from_alpha2(1.0 / 3.0)
         assert math.log2(1.0 + f) == pytest.approx(
-            rate_weak(3.0, split) + rate_strong(9.0, split), rel=1e-12
+            rate_report(3.0, 9.0, split).sum_rate, rel=1e-12
         )
 
     def test_alpha2_zero_boundary(self):
@@ -93,7 +99,7 @@ class TestObjective:
     def test_sum_rate_identity(self, snr1, snr2, alpha2):
         split = PowerSplit.from_alpha2(alpha2)
         lhs = math.log2(1.0 + sum_rate_objective(snr1, snr2, alpha2))
-        rhs = rate_weak(snr1, split) + rate_strong(snr2, split)
+        rhs = rate_report(snr1, snr2, split).sum_rate
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_conditional_monotonicity_grid(self, rng):
@@ -110,7 +116,7 @@ class TestOptimalAlpha2:
         alpha2, clamped = optimal_alpha2(3.0, QosTargets(1.0, 0.5))
         assert clamped == "none"
         assert alpha2 == pytest.approx(1.0 / 3.0, rel=1e-12)
-        assert rate_weak(3.0, PowerSplit.from_alpha2(alpha2)) == pytest.approx(
+        assert rate_report(3.0, 3.0, PowerSplit.from_alpha2(alpha2)).r1 == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -133,7 +139,7 @@ class TestOptimalAlpha2:
         alpha2, clamped = optimal_alpha2(snr1, QosTargets(r1_min, 0.0))
         if clamped == "none":
             split = PowerSplit.from_alpha2(alpha2)
-            assert rate_weak(snr1, split) == pytest.approx(r1_min, abs=1e-9)
+            assert rate_report(snr1, snr1, split).r1 == pytest.approx(r1_min, abs=1e-9)
 
     def test_sic_dominance(self, rng):
         # whenever snr2 >= snr1 the SIC stage supports at least the weak rate
@@ -141,7 +147,8 @@ class TestOptimalAlpha2:
             snr1 = 10 ** rng.uniform(-3, 6)
             snr2 = snr1 * 10 ** rng.uniform(0, 4)
             split = PowerSplit.from_alpha2(rng.uniform(0, 0.5))
-            assert rate_sic(snr2, split) >= rate_weak(snr1, split) - 1e-12
+            rates = rate_report(snr1, snr2, split)
+            assert rates.r2_to_1 >= rates.r1 - 1e-12
 
 
 class TestPowerSplit:

@@ -16,7 +16,6 @@ from pinchopt import (
     QosTargets,
     SystemParams,
     UserPosition,
-    antenna_user_phase,
     bisection_solve,
     check_feasibility,
     circular_phase_error,
@@ -28,6 +27,7 @@ from pinchopt import (
     snr_scale,
     wavelength,
 )
+from pinchopt.channel import phases_and_distances
 from pinchopt.noma import evaluate_snrs, gain_snr
 from pinchopt.oracle import batch_solution_metrics
 from pinchopt import placement
@@ -42,6 +42,11 @@ from pinchopt.placement import (
 from pinchopt.sim import sample_scenario, trial_rng
 
 TWO_PI = 2 * math.pi
+
+
+def composite_phases(params, layout, user):
+    """Composite phase of every antenna of ``layout`` toward ``user``."""
+    return phases_and_distances(params, user, np.asarray(layout.xs), layout.feed_x)[0]
 
 
 class TestCircularPhaseError:
@@ -136,11 +141,9 @@ class TestFineTune:
         layout = fine_tune(params, initial_layout(params, 0.0, -5.0), users, cfg)
         layout.validate(params)
         for user, tol in zip(users, (cfg.delta1, cfg.delta2)):
+            phases = composite_phases(params, layout, user)
             for n in (1, 2):
-                err = circular_phase_error(
-                    antenna_user_phase(params, layout, user, n),
-                    antenna_user_phase(params, layout, user, n - 1),
-                )
+                err = circular_phase_error(phases[n], phases[n - 1])
                 assert err <= tol + 1e-12
 
     def test_output_always_valid(self, params):
@@ -190,22 +193,13 @@ class TestFineTune:
                     if (x - final) * side >= -1e-15:
                         break
                     if (x - inner) * side >= params.delta_min - 1e-12:
+                        trial = AntennaLayout(
+                            tuned.xs[:n] + (x,) + tuned.xs[n + 1:], tuned.feed_x
+                        )
                         errs = [
                             circular_phase_error(
-                                antenna_user_phase(
-                                    params,
-                                    AntennaLayout(
-                                        tuned.xs[:n] + (x,) + tuned.xs[n + 1:],
-                                        tuned.feed_x,
-                                    )
-                                    if side > 0
-                                    else AntennaLayout(
-                                        (x,) + tuned.xs[1:], tuned.feed_x
-                                    ),
-                                    u,
-                                    n,
-                                ),
-                                antenna_user_phase(params, tuned, u, n - side),
+                                composite_phases(params, trial, u)[n],
+                                composite_phases(params, tuned, u)[n - side],
                             )
                             for u in users
                         ]
@@ -385,6 +379,38 @@ class TestTunedLayoutReuse:
             with mock.patch.object(placement, "_tuned_layouts", _ScopedTable()), \
                     mock.patch.object(placement, "_channel_terms", _ScopedTable()):
                 assert bisection_solve(p, users, qos, cfg) == want
+
+
+coords = st.floats(min_value=-5.0, max_value=5.0)
+
+
+@st.composite
+def mirror_cases(draw):
+    """An odd-N geometry, tolerance pair, users, feed and a centre that is
+    one of the two ``center_bounds`` ends or lies between them."""
+    params = SystemParams(n_antennas=draw(st.sampled_from((1, 3, 5))))
+    lo, hi = center_bounds(params)
+    centre = draw(st.sampled_from((lo, hi)) | st.floats(min_value=lo, max_value=hi))
+    delta1, delta2 = draw(st.sampled_from(TestTunedLayoutReuse.PAIRS))
+    users = tuple(UserPosition(draw(coords), draw(coords)) for _ in range(2))
+    return params, AlgoConfig(delta1=delta1, delta2=delta2), users, centre, draw(coords)
+
+
+def mirrored_layout(layout):
+    return AntennaLayout(tuple(-x for x in reversed(layout.xs)), -layout.feed_x)
+
+
+@given(mirror_cases())
+@settings(max_examples=150, deadline=None)
+def test_fine_tune_mirror_symmetric(case):
+    """Mirroring users, feed and layout (x -> -x) mirrors the tuned layout
+    exactly, which lets one outward-coordinate body serve both sides."""
+    params, cfg, users, centre, feed = case
+    layout = initial_layout(params, centre, feed)
+    mirror_users = tuple(UserPosition(-u.x, u.y) for u in users)
+    tuned = fine_tune(params, layout, users, cfg)
+    mirror = fine_tune(params, mirrored_layout(layout), mirror_users, cfg)
+    assert mirror == mirrored_layout(tuned)
 
 
 class TestScopedTable:

@@ -13,15 +13,15 @@ from pinchopt import (
     SystemParams,
     UserPosition,
     evaluate_scheme,
-    run_delta_sweep,
-    run_figures,
-    run_oracle_comparison,
-    run_power_sweep,
+    run_sweeps,
     sample_scenario,
     trial_rng,
     write_table,
 )
+from pinchopt import sim
 from pinchopt.sim import worker_count
+
+FIGURES = ["power", "delta", "oracle"]
 
 
 class TestSampleScenario:
@@ -108,11 +108,11 @@ class TestEvaluateScheme:
 
 
 def assert_figures_table_matches(spec, index, alone):
-    """``run_figures``' table ``index`` (fig2, fig3, fig4), serial and pooled,
-    equals the sweep ``alone`` run by itself."""
+    """Table ``index`` (fig2, fig3, fig4) of all three sweeps run together,
+    serial and pooled, equals the sweep ``alone`` run by itself."""
     for threads in (1, 2):
-        merged = run_figures(SystemParams(), QosTargets(), AlgoConfig(), spec,
-                             threads=threads)[index]
+        merged = run_sweeps(FIGURES, SystemParams(), QosTargets(), AlgoConfig(), spec,
+                            threads=threads)[index]
         assert merged.table == alone.table
         assert merged.records == alone.records
 
@@ -126,7 +126,7 @@ def sweep_result():
         seed=77,
         schemes=("pinching", "conventional-uniform"),
     )
-    return run_power_sweep(SystemParams(), QosTargets(), AlgoConfig(), spec), spec
+    return run_sweeps(["power"], SystemParams(), QosTargets(), AlgoConfig(), spec)[0], spec
 
 
 class TestPowerSweep:
@@ -162,18 +162,17 @@ class TestPowerSweep:
                          seed=3, schemes=("conventional-uniform",))
         fractions = []
         for r1 in (0.1, 2.0, 8.0):
-            res = run_power_sweep(
-                SystemParams(), QosTargets(r1, r1), AlgoConfig(), spec
-            )
+            res = run_sweeps(["power"], SystemParams(), QosTargets(r1, r1), AlgoConfig(),
+                             spec)[0]
             fractions.append(res.table.rows[0][5])
         assert fractions[0] >= fractions[1] >= fractions[2]
 
     def test_parallel_matches_sequential(self):
         spec = SweepSpec(pt_dbm_values=(0.0, 20.0, 40.0), d_values=(10.0, 20.0),
                          trials=3, seed=8)
-        args = (SystemParams(), QosTargets(), AlgoConfig(), spec)
-        seq = run_power_sweep(*args)
-        par = run_power_sweep(*args, threads=2)
+        args = (["power"], SystemParams(), QosTargets(), AlgoConfig(), spec)
+        seq = run_sweeps(*args)[0]
+        par = run_sweeps(*args, threads=2)[0]
         assert seq.table == par.table
         assert seq.records == par.records
         assert_figures_table_matches(spec, 0, seq)
@@ -188,7 +187,7 @@ class TestDeltaSweep:
             trials=5,
             seed=4,
         )
-        res = run_delta_sweep(SystemParams(), QosTargets(), AlgoConfig(), spec)
+        res = run_sweeps(["delta"], SystemParams(), QosTargets(), AlgoConfig(), spec)[0]
         assert res.table.header == (
             "pt_dbm", "delta1_rad", "delta2_rad", "mean_sum_rate_bpshz"
         )
@@ -199,9 +198,9 @@ class TestDeltaSweep:
     def test_parallel_matches_sequential(self):
         spec = SweepSpec(pt_dbm_values=(0.0, 20.0, 40.0), d_values=(10.0,),
                          delta_pairs=((0.5, 0.02), (0.2, 0.02)), trials=3, seed=9)
-        args = (SystemParams(), QosTargets(), AlgoConfig(), spec)
-        seq = run_delta_sweep(*args)
-        par = run_delta_sweep(*args, threads=2)
+        args = (["delta"], SystemParams(), QosTargets(), AlgoConfig(), spec)
+        seq = run_sweeps(*args)[0]
+        par = run_sweeps(*args, threads=2)[0]
         assert seq.table == par.table
         assert seq.records == par.records
         assert_figures_table_matches(spec, 1, seq)
@@ -210,7 +209,7 @@ class TestDeltaSweep:
 class TestOracleComparison:
     def test_gap_statistics(self):
         spec = SweepSpec(pt_dbm_values=(30.0,), d_values=(10.0,), trials=5, seed=21)
-        res = run_oracle_comparison(SystemParams(), QosTargets(), AlgoConfig(), spec)
+        res = run_sweeps(["oracle"], SystemParams(), QosTargets(), AlgoConfig(), spec)[0]
         assert res.table.header == ("trial", "sum_rate_algo", "sum_rate_oracle", "rel_gap")
         assert len(res.table.rows) == 5
         stats = res.records["stats"]
@@ -218,13 +217,33 @@ class TestOracleComparison:
 
     def test_parallel_matches_sequential(self):
         spec = SweepSpec(pt_dbm_values=(30.0,), d_values=(10.0,), trials=4, seed=21)
-        seq = run_oracle_comparison(SystemParams(), QosTargets(), AlgoConfig(), spec)
-        par = run_oracle_comparison(
-            SystemParams(), QosTargets(), AlgoConfig(), spec, threads=2
-        )
+        args = (["oracle"], SystemParams(), QosTargets(), AlgoConfig(), spec)
+        seq = run_sweeps(*args)[0]
+        par = run_sweeps(*args, threads=2)[0]
         assert seq.table == par.table
         assert seq.records == par.records
         assert_figures_table_matches(spec, 2, seq)
+
+
+class TestRunSweeps:
+    def test_each_drop_drawn_once(self, monkeypatch):
+        # fig3 and fig4 run at the first region size, which fig2 also sweeps
+        drawn = []
+
+        def counting(rng, side_d, seed_id=0):
+            drawn.append((side_d, seed_id))
+            return sample_scenario(rng, side_d, seed_id)
+
+        monkeypatch.setattr(sim, "sample_scenario", counting)
+        spec = SweepSpec(pt_dbm_values=(30.0,), d_values=(10.0, 20.0), trials=3, seed=5,
+                         schemes=("conventional-uniform",))
+        alone = [run_sweeps([name], SystemParams(), QosTargets(), AlgoConfig(), spec)[0]
+                 for name in FIGURES]
+        assert len(drawn) == 2 * 3 + 3 + 3
+        drawn.clear()
+        together = run_sweeps(FIGURES, SystemParams(), QosTargets(), AlgoConfig(), spec)
+        assert sorted(drawn) == [(d, t) for d in spec.d_values for t in range(spec.trials)]
+        assert [r.table for r in together] == [r.table for r in alone]
 
 
 class TestWorkerCount:
