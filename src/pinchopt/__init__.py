@@ -1,4 +1,4 @@
-"""NOMA-assisted waveguide-antenna placement: solver, oracles and harness."""
+"""NOMA-assisted waveguide-antenna placement: solver, reference search and harness."""
 
 from .channel import (
     SPEED_OF_LIGHT,
@@ -27,7 +27,7 @@ from .noma import (
     snr_scale,
     sum_rate_objective,
 )
-from .oracle import OracleConfig, OracleSizeError, exhaustive_placement, grid_alpha2
+from .oracle import OracleConfig, OracleSizeError, exhaustive_placement
 from .placement import (
     AlgoConfig,
     PlacementError,

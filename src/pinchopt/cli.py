@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .channel import SystemParams, UserPosition
 from .noma import QosTargets
 from .oracle import OracleConfig, OracleSizeError
-from .placement import AlgoConfig, bisection_solve
+from .placement import AlgoConfig, bisection_solve, center_bounds
 from .sim import (
     SWEEPS,
     SamplingError,
@@ -143,7 +143,7 @@ def load_config(path: str | None, overrides: list[str], seed: int | None) -> Run
 
 
 def _echo_config(cfg: RunConfig, directory: str) -> None:
-    path = os.path.join(directory or ".", "config.json")
+    path = os.path.join(directory, "config.json")
     with open(path, "w") as fh:
         json.dump(effective_config(cfg), fh, indent=2)
         fh.write("\n")
@@ -185,11 +185,14 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, which: str, out_path: str, threads: int) -> int:
+    out_dir = os.path.dirname(out_path) or "."
+    if not os.path.isdir(out_dir):  # checked before the sweep runs
+        raise ConfigError(f"output directory {out_dir} does not exist")
     result = run_sweeps([which], cfg.system, cfg.qos, cfg.algo, cfg.sweep, cfg.oracle,
                         threads)[0]
     fmt = "json" if out_path.endswith(".json") else "csv"
     write_table(result.table, out_path, fmt)
-    _echo_config(cfg, os.path.dirname(out_path))
+    _echo_config(cfg, out_dir)
     print(
         f"wrote {out_path}: {len(result.table.rows)} rows "
         f"({which} sweep, seed {cfg.sweep.seed})"
@@ -267,6 +270,8 @@ def main(argv: list[str] | None = None) -> int:
         threads = _resolve_threads(args.threads)
         if args.command == "solve":
             return cmd_solve(cfg)
+        for d in cfg.sweep.d_values:  # before any sweep runs or output exists
+            center_bounds(dataclasses.replace(cfg.system, side_d=d))
         if args.command == "sweep":
             return cmd_sweep(cfg, args.which, args.out, threads)
         return cmd_figures(cfg, args.out_dir, threads)

@@ -1,18 +1,17 @@
-"""Brute-force reference searches for regression-testing the solver.
+"""Brute-force reference placement search for regression-testing the solver.
 
-Two oracles live here: an exhaustive sweep of the strong-user power
-coefficient on a fine grid, and an exhaustive antenna-placement search.
-The placement search comes in two flavours: ``full-grid`` enumerates every
-admissible N-tuple of grid positions (guarded by a hard combination cap),
-while ``two-stage`` sweeps the array centre at the grid step and then
-refines each off-centre antenna within one guided wavelength, which keeps
-desk-scale runtimes while preserving the phase-scale resolution.
+``exhaustive_placement`` searches antenna positions on a fixed grid in one
+of two ways: ``full-grid`` enumerates every admissible N-tuple of grid
+positions (guarded by a hard combination cap), while ``two-stage`` sweeps
+the array centre at the grid step and then refines each off-centre antenna
+within one guided wavelength, which keeps desk-scale runtimes while
+preserving the phase-scale resolution.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -27,53 +26,49 @@ from .channel import (
 )
 from .noma import (
     QosTargets,
-    ZERO_RATES,
     gain_snr,
     noma_rates,
     optimal_alpha2_batch,
     qos_verdicts,
     snr_scale,
-    sum_rate_objective,
 )
 from .placement import (
     PlacementError,
     PlacementSolution,
+    _pitch_offsets,
     center_bounds,
     center_index,
     evaluate_placement,
     feed_point,
-    pinned_antennas,
+    placement_solution,
 )
 
 MAX_GRID_LAYOUTS = 10**8
+MAX_GRID_POINTS = 10**6
 _CHUNK = 8192
 
 
 class OracleSizeError(RuntimeError):
-    """The requested full-grid enumeration exceeds the combination cap."""
+    """The requested search grid exceeds its point or combination cap."""
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Resolution and extent of the brute-force searches.
+    """Resolution and extent of the brute-force placement search.
 
     position_step  placement grid step, m (default: wavelength / 10)
-    alpha_step     power-coefficient grid step
     search_window  margin, m, added on both sides of the inter-user span
     strategy       'full-grid' or 'two-stage'
     """
 
     position_step: float | None = None
-    alpha_step: float = 1e-4
     search_window: float = 1.0
     strategy: str = "two-stage"
 
     def __post_init__(self) -> None:
-        require_finite(self, ("position_step", "alpha_step", "search_window"))
+        require_finite(self, ("position_step", "search_window"))
         if self.position_step is not None and self.position_step <= 0:
             raise ValueError("position_step must be positive")
-        if self.alpha_step <= 0:
-            raise ValueError("alpha_step must be positive")
         if self.search_window <= 0:
             raise ValueError("search_window must be positive")
         if self.strategy not in ("full-grid", "two-stage"):
@@ -81,31 +76,6 @@ class OracleConfig:
 
     def resolved_step(self, params: SystemParams) -> float:
         return self.position_step if self.position_step is not None else wavelength(params) / 10.0
-
-
-def grid_alpha2(
-    snr_weak: float,
-    snr_strong: float,
-    qos: QosTargets,
-    cfg: OracleConfig,
-) -> float | None:
-    """Exhaustive argmax of the sum-rate objective over the alpha2 grid.
-
-    Grid points violating any rate target are discarded; returns None when
-    no point survives.
-    """
-    n = int(math.floor(0.5 / cfg.alpha_step)) + 1
-    alphas = np.minimum(cfg.alpha_step * np.arange(n), 0.5)
-    if alphas[-1] < 0.5:
-        alphas = np.append(alphas, 0.5)
-    r1_qos, r2_qos, sic = qos_verdicts(
-        *noma_rates(snr_weak, snr_strong, 1.0 - alphas, alphas), qos
-    )
-    ok = r1_qos & r2_qos & sic
-    if not ok.any():
-        return None
-    values = sum_rate_objective(snr_weak, snr_strong, alphas[ok])
-    return float(alphas[ok][int(np.argmax(values))])
 
 
 def batch_solution_metrics(
@@ -140,53 +110,29 @@ def _grid(params: SystemParams, users, cfg: OracleConfig) -> np.ndarray:
     hi = min(max(users[0].x, users[1].x) + cfg.search_window, half)
     if hi < lo:
         lo = hi = min(max(lo, -half), half)
-    count = int(math.floor((hi - lo) / step)) + 1
-    return lo + step * np.arange(count)
+    span = (hi - lo) / step
+    if span >= MAX_GRID_POINTS:  # checked before anything is allocated
+        raise OracleSizeError(f"position grid of {span + 1:.6g} points exceeds {MAX_GRID_POINTS}")
+    return lo + step * np.arange(int(math.floor(span)) + 1)
 
 
-def _index_tuples(n_points: int, n_antennas: int, gap: int) -> Iterator[tuple[int, ...]]:
-    """All increasing index tuples with consecutive difference >= gap."""
-    def rec(prefix: tuple[int, ...], start: int, remaining: int):
-        if remaining == 0:
-            yield prefix
-            return
-        # leave room for the antennas still to be placed
-        for i in range(start, n_points - (remaining - 1) * gap):
-            yield from rec(prefix + (i,), i + gap, remaining - 1)
+def _winner(
+    rows: np.ndarray, rates: np.ndarray, mask: np.ndarray, best: tuple | None = None
+) -> tuple | None:
+    """The better of ``best`` and the best row under ``mask``, or None.
 
-    yield from rec((), 0, n_antennas)
-
-
-def _count_tuples(n_points: int, n_antennas: int, gap: int) -> int:
-    slack = n_points - (n_antennas - 1) * (gap - 1)
-    if slack < n_antennas:
-        return 0
-    return math.comb(slack, n_antennas)
-
-
-class _Best:
-    """Deterministic max-reduction on (sum rate, first antenna coordinate)."""
-
-    def __init__(self) -> None:
-        self.rate = -math.inf
-        self.x0 = -math.inf
-        self.xs: np.ndarray | None = None
-        self.found = False
-
-    def offer(self, xs_rows: np.ndarray, rates: np.ndarray, mask: np.ndarray) -> None:
-        idx = np.flatnonzero(mask)
-        if idx.size == 0:
-            return
-        rates = rates[idx]
-        top = rates.max()
-        tied = idx[rates == top]
-        x0 = xs_rows[tied, 0]
-        winner = tied[int(np.argmax(x0))]
-        if (top, xs_rows[winner, 0]) > (self.rate, self.x0):
-            self.rate = float(top)
-            self.x0 = float(xs_rows[winner, 0])
-            self.xs = xs_rows[winner].copy()
-            self.found = True
+    Both are ``(rate, first coordinate, row)``.  The highest rate wins, then
+    the highest first coordinate, then the earliest row; ``best`` counts as
+    earlier than every row, so it is kept on an exact tie.
+    """
+    idx = np.flatnonzero(mask)
+    if idx.size == 0:
+        return best
+    top = rates[idx].max()
+    tied = idx[rates[idx] == top]
+    row = tied[int(np.argmax(rows[tied, 0]))]
+    found = (float(top), float(rows[row, 0]), rows[row])
+    return found if best is None or found[:2] > best[:2] else best
 
 
 def _finalize(
@@ -198,25 +144,19 @@ def _finalize(
     feasible: bool,
 ) -> PlacementSolution:
     layout = AntennaLayout(xs=tuple(float(x) for x in xs), feed_x=feed_x)
-    split, rates, report, alpha = evaluate_placement(params, layout, users, qos)
-    ok = feasible and report.overall
-    return PlacementSolution(
-        layout=layout,
-        split=split,
-        rates=rates if ok else ZERO_RATES,
-        feasibility=report,
-        iterations=0,
-        feasible_found=ok,
-        alpha_clamped=alpha.clamped,
-        pinned_antennas=pinned_antennas(params, layout),
-    )
+    evaluated = (layout, *evaluate_placement(params, layout, users, qos))
+    return placement_solution(params, evaluated, 0, feasible)
 
 
 def _full_grid_search(params, users, qos, cfg, feed_x) -> PlacementSolution:
     grid = _grid(params, users, cfg)
     step = cfg.resolved_step(params)
     gap = max(1, math.ceil((params.delta_min - AntennaLayout.SPACING_SLACK) / step))
-    total = _count_tuples(grid.size, params.n_antennas, gap)
+    n = params.n_antennas
+    # tuples with gaps >= gap are the n-subsets of range(slack), the k-th
+    # index shifted by k * (gap - 1)
+    slack = grid.size - (n - 1) * (gap - 1)
+    total = math.comb(max(slack, 0), n)
     if total > MAX_GRID_LAYOUTS:
         raise OracleSizeError(
             f"full-grid search would enumerate {total} layouts "
@@ -224,31 +164,20 @@ def _full_grid_search(params, users, qos, cfg, feed_x) -> PlacementSolution:
         )
     if total == 0:
         raise PlacementError("search window too small for the antenna array")
-    best_feasible = _Best()
-    best_any = _Best()
-    chunk: list[tuple[int, ...]] = []
-
-    def flush() -> None:
-        if not chunk:
-            return
-        xs_rows = grid[np.array(chunk, dtype=int)]
+    shift = (gap - 1) * np.arange(n)
+    tuples = itertools.combinations(range(slack), n)
+    best_feasible = best_any = None
+    while chunk := list(itertools.islice(tuples, _CHUNK)):
+        xs_rows = grid[np.array(chunk) + shift]
         rates, feasible, _ = batch_solution_metrics(params, xs_rows, feed_x, users, qos)
-        best_feasible.offer(xs_rows, rates, feasible)
-        best_any.offer(xs_rows, rates, np.ones_like(feasible))
-        chunk.clear()
-
-    for tup in _index_tuples(grid.size, params.n_antennas, gap):
-        chunk.append(tup)
-        if len(chunk) >= _CHUNK:
-            flush()
-    flush()
-    pick = best_feasible if best_feasible.found else best_any
-    return _finalize(params, pick.xs, feed_x, users, qos, best_feasible.found)
+        best_feasible = _winner(xs_rows, rates, feasible, best_feasible)
+        best_any = _winner(xs_rows, rates, np.ones_like(feasible), best_any)
+    found = best_feasible is not None
+    return _finalize(params, (best_feasible or best_any)[2], feed_x, users, qos, found)
 
 
 def _two_stage_search(params, users, qos, cfg, feed_x) -> PlacementSolution:
     c = center_index(params.n_antennas)
-    rigid = params.delta_min * (np.arange(params.n_antennas) - c)
     lo_c, hi_c = center_bounds(params)
     centers = _grid(params, users, cfg)
     centers = centers[(centers >= lo_c) & (centers <= hi_c)]
@@ -256,14 +185,12 @@ def _two_stage_search(params, users, qos, cfg, feed_x) -> PlacementSolution:
         mid = 0.5 * (users[0].x + users[1].x)
         centers = np.array([min(max(mid, lo_c), hi_c)])
 
-    xs_rows = centers[:, None] + rigid[None, :]
+    xs_rows = centers[:, None] + np.array(_pitch_offsets(params))[None, :]
     rates, feasible, _ = batch_solution_metrics(params, xs_rows, feed_x, users, qos)
-    stage1 = _Best()
-    stage1.offer(xs_rows, rates, feasible)
-    if not stage1.found:
-        fallback = _Best()
-        fallback.offer(xs_rows, rates, np.ones_like(feasible))
-        return _finalize(params, fallback.xs, feed_x, users, qos, False)
+    stage1 = _winner(xs_rows, rates, feasible)
+    if stage1 is None:
+        fallback = _winner(xs_rows, rates, np.ones_like(feasible))
+        return _finalize(params, fallback[2], feed_x, users, qos, False)
 
     # stage 2: one coordinate-descent pass over the off-centre antennas,
     # each sweeping +- one guided wavelength around its stage-1 position.
@@ -274,13 +201,12 @@ def _two_stage_search(params, users, qos, cfg, feed_x) -> PlacementSolution:
     n_off = int(math.floor(reach / refine_step))
     offsets = refine_step * np.arange(-n_off, n_off + 1)
     order = list(range(params.n_antennas - 1, c, -1)) + list(range(0, c))
-    xs = stage1.xs.copy()
-    best_xs = stage1.xs.copy()
-    best_rate = stage1.rate
+    best_rate, _, start = stage1
+    xs = best_xs = start
     half = params.side_d / 2.0
     slack = AntennaLayout.SPACING_SLACK
     for n in order:
-        cand = stage1.xs[n] + offsets
+        cand = start[n] + offsets
         ok = (cand >= -half) & (cand <= half)
         if n > 0:
             ok &= cand - xs[n - 1] >= params.delta_min - slack
@@ -292,14 +218,13 @@ def _two_stage_search(params, users, qos, cfg, feed_x) -> PlacementSolution:
         rows = np.tile(xs, (cand.size, 1))
         rows[:, n] = cand
         rates, feasible, _ = batch_solution_metrics(params, rows, feed_x, users, qos)
-        pick = _Best()
-        pick.offer(rows, rates, feasible)
-        if not pick.found:
+        pick = _winner(rows, rates, feasible)
+        if pick is None:
             continue
-        xs = pick.xs.copy()
-        if pick.rate > best_rate:
-            best_rate = pick.rate
-            best_xs = xs.copy()
+        xs = pick[2]
+        if pick[0] > best_rate:
+            best_rate = pick[0]
+            best_xs = xs
     return _finalize(params, best_xs, feed_x, users, qos, True)
 
 

@@ -311,6 +311,23 @@ def pinned_antennas(params: SystemParams, layout: AntennaLayout) -> tuple[int, .
     return tuple(pinned)
 
 
+def placement_solution(
+    params: SystemParams,
+    evaluated: tuple[AntennaLayout, PowerSplit, RateReport, FeasibilityReport, Alpha2Result],
+    iterations: int,
+    feasible: bool,
+) -> PlacementSolution:
+    """The solution for a layout and its :func:`evaluate_placement` result;
+    its rates are zero unless ``feasible`` and every constraint holds."""
+    layout, split, rates, report, alpha = evaluated
+    ok = feasible and report.overall
+    return PlacementSolution(
+        layout=layout, split=split, rates=rates if ok else ZERO_RATES,
+        feasibility=report, iterations=iterations, feasible_found=ok,
+        alpha_clamped=alpha.clamped, pinned_antennas=pinned_antennas(params, layout),
+    )
+
+
 def evaluate_placement(
     params: SystemParams,
     layout: AntennaLayout,
@@ -384,13 +401,7 @@ def bisection_solve(
             # next midpoint would round onto an endpoint and never move
             break
 
-    found = best is not None
-    layout, split, rates, report, alpha = best if found else last
-    return PlacementSolution(
-        layout=layout, split=split, rates=rates if found else ZERO_RATES,
-        feasibility=report, iterations=iterations, feasible_found=found,
-        alpha_clamped=alpha.clamped, pinned_antennas=pinned_antennas(params, layout),
-    )
+    return placement_solution(params, best or last, iterations, best is not None)
 
 
 def iteration_bound(params: SystemParams, cfg: AlgoConfig) -> int:

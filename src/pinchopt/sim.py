@@ -64,7 +64,7 @@ class SweepSpec:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if not self.pt_dbm_values or not self.d_values or not self.delta_pairs:
+        if not (self.pt_dbm_values and self.d_values and self.delta_pairs and self.schemes):
             raise ValueError("sweep value lists must be non-empty")
         # checked before any output exists, not when a sweep reaches them
         if not all(map(math.isfinite, self.pt_dbm_values)):

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import time
 
 import pytest
@@ -73,8 +74,7 @@ class TestSolveCommand:
             "system.pt_dbm=NaN", "system.noise_dbm=-Infinity", "system.fc=Infinity",
             "algo.epsilon=NaN", "algo.delta1=NaN", "algo.delta2=Infinity",
             "algo.fine_step=Infinity", "qos.r1_min=NaN", "qos.r2_min=Infinity",
-            "oracle.position_step=NaN", "oracle.alpha_step=Infinity",
-            "oracle.search_window=NaN", "sweep.pt_dbm_values=[0,NaN]",
+            "oracle.position_step=NaN", "oracle.search_window=NaN", "sweep.pt_dbm_values=[0,NaN]",
             "sweep.d_values=[10,Infinity]", "sweep.delta_pairs=[[0.5,NaN]]",
         )),
         *((v, "must be an integer") for v in (
@@ -87,6 +87,9 @@ class TestSolveCommand:
         ("sweep.d_values=[0]", "must be finite and positive"),
         ("sweep.delta_pairs=[[0.5,-0.1]]", "must be finite and >= 0"),
         ("algo.fine_step=1e-16", "fine-tune budget"),
+        ("oracle.alpha_step=Infinity", "unknown key"),
+        ("sweep.schemes=[]", "must be non-empty"),
+        ("system.n_antennas=3000", "do not fit"),
     ]
 
     @pytest.mark.parametrize(
@@ -169,11 +172,16 @@ class TestSweepCommand:
             assert main(["sweep", "power", "--out", str(out), "--seed", "5", *SMALL_SWEEP]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_unwritable_path_exits_one(self, capsys):
+    def test_unwritable_path_exits_one(self, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the sweep ran before the output path was checked")
+
+        monkeypatch.setattr("pinchopt.cli.run_sweeps", unreachable)
         code = main(["sweep", "power", "--out", "/no/such/dir/t.csv",
                      "--seed", "5", *SMALL_SWEEP])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+        assert not os.path.exists("/no/such/dir")
 
     def test_oracle_sweep_completes_quickly(self, tmp_path):
         out = tmp_path / "oracle.csv"
@@ -190,6 +198,18 @@ class TestSweepCommand:
             rows = list(csv.reader(fh))
         assert rows[0] == ["trial", "sum_rate_algo", "sum_rate_oracle", "rel_gap"]
         assert len(rows) == 6
+
+    def test_oversized_position_grid_exits_one(self, tmp_path, capsys):
+        # a 1e-12 m step over a 10 m region would be about 1e13 points
+        code = main([
+            "sweep", "oracle", "--out", str(tmp_path / "oracle.csv"),
+            "--set", "oracle.position_step=1e-12", "--set", "sweep.trials=1",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: position grid of")
+        assert "Traceback" not in err
+        assert not (tmp_path / "oracle.csv").exists()
 
     def test_oversized_full_grid_exits_one(self, tmp_path, capsys):
         code = main([

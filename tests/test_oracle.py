@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +18,6 @@ from pinchopt import (
     conventional_effective_gain,
     evaluate_placement,
     exhaustive_placement,
-    grid_alpha2,
     optimal_alpha2,
     rate_report,
     sample_scenario,
@@ -26,35 +26,37 @@ from pinchopt import (
     trial_rng,
     wavelength,
 )
-from pinchopt.oracle import _grid, batch_solution_metrics
+from pinchopt.oracle import _grid, _winner, batch_solution_metrics
 from pinchopt.sim import _conventional_record
+
+from grid_reference import grid_alpha2
+
+ALPHA_STEP = 1e-4
 
 
 class TestGridAlpha2:
     def test_matches_closed_form_reference(self):
-        cfg = OracleConfig()
-        best = grid_alpha2(3.0, 9.0, QosTargets(1.0, 0.5), cfg)
-        assert best == pytest.approx(1.0 / 3.0, abs=cfg.alpha_step)
+        best = grid_alpha2(3.0, 9.0, QosTargets(1.0, 0.5), ALPHA_STEP)
+        assert best == pytest.approx(1.0 / 3.0, abs=ALPHA_STEP)
 
     def test_unsatisfiable_target_is_infeasible(self):
-        assert grid_alpha2(3.0, 9.0, QosTargets(50.0, 0.5), OracleConfig()) is None
+        assert grid_alpha2(3.0, 9.0, QosTargets(50.0, 0.5)) is None
 
     def test_lax_targets_pick_equal_split(self):
         # monotone objective when the strong channel dominates
-        assert grid_alpha2(2.0, 8.0, QosTargets(0.0, 0.0), OracleConfig()) == 0.5
+        assert grid_alpha2(2.0, 8.0, QosTargets(0.0, 0.0)) == 0.5
 
     def test_agreement_with_closed_form_randomized(self, rng):
-        cfg = OracleConfig()
         checked = 0
         while checked < 200:
             snr1 = 10 ** rng.uniform(-1, 5)
             snr2 = snr1 * 10 ** rng.uniform(0, 3)
             qos = QosTargets(rng.uniform(0.05, 3.0), rng.uniform(0.0, 2.0))
-            best = grid_alpha2(snr1, snr2, qos, cfg)
+            best = grid_alpha2(snr1, snr2, qos, ALPHA_STEP)
             if best is None:
                 continue
             closed, _ = optimal_alpha2(snr1, qos)
-            assert abs(best - closed) <= 2 * cfg.alpha_step
+            assert abs(best - closed) <= 2 * ALPHA_STEP
             checked += 1
 
     def test_objective_at_gridpoint_not_above_closed_form(self, rng):
@@ -62,7 +64,7 @@ class TestGridAlpha2:
             snr1 = 10 ** rng.uniform(0, 4)
             snr2 = snr1 * 10 ** rng.uniform(0, 2)
             qos = QosTargets(0.2, 0.1)
-            best = grid_alpha2(snr1, snr2, qos, OracleConfig())
+            best = grid_alpha2(snr1, snr2, qos)
             if best is None:
                 continue
             closed, _ = optimal_alpha2(snr1, qos)
@@ -158,24 +160,42 @@ class TestTwoStage:
 
 
 class TestFullGrid:
-    def test_dominates_every_enumerated_layout(self, qos):
-        p = SystemParams(n_antennas=2)
-        users = (UserPosition(0.2, 2.0), UserPosition(-0.2, 0.5))
-        cfg = OracleConfig(strategy="full-grid", search_window=0.02)
+    @pytest.mark.parametrize(
+        "n_antennas, half_span", [(1, 0.2), (2, 0.2), (3, 0.02)], ids=["n1", "n2", "n3"]
+    )
+    def test_dominates_every_enumerated_layout(self, qos, n_antennas, half_span):
+        p = SystemParams(n_antennas=n_antennas)
+        users = (UserPosition(half_span, 2.0), UserPosition(-half_span, 0.5))
+        cfg = OracleConfig(strategy="full-grid", search_window=0.01)
         sol = exhaustive_placement(p, users, qos, cfg)
         assert sol.feasible_found
         step = cfg.resolved_step(p)
         lo = min(users[0].x, users[1].x) - cfg.search_window
         span = (users[0].x - users[1].x) + 2 * cfg.search_window
         grid = lo + step * np.arange(int(math.floor(span / step)) + 1)
-        combos = [
-            (a, b)
-            for a in range(len(grid))
-            for b in range(a + 5, len(grid))
-        ]
-        rows = grid[np.array(combos)]
+        # every increasing tuple, then the spacing constraint itself
+        rows = grid[np.array(list(itertools.combinations(range(grid.size), n_antennas)))]
+        rows = rows[np.all(np.diff(rows, axis=1)
+                           >= p.delta_min - AntennaLayout.SPACING_SLACK, axis=1)]
         rates, feas, _ = batch_solution_metrics(p, rows, -p.side_d / 2, users, qos)
-        assert sol.rates.sum_rate >= float(rates[feas].max()) - 1e-9
+        assert abs(sol.rates.sum_rate - float(rates[feas].max())) <= 1e-12
+
+    def test_winner_rule(self):
+        rows = np.array([[0.0, 1.0], [2.0, 2.0], [2.0, 3.0], [1.0, 4.0]])
+        rates = np.array([5.0, 4.0, 4.0, 4.0])
+        everything = np.ones(4, dtype=bool)
+        assert _winner(rows, rates, np.zeros(4, dtype=bool)) is None
+        # the highest rate wins outright
+        assert _winner(rows, rates, everything)[2].tolist() == [0.0, 1.0]
+        # equal rates: the larger first coordinate; then the earliest row
+        rate, x0, row = _winner(rows, rates, np.array([False, True, True, True]))
+        assert (rate, x0, row.tolist()) == (4.0, 2.0, [2.0, 2.0])
+        # across chunks an exact tie keeps the earlier winner, and an empty
+        # chunk keeps it too
+        earlier = _winner(rows[1:2], rates[1:2], everything[1:2])
+        assert _winner(rows[2:], rates[2:], everything[2:], earlier) is earlier
+        assert _winner(rows, rates, ~everything, earlier) is earlier
+        assert _winner(rows, rates, everything, earlier)[2].tolist() == [0.0, 1.0]
 
     def test_combination_cap_refused(self, params, qos):
         users = (UserPosition(4.0, 2.0), UserPosition(-4.0, 0.5))
@@ -209,8 +229,6 @@ class TestOracleConfig:
         )
 
     def test_invalid_values_rejected(self):
-        with pytest.raises(ValueError):
-            OracleConfig(alpha_step=0.0)
         with pytest.raises(ValueError):
             OracleConfig(strategy="random-restart")
 
