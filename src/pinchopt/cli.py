@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .channel import SystemParams, UserPosition
 from .noma import QosTargets
-from .oracle import OracleConfig, OracleSizeError
+from .oracle import OracleConfig, OracleSizeError, grid_points
 from .placement import AlgoConfig, bisection_solve, center_bounds
 from .sim import (
     SWEEPS,
@@ -45,14 +45,15 @@ class RunConfig:
     scenario: Scenario | None = None
 
 
-_SECTIONS = ("system", "qos", "algo", "oracle", "sweep", "scenario")
-
-
-def _build(cls, section: dict, name: str):
+def _check_keys(cls, section: dict, prefix: str) -> None:
     fields = {f.name for f in dataclasses.fields(cls)}
     for key in section:
         if key not in fields:
-            raise ConfigError(f"unknown key: {name}.{key}")
+            raise ConfigError(f"unknown key: {prefix}{key}")
+
+
+def _build(cls, section: dict, name: str):
+    _check_keys(cls, section, f"{name}.")
     try:
         return cls(**section)
     except (TypeError, ValueError) as exc:
@@ -62,10 +63,7 @@ def _build(cls, section: dict, name: str):
 def _build_scenario(section: dict | None) -> Scenario | None:
     if section is None:
         return None
-    known = {"user1", "user2", "seed_id"}
-    for key in section:
-        if key not in known:
-            raise ConfigError(f"unknown key: scenario.{key}")
+    _check_keys(Scenario, section, "scenario.")
     try:
         u1 = UserPosition(**section["user1"])
         u2 = UserPosition(**section["user2"])
@@ -75,9 +73,7 @@ def _build_scenario(section: dict | None) -> Scenario | None:
 
 
 def build_config(doc: dict) -> RunConfig:
-    for key in doc:
-        if key not in _SECTIONS:
-            raise ConfigError(f"unknown key: {key}")
+    _check_keys(RunConfig, doc, "")
     sweep_raw = dict(doc.get("sweep", {}))
     for key in ("pt_dbm_values", "d_values", "schemes"):
         if key in sweep_raw:
@@ -93,13 +89,11 @@ def build_config(doc: dict) -> RunConfig:
         scenario=_build_scenario(doc.get("scenario")),
     )
     cfg.algo.resolved_max_shifts(cfg.system)  # an oversized budget fails before any output
+    for d in cfg.sweep.d_values:  # so does an array or a worst-case grid too large for d
+        params = dataclasses.replace(cfg.system, side_d=d)
+        center_bounds(params)
+        grid_points(d, cfg.oracle.resolved_step(params))  # the grid is clipped to the region
     return cfg
-
-
-def effective_config(cfg: RunConfig) -> dict:
-    """Every setting in effect, as a JSON-ready document (tuples become lists
-    when serialised)."""
-    return dataclasses.asdict(cfg)
 
 
 def _set_path(doc: dict, dotted: str, value) -> None:
@@ -145,7 +139,7 @@ def load_config(path: str | None, overrides: list[str], seed: int | None) -> Run
 def _echo_config(cfg: RunConfig, directory: str) -> None:
     path = os.path.join(directory, "config.json")
     with open(path, "w") as fh:
-        json.dump(effective_config(cfg), fh, indent=2)
+        json.dump(dataclasses.asdict(cfg), fh, indent=2)
         fh.write("\n")
 
 
@@ -188,6 +182,8 @@ def cmd_sweep(cfg: RunConfig, which: str, out_path: str, threads: int) -> int:
     out_dir = os.path.dirname(out_path) or "."
     if not os.path.isdir(out_dir):  # checked before the sweep runs
         raise ConfigError(f"output directory {out_dir} does not exist")
+    if os.path.isdir(out_path):
+        raise ConfigError(f"output path {out_path} is a directory")
     result = run_sweeps([which], cfg.system, cfg.qos, cfg.algo, cfg.sweep, cfg.oracle,
                         threads)[0]
     fmt = "json" if out_path.endswith(".json") else "csv"
@@ -270,8 +266,6 @@ def main(argv: list[str] | None = None) -> int:
         threads = _resolve_threads(args.threads)
         if args.command == "solve":
             return cmd_solve(cfg)
-        for d in cfg.sweep.d_values:  # before any sweep runs or output exists
-            center_bounds(dataclasses.replace(cfg.system, side_d=d))
         if args.command == "sweep":
             return cmd_sweep(cfg, args.which, args.out, threads)
         return cmd_figures(cfg, args.out_dir, threads)

@@ -102,6 +102,15 @@ def batch_solution_metrics(
     return r1 + r2, r1_qos & r2_qos & sic & (s2 >= s1), a2
 
 
+def grid_points(length: float, step: float) -> int:
+    """Points of a grid at ``step`` over ``length``, both ends included;
+    OracleSizeError above MAX_GRID_POINTS, before anything is allocated."""
+    span = length / step
+    if span >= MAX_GRID_POINTS:
+        raise OracleSizeError(f"position grid of {span + 1:.6g} points exceeds {MAX_GRID_POINTS}")
+    return int(math.floor(span)) + 1
+
+
 def _grid(params: SystemParams, users, cfg: OracleConfig) -> np.ndarray:
     """Candidate positions: the inter-user span plus the window margin."""
     step = cfg.resolved_step(params)
@@ -110,10 +119,7 @@ def _grid(params: SystemParams, users, cfg: OracleConfig) -> np.ndarray:
     hi = min(max(users[0].x, users[1].x) + cfg.search_window, half)
     if hi < lo:
         lo = hi = min(max(lo, -half), half)
-    span = (hi - lo) / step
-    if span >= MAX_GRID_POINTS:  # checked before anything is allocated
-        raise OracleSizeError(f"position grid of {span + 1:.6g} points exceeds {MAX_GRID_POINTS}")
-    return lo + step * np.arange(int(math.floor(span)) + 1)
+    return lo + step * np.arange(grid_points(hi - lo, step))
 
 
 def _winner(
@@ -233,14 +239,13 @@ def exhaustive_placement(
     users: tuple[UserPosition, UserPosition],
     qos: QosTargets,
     cfg: OracleConfig,
-    feed_x: float | None = None,
 ) -> PlacementSolution:
     """Best placement over the position grid, per the configured strategy.
 
     Deterministic: identical inputs always yield identical output, with
     ties broken lexicographically on (sum rate, first antenna coordinate).
     """
-    feed_x = feed_point(params, feed_x)
+    feed_x = feed_point(params)
     if cfg.strategy == "full-grid":
         return _full_grid_search(params, users, qos, cfg, feed_x)
     return _two_stage_search(params, users, qos, cfg, feed_x)

@@ -111,13 +111,9 @@ def circular_phase_error(a, b):
     return np.minimum(m, TWO_PI - m)
 
 
-def feed_point(params: SystemParams, feed_x: float | None) -> float:
-    """The feed point, by default the region's left edge; PlacementError
-    unless it is finite and inside [-D/2, D/2]."""
-    half = params.side_d / 2.0
-    if feed_x is not None and not -half <= feed_x <= half:  # NaN fails too
-        raise PlacementError(f"feed_x {feed_x} outside [{-half}, {half}]")
-    return -half if feed_x is None else feed_x
+def feed_point(params: SystemParams) -> float:
+    """The feed point both solvers use: the region's left edge."""
+    return -params.side_d / 2.0
 
 
 def center_index(n_antennas: int) -> int:
@@ -306,7 +302,7 @@ def pinned_antennas(params: SystemParams, layout: AntennaLayout) -> tuple[int, .
         if n == c:
             continue
         side = +1 if n > c else -1
-        if math.isclose(layout.xs[n], _antenna_cap(params, n, side), abs_tol=1e-12):
+        if abs(layout.xs[n] - _antenna_cap(params, n, side)) <= CAP_SLACK:
             pinned.append(n)
     return tuple(pinned)
 
@@ -356,7 +352,6 @@ def bisection_solve(
     users: tuple[UserPosition, UserPosition],
     qos: QosTargets,
     cfg: AlgoConfig,
-    feed_x: float | None = None,
 ) -> PlacementSolution:
     """Bisection placement search between the users' x-coordinates.
 
@@ -373,7 +368,7 @@ def bisection_solve(
         raise PlacementError("user coordinates must be finite")
     if u1.x == u2.x:
         raise PlacementError("degenerate scenario: users share the same x-coordinate")
-    feed_x = feed_point(params, feed_x)
+    feed_x = feed_point(params)
     lo_bound, hi_bound = center_bounds(params)
 
     offsets = _pitch_offsets(params)

@@ -15,16 +15,18 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
-from statistics import mean, median
+from statistics import mean
 
 import numpy as np
 
 from .channel import SystemParams, UserPosition, conventional_effective_gain, require_int
-from .noma import QosTargets, evaluate_snrs, snr_scale
+from .noma import ZERO_RATES, QosTargets, evaluate_snrs, snr_scale
 from .oracle import OracleConfig, exhaustive_placement
 from .placement import AlgoConfig, bisection_solve
 
-SCHEMES = ("pinching", "conventional-uniform", "conventional-mrt", "exhaustive")
+# fixed-array baseline scheme -> its conventional_effective_gain mode
+BASELINE_SCHEMES = {"conventional-uniform": "uniform", "conventional-mrt": "mrt-strong"}
+SCHEMES = ("pinching", *BASELINE_SCHEMES, "exhaustive")
 
 
 class SamplingError(RuntimeError):
@@ -128,7 +130,7 @@ def sample_scenario(rng: np.random.Generator, side_d: float, seed_id: int = 0) -
     raise SamplingError("could not draw a non-degenerate scenario in 100 attempts")
 
 
-def _conventional_record(params, scenario, qos, mode, scheme) -> TrialRecord:
+def _conventional_record(params, scenario, qos, mode) -> tuple:
     g1_sq, g2_sq = conventional_effective_gain(
         params, (scenario.user1, scenario.user2), mode
     )
@@ -142,15 +144,7 @@ def _conventional_record(params, scenario, qos, mode, scheme) -> TrialRecord:
     rho = snr_scale(params)
     split, rates, report, _ = evaluate_snrs(rho * g1_sq, rho * g2_sq, qos)
     ok = report.overall
-    return TrialRecord(
-        scheme=scheme,
-        sum_rate=rates.sum_rate if ok else 0.0,
-        r1=rates.r1 if ok else 0.0,
-        r2=rates.r2 if ok else 0.0,
-        alpha2=split.alpha2,
-        feasible=ok,
-        swapped=swapped,
-    )
+    return rates if ok else ZERO_RATES, split, ok, swapped
 
 
 def evaluate_scheme(
@@ -159,7 +153,7 @@ def evaluate_scheme(
     qos: QosTargets,
     cfg: AlgoConfig,
     scheme: str,
-    oracle_cfg: OracleConfig | None = None,
+    oracle_cfg: OracleConfig = OracleConfig(),
 ) -> TrialRecord:
     """Run one scheme on one scenario and summarise the outcome.
 
@@ -169,25 +163,20 @@ def evaluate_scheme(
     channel is user 2, recording the swap.
     """
     users = (scenario.user1, scenario.user2)
-    if scheme in ("pinching", "exhaustive"):
-        if scheme == "pinching":
-            sol = bisection_solve(params, users, qos, cfg)
-        else:
-            sol = exhaustive_placement(params, users, qos, oracle_cfg or OracleConfig())
-        return TrialRecord(
-            scheme=scheme,
-            sum_rate=sol.rates.sum_rate,
-            r1=sol.rates.r1,
-            r2=sol.rates.r2,
-            alpha2=sol.split.alpha2,
-            feasible=sol.feasible_found,
-            iterations=sol.iterations,
+    iterations = 0
+    if scheme in BASELINE_SCHEMES:
+        rates, split, feasible, swapped = _conventional_record(
+            params, scenario, qos, BASELINE_SCHEMES[scheme]
         )
-    if scheme == "conventional-uniform":
-        return _conventional_record(params, scenario, qos, "uniform", scheme)
-    if scheme == "conventional-mrt":
-        return _conventional_record(params, scenario, qos, "mrt-strong", scheme)
-    raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    elif scheme in ("pinching", "exhaustive"):
+        sol = (bisection_solve(params, users, qos, cfg) if scheme == "pinching"
+               else exhaustive_placement(params, users, qos, oracle_cfg))
+        rates, split, feasible, swapped = sol.rates, sol.split, sol.feasible_found, False
+        iterations = sol.iterations
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    return TrialRecord(scheme, rates.sum_rate, rates.r1, rates.r2, split.alpha2,
+                       feasible, swapped, iterations)
 
 
 def worker_count(threads: int, cpus: int, n_tasks: int) -> int:
@@ -293,29 +282,19 @@ def _oracle_plan(params, qos, cfg, sweep, oracle_cfg, drops):
 
     Runs at the first power level and region size of the sweep.  The
     relative gap is (oracle - solver) / oracle, zero when the oracle found
-    nothing.  Aggregate gap statistics land in ``records['stats']``.
+    nothing.  The records are ``{trial: [solver record, oracle record]}``.
     """
-    oracle_cfg = oracle_cfg or OracleConfig()
     p = replace(params, pt_dbm=sweep.pt_dbm_values[0], side_d=sweep.d_values[0])
     jobs = []
     for scen in drops(p.side_d):
         jobs.append((scen.seed_id, (p, scen, qos, cfg, "pinching")))
         jobs.append((scen.seed_id, (p, scen, qos, cfg, "exhaustive", oracle_cfg)))
 
-    def finish(by_trial) -> SweepResult:
-        rows, gaps = [], []
-        records: dict = {"pairs": []}
+    def finish(records) -> SweepResult:
+        rows = []
         for t in range(sweep.trials):
-            algo, orac = by_trial[t]
-            rel = (orac.sum_rate - algo.sum_rate) / orac.sum_rate if orac.sum_rate > 0 else 0.0
-            rows.append((t, algo.sum_rate, orac.sum_rate, rel))
-            records["pairs"].append((algo, orac))
-            if orac.feasible:
-                gaps.append(rel)
-        records["stats"] = {
-            f"{name}_rel_gap": stat(gaps) if gaps else 0.0
-            for name, stat in (("mean", mean), ("min", min), ("median", median), ("max", max))
-        }
+            algo, orac = (r.sum_rate for r in records[t])
+            rows.append((t, algo, orac, (orac - algo) / orac if orac > 0 else 0.0))
         header = ("trial", "sum_rate_algo", "sum_rate_oracle", "rel_gap")
         return SweepResult(ResultTable(header, tuple(rows)), records)
 
@@ -333,7 +312,7 @@ def run_sweeps(
     qos: QosTargets,
     cfg: AlgoConfig,
     sweep: SweepSpec,
-    oracle_cfg: OracleConfig | None = None,
+    oracle_cfg: OracleConfig = OracleConfig(),
     threads: int = 1,
 ) -> list[SweepResult]:
     """The named :data:`SWEEPS`, in order, each as from running it alone, but
@@ -350,8 +329,6 @@ def run_sweeps(
 
 
 def _cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)

@@ -1,11 +1,12 @@
 import csv
+import dataclasses
 import json
 import os
 import time
 
 import pytest
 
-from pinchopt.cli import ConfigError, build_config, effective_config, load_config, main
+from pinchopt.cli import ConfigError, build_config, load_config, main
 from pinchopt.sim import SamplingError
 
 SCENARIO_SET = 'scenario={"user1":{"x":2.0,"y":1.0},"user2":{"x":-2.0,"y":0.3}}'
@@ -38,9 +39,9 @@ class TestConfig:
 
     def test_round_trip_is_stable(self):
         cfg = load_config(None, ["system.pt_dbm=25", "sweep.trials=7"], seed=99)
-        doc = effective_config(cfg)
+        doc = dataclasses.asdict(cfg)
         again = build_config(json.loads(json.dumps(doc)))
-        assert effective_config(again) == doc
+        assert dataclasses.asdict(again) == doc
 
     def test_override_value_parsing(self):
         cfg = load_config(None, ["sweep.pt_dbm_values=[1,2,3]"], None)
@@ -90,6 +91,8 @@ class TestSolveCommand:
         ("oracle.alpha_step=Infinity", "unknown key"),
         ("sweep.schemes=[]", "must be non-empty"),
         ("system.n_antennas=3000", "do not fit"),
+        # refused on the worst case of side_d / step points, before any draw
+        ("oracle.position_step=1e-9", "position grid of"),
     ]
 
     @pytest.mark.parametrize(
@@ -182,6 +185,15 @@ class TestSweepCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not os.path.exists("/no/such/dir")
+
+    def test_directory_out_path_exits_one(self, tmp_path, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the sweep ran before the output path was checked")
+
+        monkeypatch.setattr("pinchopt.cli.run_sweeps", unreachable)
+        code = main(["sweep", "delta", "--out", f"{tmp_path}/", *SMALL_SWEEP])
+        assert code == 1
+        assert "is a directory" in capsys.readouterr().err
 
     def test_oracle_sweep_completes_quickly(self, tmp_path):
         out = tmp_path / "oracle.csv"

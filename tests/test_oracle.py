@@ -9,7 +9,6 @@ from pinchopt import (
     AntennaLayout,
     OracleConfig,
     OracleSizeError,
-    PlacementError,
     PowerSplit,
     QosTargets,
     SystemParams,
@@ -27,7 +26,7 @@ from pinchopt import (
     wavelength,
 )
 from pinchopt.oracle import _grid, _winner, batch_solution_metrics
-from pinchopt.sim import _conventional_record
+from pinchopt.sim import BASELINE_SCHEMES, evaluate_scheme
 
 from grid_reference import grid_alpha2
 
@@ -213,13 +212,11 @@ class TestFullGrid:
 
 
 @pytest.mark.parametrize("strategy", ["full-grid", "two-stage"])
-@pytest.mark.parametrize("feed_x", [math.nan, -math.inf, 1e9, 5.001])
-def test_feed_point_outside_region_rejected(qos, strategy, feed_x):
+def test_feed_point_is_region_left_edge(qos, strategy):
     p = SystemParams(n_antennas=2)
     users = (UserPosition(0.15, 2.0), UserPosition(-0.15, 0.5))
     cfg = OracleConfig(strategy=strategy, search_window=0.01)
-    with pytest.raises(PlacementError, match="feed_x"):
-        exhaustive_placement(p, users, qos, cfg, feed_x=feed_x)
+    assert exhaustive_placement(p, users, qos, cfg).layout.feed_x == -p.side_d / 2
 
 
 class TestOracleConfig:
@@ -283,7 +280,8 @@ class TestEvaluationPathsAgree:
         params = SystemParams(pt_dbm=0.0, side_d=30.0)
         qos = QosTargets()
         scen = sample_scenario(trial_rng(11, seed_id), params.side_d, seed_id)
-        rec = _conventional_record(params, scen, qos, mode, "baseline")
+        scheme = {m: s for s, m in BASELINE_SCHEMES.items()}[mode]
+        rec = evaluate_scheme(params, scen, qos, AlgoConfig(), scheme)
         g1_sq, g2_sq = conventional_effective_gain(
             params, (scen.user1, scen.user2), mode
         )

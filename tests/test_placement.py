@@ -36,8 +36,11 @@ from pinchopt.placement import (
     _channel_scope,
     _ScopedTable,
     _tune_layout,
+    CAP_SLACK,
+    _antenna_cap,
     center_bounds,
     center_index,
+    pinned_antennas,
 )
 from pinchopt.sim import sample_scenario, trial_rng
 
@@ -465,6 +468,19 @@ class TestScopedTable:
         assert table.lookup(params, self.USERS, "key", lambda: "again") == "again"
 
 
+class TestPinnedAntennas:
+    def test_on_cap_pinned_and_just_inside_not(self, params):
+        # 1e-10 m is far above CAP_SLACK but inside a 1e-9 relative
+        # tolerance at a 5 m cap
+        right = _antenna_cap(params, 2, +1)
+        left = _antenna_cap(params, 0, -1)
+        assert 1e-10 > 100 * CAP_SLACK
+        on_cap = AntennaLayout((left, 0.0, right), -params.side_d / 2)
+        assert pinned_antennas(params, on_cap) == (0, 2)
+        inside = AntennaLayout((left + 1e-10, 0.0, right - 1e-10), -params.side_d / 2)
+        assert pinned_antennas(params, inside) == ()
+
+
 class TestBisectionSolve:
     def test_degenerate_scenario_rejected(self, params, qos, algo_cfg):
         users = (UserPosition(1.0, 2.0), UserPosition(1.0, 0.5))
@@ -476,19 +492,11 @@ class TestBisectionSolve:
         with pytest.raises(PlacementError):
             bisection_solve(params, users, qos, algo_cfg)
 
-    @pytest.mark.parametrize("feed_x", [math.nan, math.inf, 1e9, -5.001])
-    def test_feed_point_outside_region_rejected(self, params, qos, algo_cfg, feed_x):
-        # a NaN feed used to come back "infeasible" and 1e9 m used to solve
+    def test_feed_point_is_region_left_edge(self, params, qos, algo_cfg):
         users = (UserPosition(2.0, 1.0), UserPosition(-2.0, 0.3))
-        with pytest.raises(PlacementError, match="feed_x"):
-            bisection_solve(params, users, qos, algo_cfg, feed_x=feed_x)
-
-    def test_feed_point_on_region_edge_accepted(self, params, qos, algo_cfg):
-        users = (UserPosition(2.0, 1.0), UserPosition(-2.0, 0.3))
-        half = params.side_d / 2
-        default = bisection_solve(params, users, qos, algo_cfg)
-        assert bisection_solve(params, users, qos, algo_cfg, feed_x=-half) == default
-        assert bisection_solve(params, users, qos, algo_cfg, feed_x=half).feasible_found
+        sol = bisection_solve(params, users, qos, algo_cfg)
+        assert sol.layout.feed_x == -params.side_d / 2
+        assert sol.feasible_found
 
     def test_single_antenna_converges_to_grid_optimum(self):
         p = SystemParams(n_antennas=1)

@@ -212,8 +212,10 @@ class TestOracleComparison:
         res = run_sweeps(["oracle"], SystemParams(), QosTargets(), AlgoConfig(), spec)[0]
         assert res.table.header == ("trial", "sum_rate_algo", "sum_rate_oracle", "rel_gap")
         assert len(res.table.rows) == 5
-        stats = res.records["stats"]
-        assert stats["min_rel_gap"] <= stats["median_rel_gap"] <= stats["max_rel_gap"]
+        for t, row in enumerate(res.table.rows):
+            algo, orac = res.records[t]
+            assert (algo.scheme, orac.scheme) == ("pinching", "exhaustive")
+            assert row[:3] == (t, algo.sum_rate, orac.sum_rate)
 
     def test_parallel_matches_sequential(self):
         spec = SweepSpec(pt_dbm_values=(30.0,), d_values=(10.0,), trials=4, seed=21)
