@@ -25,10 +25,12 @@ class LayoutError(ValueError):
 
 
 def require_finite(config, names: tuple[str, ...]) -> None:
-    """Raise ValueError if a named field of ``config`` is NaN or infinite
-    (a field left at None is skipped)."""
+    """Raise ValueError if a named field of ``config`` is a bool, NaN or
+    infinite (a field left at None is skipped)."""
     for name in names:
         value = getattr(config, name)
+        if isinstance(value, bool):
+            raise ValueError(f"{name} must be a number, got {value!r}")
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .channel import SystemParams, UserPosition
 from .noma import QosTargets
 from .oracle import OracleConfig, OracleSizeError, grid_points
-from .placement import AlgoConfig, bisection_solve, center_bounds
+from .placement import AlgoConfig, bisection_solve, center_bounds, check_users
 from .sim import (
     SWEEPS,
     SamplingError,
@@ -45,49 +45,32 @@ class RunConfig:
     scenario: Scenario | None = None
 
 
-def _check_keys(cls, section: dict, prefix: str) -> None:
+def _build(cls, section, name: str, **built):
+    """A ``cls`` from the JSON object ``section`` found at ``name``, with the
+    nested sections already ``built`` in place of their raw values."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {section!r}")
     fields = {f.name for f in dataclasses.fields(cls)}
     for key in section:
         if key not in fields:
-            raise ConfigError(f"unknown key: {prefix}{key}")
-
-
-def _build(cls, section: dict, name: str):
-    _check_keys(cls, section, f"{name}.")
+            raise ConfigError(f"unknown key: {name + '.' if name else ''}{key}")
     try:
-        return cls(**section)
+        return cls(**section | built)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {name} section: {exc}") from exc
 
 
-def _build_scenario(section: dict | None) -> Scenario | None:
-    if section is None:
-        return None
-    _check_keys(Scenario, section, "scenario.")
-    try:
-        u1 = UserPosition(**section["user1"])
-        u2 = UserPosition(**section["user2"])
-        return Scenario(u1, u2, section.get("seed_id", 0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid scenario section: {exc}") from exc
-
-
 def build_config(doc: dict) -> RunConfig:
-    _check_keys(RunConfig, doc, "")
-    sweep_raw = dict(doc.get("sweep", {}))
-    for key in ("pt_dbm_values", "d_values", "schemes"):
-        if key in sweep_raw:
-            sweep_raw[key] = tuple(sweep_raw[key])
-    if "delta_pairs" in sweep_raw:
-        sweep_raw["delta_pairs"] = tuple(tuple(p) for p in sweep_raw["delta_pairs"])
-    cfg = RunConfig(
-        system=_build(SystemParams, doc.get("system", {}), "system"),
-        qos=_build(QosTargets, doc.get("qos", {}), "qos"),
-        algo=_build(AlgoConfig, doc.get("algo", {}), "algo"),
-        oracle=_build(OracleConfig, doc.get("oracle", {}), "oracle"),
-        sweep=_build(SweepSpec, sweep_raw, "sweep"),
-        scenario=_build_scenario(doc.get("scenario")),
-    )
+    built = {name: _build(cls, doc.get(name, {}), name) for name, cls in (
+        ("system", SystemParams), ("qos", QosTargets), ("algo", AlgoConfig),
+        ("oracle", OracleConfig), ("sweep", SweepSpec))}
+    scenario = doc.get("scenario")
+    if scenario is not None:  # its users are read only from an object; _build rejects others
+        built["scenario"] = sc = _build(Scenario, scenario, "scenario", **{
+            u: _build(UserPosition, scenario.get(u), f"scenario.{u}")
+            for u in ("user1", "user2") if isinstance(scenario, dict)})
+        check_users(built["system"], (sc.user1, sc.user2))
+    cfg = _build(RunConfig, doc, "", **built)
     cfg.algo.resolved_max_shifts(cfg.system)  # an oversized budget fails before any output
     for d in cfg.sweep.d_values:  # so does an array or a worst-case grid too large for d
         params = dataclasses.replace(cfg.system, side_d=d)
@@ -197,9 +180,11 @@ def cmd_sweep(cfg: RunConfig, which: str, out_path: str, threads: int) -> int:
 
 
 def cmd_figures(cfg: RunConfig, out_dir: str, threads: int) -> int:
-    os.makedirs(out_dir, exist_ok=True)
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):  # checked before the run
+        raise ConfigError(f"output path {out_dir} is not a directory")
     results = run_sweeps(["power", "delta", "oracle"], cfg.system, cfg.qos, cfg.algo,
                          cfg.sweep, cfg.oracle, threads)
+    os.makedirs(out_dir, exist_ok=True)  # only once every sweep has run
     for name, result in zip(("fig2", "fig3", "fig4"), results):
         write_table(result.table, os.path.join(out_dir, f"{name}.csv"), "csv")
     _echo_config(cfg, out_dir)

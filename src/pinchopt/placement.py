@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, fields
+from numbers import Real
 
 import numpy as np
 
@@ -114,6 +115,17 @@ def circular_phase_error(a, b):
 def feed_point(params: SystemParams) -> float:
     """The feed point both solvers use: the region's left edge."""
     return -params.side_d / 2.0
+
+
+def check_users(params: SystemParams, users: tuple[UserPosition, UserPosition]) -> None:
+    """Raise PlacementError unless the users lie in the region at distinct x."""
+    half = params.side_d / 2.0
+    for v in (users[0].x, users[0].y, users[1].x, users[1].y):
+        # float first: a solve's coordinates skip the slower Real check
+        if isinstance(v, bool) or not isinstance(v, (float, Real)) or not -half <= v <= half:
+            raise PlacementError(f"user coordinate {v!r} is not a number in [{-half}, {half}]")
+    if users[0].x == users[1].x:
+        raise PlacementError("degenerate scenario: users share the same x-coordinate")
 
 
 def center_index(n_antennas: int) -> int:
@@ -363,18 +375,14 @@ def bisection_solve(
     returned; if none is feasible the last iterate comes back with zero
     rates and feasible_found False.
     """
-    u1, u2 = users
-    if not all(math.isfinite(v) for v in (u1.x, u1.y, u2.x, u2.y)):
-        raise PlacementError("user coordinates must be finite")
-    if u1.x == u2.x:
-        raise PlacementError("degenerate scenario: users share the same x-coordinate")
+    check_users(params, users)
     feed_x = feed_point(params)
     lo_bound, hi_bound = center_bounds(params)
 
     offsets = _pitch_offsets(params)
 
-    left = u2.x
-    right = u1.x
+    left = users[1].x
+    right = users[0].x
     best = last = None  # (layout, split, rates, report, alpha) of an iterate
     iterations = 0
     while iterations == 0 or abs(right - left) > cfg.epsilon:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -51,7 +52,7 @@ class Scenario:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """What to sweep, how many trials, and under which seed."""
+    """What to sweep, how many trials, and under which seed (lists become tuples)."""
 
     pt_dbm_values: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
     d_values: tuple[float, ...] = (10.0, 20.0, 30.0)
@@ -61,6 +62,14 @@ class SweepSpec:
     schemes: tuple[str, ...] = ("pinching", "conventional-uniform")
 
     def __post_init__(self) -> None:
+        for name in ("pt_dbm_values", "d_values", "delta_pairs", "schemes"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
+        if not all(isinstance(p, (list, tuple)) and len(p) == 2 for p in self.delta_pairs):
+            raise ValueError(f"delta_pairs must be [delta1, delta2] pairs: {self.delta_pairs}")
+        object.__setattr__(self, "delta_pairs", tuple(map(tuple, self.delta_pairs)))
         require_int(self, ("trials", "seed"))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -69,6 +78,9 @@ class SweepSpec:
         if not (self.pt_dbm_values and self.d_values and self.delta_pairs and self.schemes):
             raise ValueError("sweep value lists must be non-empty")
         # checked before any output exists, not when a sweep reaches them
+        values = self.pt_dbm_values + self.d_values + sum(self.delta_pairs, ())
+        if any(isinstance(v, bool) for v in values):
+            raise ValueError(f"sweep values must each be a number: {values}")
         if not all(map(math.isfinite, self.pt_dbm_values)):
             raise ValueError(f"pt_dbm_values must be finite: {self.pt_dbm_values}")
         if not all(0 < d < math.inf for d in self.d_values):
@@ -192,13 +204,13 @@ def _run_group(jobs):
 
 
 def _run_plans(plans, threads: int) -> list[SweepResult]:
-    """Run sweeps' ``(jobs, finish)`` plans as one task list.  A job is a
-    ``(key, task)`` pair, and each ``finish`` gets ``{key: [record, ...]}``
-    of its own jobs.  Each scenario's tasks, from whichever sweep, run back to
-    back as one chunk (in one worker when pooled), so the solver's tables
-    serve all of them."""
+    """Run sweeps' ``(header, rows, stat)`` plans as one task list.  A row is
+    ``(key, cells, tasks)``, its table row ``cells + stat(records[key])``, and
+    ``records[key]`` the records of every row with that key, in task order.
+    Each scenario's tasks, from whichever sweep, run back to back as one chunk
+    (in one worker when pooled), so the solver's tables serve all of them."""
     groups: dict = {}  # (side_d, trial) -> numbered tasks (params, scenario, ...)
-    for i, task in enumerate(task for jobs, _ in plans for _, task in jobs):
+    for i, task in enumerate(t for _, rows, _ in plans for _, _, ts in rows for t in ts):
         groups.setdefault((task[0].side_d, task[1].seed_id), []).append((i, task))
     chunks = list(groups.values())
     workers = worker_count(threads, os.cpu_count() or 1, len(chunks))
@@ -207,13 +219,14 @@ def _run_plans(plans, threads: int) -> list[SweepResult]:
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_run_group, chunks))
-    results = iter(sorted(pair for recs in done for pair in recs))
+    results = (rec for _, rec in sorted(pair for recs in done for pair in recs))
     out = []
-    for jobs, finish in plans:
+    for header, rows, stat in plans:
         records: dict = {}
-        for (key, _), (_, rec) in zip(jobs, results):
-            records.setdefault(key, []).append(rec)
-        out.append(finish(records))
+        for key, _, row_tasks in rows:
+            records.setdefault(key, []).extend(itertools.islice(results, len(row_tasks)))
+        table = tuple((*cells, *stat(records[key])) for key, cells, _ in rows)
+        out.append(SweepResult(ResultTable(header, table), records))
     return out
 
 
@@ -223,30 +236,17 @@ def _power_plan(params, qos, cfg, sweep, oracle_cfg, drops):
     All schemes in a cell share the same scenario sequence, and the same
     per-trial streams are reused across power levels and region sizes.
     """
-    jobs = []
-    for d in sweep.d_values:
-        p_at = {pt: replace(params, pt_dbm=pt, side_d=d) for pt in sweep.pt_dbm_values}
-        for scen in drops(d):
+    rows = []
+    for pt in sweep.pt_dbm_values:
+        for d in sweep.d_values:
+            p = replace(params, pt_dbm=pt, side_d=d)
             for scheme in sweep.schemes:
-                for pt in sweep.pt_dbm_values:
-                    jobs.append(((pt, d, scheme), (p_at[pt], scen, qos, cfg, scheme, oracle_cfg)))
-
-    def finish(records) -> SweepResult:
-        rows = []
-        for pt in sweep.pt_dbm_values:
-            for d in sweep.d_values:
-                for scheme in sweep.schemes:
-                    recs = records[(pt, d, scheme)]
-                    rows.append((
-                        float(pt), float(d), scheme, sweep.trials,
-                        mean(r.sum_rate for r in recs),
-                        sum(r.feasible for r in recs) / len(recs),
-                    ))
-        header = ("pt_dbm", "side_d_m", "scheme", "trials",
-                  "mean_sum_rate_bpshz", "feasible_fraction")
-        return SweepResult(ResultTable(header, tuple(rows)), records)
-
-    return jobs, finish
+                rows.append(((pt, d, scheme), (float(pt), float(d), scheme, sweep.trials),
+                             [(p, scen, qos, cfg, scheme, oracle_cfg) for scen in drops(d)]))
+    header = ("pt_dbm", "side_d_m", "scheme", "trials",
+              "mean_sum_rate_bpshz", "feasible_fraction")
+    return header, rows, lambda recs: (mean(r.sum_rate for r in recs),
+                                       sum(r.feasible for r in recs) / len(recs))
 
 
 def _delta_plan(params, qos, cfg, sweep, oracle_cfg, drops):
@@ -256,25 +256,20 @@ def _delta_plan(params, qos, cfg, sweep, oracle_cfg, drops):
     every (delta1, delta2) pair over paired scenarios.
     """
     d = sweep.d_values[0]
-    p_at = {pt: replace(params, pt_dbm=pt, side_d=d) for pt in sweep.pt_dbm_values}
-    jobs = []
-    for scen in drops(d):
+    rows = []
+    for pt in sweep.pt_dbm_values:
+        p = replace(params, pt_dbm=pt, side_d=d)
         for d1, d2 in sweep.delta_pairs:
             c = replace(cfg, delta1=d1, delta2=d2)
-            for pt in sweep.pt_dbm_values:
-                jobs.append(((pt, d1, d2), (p_at[pt], scen, qos, c, "pinching")))
+            rows.append(((pt, d1, d2), (float(pt), float(d1), float(d2)),
+                         [(p, scen, qos, c, "pinching") for scen in drops(d)]))
+    header = ("pt_dbm", "delta1_rad", "delta2_rad", "mean_sum_rate_bpshz")
+    return header, rows, lambda recs: (mean(r.sum_rate for r in recs),)
 
-    def finish(records) -> SweepResult:
-        rows = []
-        for pt in sweep.pt_dbm_values:
-            for d1, d2 in sweep.delta_pairs:
-                recs = records[(pt, d1, d2)]
-                rows.append((float(pt), float(d1), float(d2),
-                             mean(r.sum_rate for r in recs)))
-        header = ("pt_dbm", "delta1_rad", "delta2_rad", "mean_sum_rate_bpshz")
-        return SweepResult(ResultTable(header, tuple(rows)), records)
 
-    return jobs, finish
+def _oracle_stat(recs) -> tuple:
+    algo, orac = (r.sum_rate for r in recs)
+    return algo, orac, (orac - algo) / orac if orac > 0 else 0.0
 
 
 def _oracle_plan(params, qos, cfg, sweep, oracle_cfg, drops):
@@ -285,24 +280,14 @@ def _oracle_plan(params, qos, cfg, sweep, oracle_cfg, drops):
     nothing.  The records are ``{trial: [solver record, oracle record]}``.
     """
     p = replace(params, pt_dbm=sweep.pt_dbm_values[0], side_d=sweep.d_values[0])
-    jobs = []
-    for scen in drops(p.side_d):
-        jobs.append((scen.seed_id, (p, scen, qos, cfg, "pinching")))
-        jobs.append((scen.seed_id, (p, scen, qos, cfg, "exhaustive", oracle_cfg)))
-
-    def finish(records) -> SweepResult:
-        rows = []
-        for t in range(sweep.trials):
-            algo, orac = (r.sum_rate for r in records[t])
-            rows.append((t, algo, orac, (orac - algo) / orac if orac > 0 else 0.0))
-        header = ("trial", "sum_rate_algo", "sum_rate_oracle", "rel_gap")
-        return SweepResult(ResultTable(header, tuple(rows)), records)
-
-    return jobs, finish
+    rows = [(scen.seed_id, (scen.seed_id,),
+             [(p, scen, qos, cfg, "pinching"), (p, scen, qos, cfg, "exhaustive", oracle_cfg)])
+            for scen in drops(p.side_d)]
+    return ("trial", "sum_rate_algo", "sum_rate_oracle", "rel_gap"), rows, _oracle_stat
 
 
-# sweep name -> plan builder (params, qos, cfg, sweep, oracle_cfg, drops), where
-# drops(side_d) gives the sweep's scenarios, one per trial, at that region size
+# sweep name -> plan builder (params, qos, cfg, sweep, oracle_cfg, drops) -> (header,
+# rows, stat), where drops(side_d) gives one scenario per trial at that region size
 SWEEPS = {"power": _power_plan, "delta": _delta_plan, "oracle": _oracle_plan}
 
 

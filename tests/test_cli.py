@@ -93,6 +93,17 @@ class TestSolveCommand:
         ("system.n_antennas=3000", "do not fit"),
         # refused on the worst case of side_d / step points, before any draw
         ("oracle.position_step=1e-9", "position grid of"),
+        *((v, "must be a JSON object") for v in (
+            "system=5", "scenario=5", "scenario.user1=5",
+        )),
+        ("sweep.d_values=5", "d_values must be a list"),
+        ("sweep.delta_pairs=[5]", "must be [delta1, delta2] pairs"),
+        ("sweep.delta_pairs=[[0.5]]", "must be [delta1, delta2] pairs"),
+        ("sweep.schemes=\"pinching\"", "schemes must be a list"),
+        ('scenario={"user1":{"x":1e300,"y":1},"user2":{"x":0,"y":0.5}}',
+         "user coordinate 1e+300 is not a number in [-5.0, 5.0]"),
+        ("qos.r1_min=true", "r1_min must be a number"),
+        ("sweep.pt_dbm_values=[true]", "sweep values must each be a number"),
     ]
 
     @pytest.mark.parametrize(
@@ -249,6 +260,27 @@ class TestFiguresCommand:
             assert first == header
         echoed = json.loads((out / "config.json").read_text())
         assert echoed["sweep"]["seed"] == 5
+
+    def test_run_error_leaves_no_directory(self, tmp_path, capsys):
+        # the full grid is refused only when the first reference search starts
+        out = tmp_path / "fg"
+        code = main(["figures", "--out", str(out),
+                     "--set", 'oracle.strategy="full-grid"', "--set", "sweep.trials=1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: full-grid search would enumerate")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_file_out_path_exits_one(self, tmp_path, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the sweeps ran before the output path was checked")
+
+        monkeypatch.setattr("pinchopt.cli.run_sweeps", unreachable)
+        out = tmp_path / "fg"
+        out.write_text("")
+        assert main(["figures", "--out", str(out), *SMALL_SWEEP]) == 1
+        assert "is not a directory" in capsys.readouterr().err
 
     def test_zero_trials_errors_before_writing(self, tmp_path, capsys):
         out = tmp_path / "figs"

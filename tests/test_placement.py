@@ -492,6 +492,18 @@ class TestBisectionSolve:
         with pytest.raises(PlacementError):
             bisection_solve(params, users, qos, algo_cfg)
 
+    @pytest.mark.parametrize("x, y", [(1e300, 2.0), (1e6, 1e6), (5.0 + 1e-9, 2.0),
+                                      (1.0, math.nan), (True, 2.0), ("1.0", 2.0)])
+    def test_users_outside_region_rejected(self, params, qos, algo_cfg, x, y):
+        users = (UserPosition(x, y), UserPosition(-1.0, 0.5))
+        with pytest.raises(PlacementError, match="is not a number in"):
+            bisection_solve(params, users, qos, algo_cfg)
+
+    def test_users_on_region_edge_accepted(self, params, qos, algo_cfg):
+        half = params.side_d / 2
+        users = (UserPosition(half, -half), UserPosition(-half, 0.5))
+        assert bisection_solve(params, users, qos, algo_cfg).iterations >= 1
+
     def test_feed_point_is_region_left_edge(self, params, qos, algo_cfg):
         users = (UserPosition(2.0, 1.0), UserPosition(-2.0, 0.3))
         sol = bisection_solve(params, users, qos, algo_cfg)

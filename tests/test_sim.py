@@ -107,6 +107,15 @@ class TestEvaluateScheme:
         assert wins >= trials * 0.8
 
 
+class TestSweepSpec:
+    def test_lists_equal_tuples(self):
+        lists = SweepSpec(pt_dbm_values=[0, 30], d_values=[10.0],
+                          delta_pairs=[[0.5, 0.02], (0.2, 0.02)], schemes=["pinching"])
+        tuples = SweepSpec(pt_dbm_values=(0, 30), d_values=(10.0,),
+                           delta_pairs=((0.5, 0.02), (0.2, 0.02)), schemes=("pinching",))
+        assert lists == tuples and hash(lists) == hash(tuples)
+
+
 def assert_figures_table_matches(spec, index, alone):
     """Table ``index`` (fig2, fig3, fig4) of all three sweeps run together,
     serial and pooled, equals the sweep ``alone`` run by itself."""
