@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,26 +25,22 @@ class LayoutError(ValueError):
     """An antenna layout violates spacing or region-boundary constraints."""
 
 
-def require_finite(config, names: tuple[str, ...]) -> None:
-    """Raise ValueError if a named field of ``config`` is a bool, NaN or
-    infinite (a field left at None is skipped)."""
-    for name in names:
-        value = getattr(config, name)
-        if isinstance(value, bool):
-            raise ValueError(f"{name} must be a number, got {value!r}")
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-def require_int(config, names: tuple[str, ...]) -> None:
-    """Raise ValueError if a named field of ``config`` is not an integer;
-    a bool is not one (a field left at None is skipped)."""
-    for name in names:
-        value = getattr(config, name)
-        if value is not None and (
-            isinstance(value, bool) or not isinstance(value, numbers.Integral)
-        ):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+def check_number(name, value, lo=-math.inf, hi=math.inf, *, above=False, integer=False):
+    """Return ``value`` if it is a real number (an integer when ``integer`` is
+    set), not a bool, finite (an int too large for a float is not) and in
+    [lo, hi], or in (lo, hi] when ``above`` is set; else raise ValueError
+    naming the field ``name``."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        rule = "an integer" if integer else "a number"
+    elif not abs(value) <= sys.float_info.max:  # NaN, infinite or beyond a float
+        rule = "finite"
+    elif value < lo or above and value == lo or value > hi:
+        rule = (f"in {'(' if above else '['}{lo}, {hi}]" if hi < math.inf
+                else f"{'>' if above else '>='} {lo}")
+    else:
+        return value
+    raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -70,24 +67,15 @@ class SystemParams:
     noise_dbm: float = -90.0
 
     def __post_init__(self) -> None:
-        require_int(self, ("n_antennas",))
-        if self.fc <= 0:
-            raise ValueError("fc must be positive")
-        if self.n_eff < 1:
-            raise ValueError("n_eff must be >= 1")
-        if self.h <= 0:
-            raise ValueError("h must be positive")
-        if self.side_d <= 0:
-            raise ValueError("side_d must be positive")
-        if self.n_antennas < 1:
-            raise ValueError("n_antennas must be >= 1")
+        for name in ("fc", "h", "side_d"):
+            check_number(name, getattr(self, name), 0, above=True)
+        check_number("n_eff", self.n_eff, 1)
+        check_number("n_antennas", self.n_antennas, 1, integer=True)
+        check_number("pt_dbm", self.pt_dbm)
+        check_number("noise_dbm", self.noise_dbm)
         if self.delta_min is None:
             object.__setattr__(self, "delta_min", wavelength(self) / 2.0)
-        require_finite(
-            self, ("fc", "n_eff", "h", "side_d", "delta_min", "pt_dbm", "noise_dbm")
-        )
-        if self.delta_min <= 0:
-            raise ValueError("delta_min must be positive")
+        check_number("delta_min", self.delta_min, 0, above=True)
 
 
 @dataclass(frozen=True)

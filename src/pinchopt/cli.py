@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .channel import SystemParams, UserPosition
+from .channel import SystemParams, UserPosition, check_number
 from .noma import QosTargets
 from .oracle import OracleConfig, OracleSizeError, grid_points
 from .placement import AlgoConfig, bisection_solve, center_bounds, check_users
@@ -66,10 +66,11 @@ def build_config(doc: dict) -> RunConfig:
         ("oracle", OracleConfig), ("sweep", SweepSpec))}
     scenario = doc.get("scenario")
     if scenario is not None:  # its users are read only from an object; _build rejects others
-        built["scenario"] = sc = _build(Scenario, scenario, "scenario", **{
-            u: _build(UserPosition, scenario.get(u), f"scenario.{u}")
-            for u in ("user1", "user2") if isinstance(scenario, dict)})
-        check_users(built["system"], (sc.user1, sc.user2))
+        users = {u: _build(UserPosition, scenario.get(u), f"scenario.{u}")
+                 for u in ("user1", "user2") if isinstance(scenario, dict)}
+        if users:  # checked before Scenario compares them
+            check_users(built["system"], tuple(users.values()))
+        built["scenario"] = _build(Scenario, scenario, "scenario", **users)
     cfg = _build(RunConfig, doc, "", **built)
     cfg.algo.resolved_max_shifts(cfg.system)  # an oversized budget fails before any output
     for d in cfg.sweep.d_values:  # so does an array or a worst-case grid too large for d
@@ -161,9 +162,20 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0 if sol.feasible_found else 2
 
 
+def _check_out_dir(out_dir: str) -> None:
+    """Refuse, before any run, a directory to write whose nearest existing
+    ancestor (itself included) is not a directory."""
+    path = out_dir
+    while path and not os.path.exists(path):  # "" is the working directory
+        path = os.path.dirname(path)
+    if path and not os.path.isdir(path):
+        raise ConfigError(f"output path {path} is not a directory")
+
+
 def cmd_sweep(cfg: RunConfig, which: str, out_path: str, threads: int) -> int:
     out_dir = os.path.dirname(out_path) or "."
-    if not os.path.isdir(out_dir):  # checked before the sweep runs
+    _check_out_dir(out_dir)  # these checks run before the sweep
+    if not os.path.isdir(out_dir):
         raise ConfigError(f"output directory {out_dir} does not exist")
     if os.path.isdir(out_path):
         raise ConfigError(f"output path {out_path} is a directory")
@@ -180,8 +192,7 @@ def cmd_sweep(cfg: RunConfig, which: str, out_path: str, threads: int) -> int:
 
 
 def cmd_figures(cfg: RunConfig, out_dir: str, threads: int) -> int:
-    if os.path.exists(out_dir) and not os.path.isdir(out_dir):  # checked before the run
-        raise ConfigError(f"output path {out_dir} is not a directory")
+    _check_out_dir(out_dir)  # before the run
     results = run_sweeps(["power", "delta", "oracle"], cfg.system, cfg.qos, cfg.algo,
                          cfg.sweep, cfg.oracle, threads)
     os.makedirs(out_dir, exist_ok=True)  # only once every sweep has run
@@ -219,9 +230,7 @@ def _resolve_threads(value: int | None) -> int:
             value = int(env)
         except ValueError as exc:
             raise ConfigError(f"PINCH_THREADS must be an integer, got {env!r}") from exc
-    if value < 0:
-        raise ConfigError(f"{source} must be >= 0, got {value}")
-    return value
+    return check_number(source, value, 0, integer=True)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import AntennaLayout, SystemParams, dbm_to_watts, require_finite
+from .channel import AntennaLayout, SystemParams, check_number, dbm_to_watts
 
 RATE_TOL = 1e-9  # slack on rate-target comparisons
 ALPHA_TOL = 1e-12  # slack on power-coefficient sanity checks
@@ -51,9 +51,8 @@ class QosTargets:
     r2_min: float = 0.5
 
     def __post_init__(self) -> None:
-        require_finite(self, ("r1_min", "r2_min"))
-        if self.r1_min < 0 or self.r2_min < 0:
-            raise ValueError("rate targets must be non-negative")
+        check_number("r1_min", self.r1_min, 0)
+        check_number("r2_min", self.r2_min, 0)
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,9 @@ from .channel import (
     AntennaLayout,
     SystemParams,
     UserPosition,
+    check_number,
     guided_wavelength,
     pinching_gains_batch,
-    require_finite,
     wavelength,
 )
 from .noma import (
@@ -66,11 +66,9 @@ class OracleConfig:
     strategy: str = "two-stage"
 
     def __post_init__(self) -> None:
-        require_finite(self, ("position_step", "search_window"))
-        if self.position_step is not None and self.position_step <= 0:
-            raise ValueError("position_step must be positive")
-        if self.search_window <= 0:
-            raise ValueError("search_window must be positive")
+        if self.position_step is not None:
+            check_number("position_step", self.position_step, 0, above=True)
+        check_number("search_window", self.search_window, 0, above=True)
         if self.strategy not in ("full-grid", "two-stage"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, fields
-from numbers import Real
 
 import numpy as np
 
@@ -21,10 +20,9 @@ from .channel import (
     AntennaLayout,
     SystemParams,
     UserPosition,
+    check_number,
     phases_and_distances,
     pinching_gain,
-    require_finite,
-    require_int,
     wavelength,
 )
 from .noma import (
@@ -66,18 +64,13 @@ class AlgoConfig:
     max_fine_shifts: int | None = None
 
     def __post_init__(self) -> None:
-        require_int(self, ("max_fine_shifts",))
-        require_finite(
-            self, ("epsilon", "delta1", "delta2", "fine_step", "max_fine_shifts")
-        )
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.delta1 < 0 or self.delta2 < 0:
-            raise ValueError("phase tolerances must be non-negative")
-        if self.fine_step is not None and self.fine_step <= 0:
-            raise ValueError("fine_step must be positive")
-        if self.max_fine_shifts is not None and self.max_fine_shifts < 1:
-            raise ValueError("max_fine_shifts must be >= 1")
+        check_number("epsilon", self.epsilon, 0, above=True)
+        check_number("delta1", self.delta1, 0)
+        check_number("delta2", self.delta2, 0)
+        if self.fine_step is not None:
+            check_number("fine_step", self.fine_step, 0, above=True)
+        if self.max_fine_shifts is not None:
+            check_number("max_fine_shifts", self.max_fine_shifts, 1, integer=True)
 
     def resolved_fine_step(self, params: SystemParams) -> float:
         return self.fine_step if self.fine_step is not None else wavelength(params) / 100.0
@@ -120,10 +113,13 @@ def feed_point(params: SystemParams) -> float:
 def check_users(params: SystemParams, users: tuple[UserPosition, UserPosition]) -> None:
     """Raise PlacementError unless the users lie in the region at distinct x."""
     half = params.side_d / 2.0
-    for v in (users[0].x, users[0].y, users[1].x, users[1].y):
-        # float first: a solve's coordinates skip the slower Real check
-        if isinstance(v, bool) or not isinstance(v, (float, Real)) or not -half <= v <= half:
-            raise PlacementError(f"user coordinate {v!r} is not a number in [{-half}, {half}]")
+    for name, v in (("user1.x", users[0].x), ("user1.y", users[0].y),
+                    ("user2.x", users[1].x), ("user2.y", users[1].y)):
+        if not (isinstance(v, float) and -half <= v <= half):  # a solve's floats stop here
+            try:
+                check_number(name, v, -half, half)
+            except ValueError as exc:
+                raise PlacementError(str(exc)) from exc
     if users[0].x == users[1].x:
         raise PlacementError("degenerate scenario: users share the same x-coordinate")
 

@@ -13,14 +13,13 @@ import csv
 import functools
 import itertools
 import json
-import math
 import os
 from dataclasses import dataclass, field, replace
 from statistics import mean
 
 import numpy as np
 
-from .channel import SystemParams, UserPosition, conventional_effective_gain, require_int
+from .channel import SystemParams, UserPosition, check_number, conventional_effective_gain
 from .noma import ZERO_RATES, QosTargets, evaluate_snrs, snr_scale
 from .oracle import OracleConfig, exhaustive_placement
 from .placement import AlgoConfig, bisection_solve
@@ -43,7 +42,7 @@ class Scenario:
     seed_id: int = 0
 
     def __post_init__(self) -> None:
-        require_int(self, ("seed_id",))
+        check_number("seed_id", self.seed_id, integer=True)
         if abs(self.user2.y) > abs(self.user1.y):
             raise ValueError("user2 must be the user closer to the waveguide")
         if self.user1.x == self.user2.x:
@@ -70,23 +69,17 @@ class SweepSpec:
         if not all(isinstance(p, (list, tuple)) and len(p) == 2 for p in self.delta_pairs):
             raise ValueError(f"delta_pairs must be [delta1, delta2] pairs: {self.delta_pairs}")
         object.__setattr__(self, "delta_pairs", tuple(map(tuple, self.delta_pairs)))
-        require_int(self, ("trials", "seed"))
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        check_number("trials", self.trials, 1, integer=True)
+        check_number("seed", self.seed, 0, integer=True)
         if not (self.pt_dbm_values and self.d_values and self.delta_pairs and self.schemes):
             raise ValueError("sweep value lists must be non-empty")
         # checked before any output exists, not when a sweep reaches them
-        values = self.pt_dbm_values + self.d_values + sum(self.delta_pairs, ())
-        if any(isinstance(v, bool) for v in values):
-            raise ValueError(f"sweep values must each be a number: {values}")
-        if not all(map(math.isfinite, self.pt_dbm_values)):
-            raise ValueError(f"pt_dbm_values must be finite: {self.pt_dbm_values}")
-        if not all(0 < d < math.inf for d in self.d_values):
-            raise ValueError(f"d_values must be finite and positive: {self.d_values}")
-        if not all(0 <= t < math.inf for pair in self.delta_pairs for t in pair):
-            raise ValueError(f"delta_pairs must be finite and >= 0: {self.delta_pairs}")
+        for v in self.pt_dbm_values:
+            check_number("pt_dbm_values", v)
+        for d in self.d_values:
+            check_number("d_values", d, 0, above=True)
+        for t in sum(self.delta_pairs, ()):
+            check_number("delta_pairs", t, 0)
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ValueError(f"unknown scheme {s!r}; expected one of {SCHEMES}")
@@ -128,8 +121,7 @@ def sample_scenario(rng: np.random.Generator, side_d: float, seed_id: int = 0) -
     an x-coordinate or a |y| exactly, so the strong/weak labelling is
     always unambiguous.
     """
-    if side_d <= 0:
-        raise ValueError("side_d must be positive")
+    check_number("side_d", side_d, 0, above=True)
     half = side_d / 2.0
     for _ in range(100):
         pts = rng.uniform(-half, half, size=(2, 2))
@@ -194,8 +186,7 @@ def evaluate_scheme(
 def worker_count(threads: int, cpus: int, n_tasks: int) -> int:
     """Worker processes for ``n_tasks`` tasks when ``threads`` are asked for
     (0 = one per CPU): never more than the CPUs or the tasks, at least 1."""
-    if threads < 0:
-        raise ValueError(f"threads must be >= 0, got {threads}")
+    check_number("threads", threads, 0, integer=True)
     return max(1, min(threads or cpus, cpus, n_tasks))
 
 

@@ -19,7 +19,7 @@ from pinchopt import (
     watts_to_dbm,
     wavelength,
 )
-from pinchopt.channel import conventional_positions, phases_and_distances
+from pinchopt.channel import check_number, conventional_positions, phases_and_distances
 
 
 class TestWavelength:
@@ -222,6 +222,34 @@ class TestSystemParams:
     def test_non_finite_rejected(self, name, value):
         with pytest.raises(ValueError):
             SystemParams(**{name: value})
+
+
+class TestCheckNumber:
+    @pytest.mark.parametrize("value, kwargs, message", [
+        ("1", {}, "v must be a number, got '1'"),
+        (None, {}, "v must be a number, got None"),
+        (True, {}, "v must be a number, got True"),
+        (2.0, {"integer": True}, "v must be an integer, got 2.0"),
+        (False, {"integer": True}, "v must be an integer, got False"),
+        (math.nan, {}, "v must be finite, got nan"),
+        (-math.inf, {}, "v must be finite, got -inf"),
+        (10**400, {"integer": True}, "v must be finite, got 1000"),  # beyond a float
+        (-0.5, {"lo": 0}, "v must be >= 0, got -0.5"),
+        (0, {"lo": 0, "above": True}, "v must be > 0, got 0"),
+        (3, {"lo": -2.0, "hi": 2.0}, "v must be in [-2.0, 2.0], got 3"),
+        (-2.0, {"lo": -2.0, "hi": 2.0, "above": True}, "v must be in (-2.0, 2.0], got -2.0"),
+    ])
+    def test_rejects_with_the_field_and_the_rule(self, value, kwargs, message):
+        with pytest.raises(ValueError) as info:
+            check_number("v", value, **kwargs)
+        assert str(info.value).startswith(message)
+
+    @pytest.mark.parametrize("value, kwargs", [
+        (0, {"lo": 0}), (2.0, {"lo": -2.0, "hi": 2.0}), (np.float64(1.5), {}),
+        (np.int64(3), {"lo": 1, "integer": True}), (-1e308, {}),
+    ])
+    def test_returns_a_value_in_range(self, value, kwargs):
+        assert check_number("v", value, **kwargs) is value
 
 
 class TestConventionalChannel:

@@ -52,6 +52,20 @@ class TestConfig:
             load_config(None, ["sweep.trials"], None)
 
 
+# every scalar number field: (dotted key, the kind it must be, whether its default is None)
+NUMBER_FIELDS = [
+    *((f, "a number", False) for f in (
+        "system.fc", "system.n_eff", "system.h", "system.side_d", "system.pt_dbm",
+        "system.noise_dbm", "algo.epsilon", "algo.delta1", "algo.delta2", "qos.r1_min",
+        "qos.r2_min", "oracle.search_window")),
+    *((f, "a number", True) for f in (
+        "system.delta_min", "algo.fine_step", "oracle.position_step")),
+    *((f, "an integer", False) for f in (
+        "system.n_antennas", "sweep.trials", "sweep.seed", "scenario.seed_id")),
+    ("algo.max_fine_shifts", "an integer", True),
+]
+
+
 class TestSolveCommand:
     def test_feasible_scenario_exits_zero(self, capsys):
         code = main(["solve", "--set", SCENARIO_SET])
@@ -84,9 +98,9 @@ class TestSolveCommand:
             "sweep.seed=false", "scenario.seed_id=1.5",
         )),
         ("sweep.seed=-1", "seed must be >= 0"),
-        ("sweep.d_values=[-5]", "must be finite and positive"),
-        ("sweep.d_values=[0]", "must be finite and positive"),
-        ("sweep.delta_pairs=[[0.5,-0.1]]", "must be finite and >= 0"),
+        ("sweep.d_values=[-5]", "d_values must be > 0, got -5"),
+        ("sweep.d_values=[0]", "d_values must be > 0, got 0"),
+        ("sweep.delta_pairs=[[0.5,-0.1]]", "delta_pairs must be >= 0, got -0.1"),
         ("algo.fine_step=1e-16", "fine-tune budget"),
         ("oracle.alpha_step=Infinity", "unknown key"),
         ("sweep.schemes=[]", "must be non-empty"),
@@ -101,9 +115,19 @@ class TestSolveCommand:
         ("sweep.delta_pairs=[[0.5]]", "must be [delta1, delta2] pairs"),
         ("sweep.schemes=\"pinching\"", "schemes must be a list"),
         ('scenario={"user1":{"x":1e300,"y":1},"user2":{"x":0,"y":0.5}}',
-         "user coordinate 1e+300 is not a number in [-5.0, 5.0]"),
+         "user1.x must be in [-5.0, 5.0], got 1e+300"),
         ("qos.r1_min=true", "r1_min must be a number"),
-        ("sweep.pt_dbm_values=[true]", "sweep values must each be a number"),
+        ("sweep.pt_dbm_values=[true]", "pt_dbm_values must be a number, got True"),
+        # a string in every number field, and null where the default is not None
+        *((f"{field}={bad}", f"{field.rsplit('.', 1)[1]} must be {kind}, got {got}")
+          for field, kind, optional in NUMBER_FIELDS
+          for bad, got in (('"x"', "'x'"), ("null", "None"))[:1 if optional else 2]),
+        *((template.format(bad), f"{name} must be a number, got {got}")
+          for template, name in (("sweep.pt_dbm_values=[{}]", "pt_dbm_values"),
+                              ("sweep.d_values=[{}]", "d_values"),
+                              ("sweep.delta_pairs=[[0.5,{}]]", "delta_pairs"),
+                              ("scenario.user1.x={}", "user1.x"))
+          for bad, got in (('"x"', "'x'"), ("null", "None"))),
     ]
 
     @pytest.mark.parametrize(
@@ -281,6 +305,19 @@ class TestFiguresCommand:
         out.write_text("")
         assert main(["figures", "--out", str(out), *SMALL_SWEEP]) == 1
         assert "is not a directory" in capsys.readouterr().err
+
+    def test_out_under_a_file_exits_one(self, tmp_path, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the sweeps ran before the output path was checked")
+
+        monkeypatch.setattr("pinchopt.cli.run_sweeps", unreachable)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        for args in (["figures", "--out", str(afile / "sub" / "deeper")],
+                     ["sweep", "power", "--out", str(afile / "t.csv")]):
+            assert main([*args, *SMALL_SWEEP]) == 1
+            assert f"output path {afile} is not a directory" in capsys.readouterr().err
+        assert afile.read_text() == ""
 
     def test_zero_trials_errors_before_writing(self, tmp_path, capsys):
         out = tmp_path / "figs"

@@ -496,7 +496,8 @@ class TestBisectionSolve:
                                       (1.0, math.nan), (True, 2.0), ("1.0", 2.0)])
     def test_users_outside_region_rejected(self, params, qos, algo_cfg, x, y):
         users = (UserPosition(x, y), UserPosition(-1.0, 0.5))
-        with pytest.raises(PlacementError, match="is not a number in"):
+        with pytest.raises(PlacementError, match=r"user1\.[xy] must be "
+                           r"(a number|finite|in \[-5\.0, 5\.0\]), got "):
             bisection_solve(params, users, qos, algo_cfg)
 
     def test_users_on_region_edge_accepted(self, params, qos, algo_cfg):

@@ -8,11 +8,14 @@ from pathlib import Path
 
 import pytest
 
+import pinchopt
 from pinchopt import (
+    AlgoConfig,
     AntennaLayout,
     QosTargets,
     SystemParams,
     UserPosition,
+    bisection_solve,
     evaluate_placement,
 )
 
@@ -64,3 +67,29 @@ def test_evaluate_placement_verdict_is_bool():
     users = (UserPosition(2.0, 1.0), UserPosition(-2.0, 0.3))
     report = evaluate_placement(params, layout, users, QosTargets())[2]
     assert isinstance(report.overall, bool)
+
+
+# beyond the names: what the tracer's fine-tune key and the benchmark's
+# output checks read from arguments and results
+def test_fine_tune_key_attributes():
+    params = SystemParams()
+    fields = ("fc", "n_eff", "h", "side_d", "n_antennas", "delta_min")
+    assert all(isinstance(getattr(params, f), (int, float)) for f in fields)
+    cfg = AlgoConfig()
+    assert isinstance(cfg.delta1, float) and isinstance(cfg.delta2, float)
+    assert cfg.resolved_fine_step(params) > 0
+    assert isinstance(cfg.resolved_max_shifts(params), int)
+    layout = AntennaLayout((-params.delta_min, 0.0, params.delta_min), -params.side_d / 2)
+    assert isinstance(layout.xs, tuple) and layout.feed_x == -params.side_d / 2
+
+
+def test_output_check_attributes():
+    params = SystemParams()
+    users = (UserPosition(2.0, 1.0), UserPosition(-2.0, 0.3))
+    sol = bisection_solve(params, users, QosTargets(), AlgoConfig())
+    sol.layout.validate(params)
+    assert issubclass(pinchopt.LayoutError, Exception)
+    assert isinstance(pinchopt.noma.RATE_TOL, float)
+    r = sol.rates
+    assert r.r1 + r.r2 == r.sum_rate and isinstance(sol.feasible_found, bool)
+    assert isinstance(r.r2_to_1, float)
