@@ -12,7 +12,6 @@ from .channel import (
     guided_wavelength,
     path_gain_factor,
     pinching_gain,
-    watts_to_dbm,
     wavelength,
 )
 from .noma import (
@@ -25,7 +24,6 @@ from .noma import (
     optimal_alpha2,
     rate_report,
     snr_scale,
-    sum_rate_objective,
 )
 from .oracle import OracleConfig, OracleSizeError, exhaustive_placement
 from .placement import (

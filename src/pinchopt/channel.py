@@ -18,7 +18,7 @@ import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
-BASELINE_MODES = ("uniform", "mrt-strong")
+BASELINE_SCHEMES = ("conventional-uniform", "conventional-mrt")
 
 
 class LayoutError(ValueError):
@@ -118,10 +118,13 @@ class AntennaLayout:
 
     def spacing_ok(self, params: SystemParams) -> bool:
         """Whether neighbouring antennas keep at least ``delta_min`` apart."""
-        return all(
-            b - a >= params.delta_min - self.SPACING_SLACK
-            for a, b in zip(self.xs, self.xs[1:])
-        )
+        return all(spacing_holds(params, b - a) for a, b in zip(self.xs, self.xs[1:]))
+
+
+def spacing_holds(params: SystemParams, gap):
+    """Whether a gap between neighbouring antennas, a float or an array of
+    them, keeps ``delta_min`` up to ``AntennaLayout.SPACING_SLACK``."""
+    return gap >= params.delta_min - AntennaLayout.SPACING_SLACK
 
 
 def wavelength(params: SystemParams) -> float:
@@ -145,11 +148,6 @@ def path_gain_factor(params: SystemParams) -> float:
 def dbm_to_watts(p_dbm: float) -> float:
     """Convert a power level from dBm to watts."""
     return 10.0 ** ((p_dbm - 30.0) / 10.0)
-
-
-def watts_to_dbm(p_watts: float) -> float:
-    """Convert a power level from watts to dBm."""
-    return 10.0 * math.log10(p_watts) + 30.0
 
 
 def phases_and_distances(
@@ -229,21 +227,22 @@ def conventional_channel(
 def conventional_effective_gain(
     params: SystemParams,
     users: tuple[UserPosition, UserPosition],
-    mode: str,
+    scheme: str,
 ) -> tuple[float, float]:
     """Per-user effective power gains |g|^2 of the fixed-antenna baseline.
 
-    ``uniform``:    every antenna radiates the same signal at power Pt/N with
-                    no per-antenna phase control, so |g|^2 = |sum_n h_n|^2.
-    ``mrt-strong``: the array beamforms toward user 2 with the matched filter
-                    w = h_2 / ||h_2||; |g|^2 = N * |<h, w>|^2, the factor N
-                    keeping the shared Pt/(N sigma^2) power convention.
+    ``conventional-uniform``: every antenna radiates the same signal at
+        power Pt/N with no per-antenna phase control, so |g|^2 = |sum_n h_n|^2.
+    ``conventional-mrt``: the array beamforms toward user 2 with the matched
+        filter w = h_2 / ||h_2||; |g|^2 = N * |<h, w>|^2, the factor N keeping
+        the shared Pt/(N sigma^2) power convention.
     """
-    if mode not in BASELINE_MODES:
-        raise ValueError(f"unknown baseline mode {mode!r}; expected one of {BASELINE_MODES}")
+    if scheme not in BASELINE_SCHEMES:
+        raise ValueError(f"unknown baseline scheme {scheme!r}; "
+                         f"expected one of {BASELINE_SCHEMES}")
     h1 = np.asarray(conventional_channel(params, users[0]))
     h2 = np.asarray(conventional_channel(params, users[1]))
-    if mode == "uniform":
+    if scheme == "conventional-uniform":
         return float(abs(np.sum(h1)) ** 2), float(abs(np.sum(h2)) ** 2)
     w = h2 / np.linalg.norm(h2)
     n = params.n_antennas

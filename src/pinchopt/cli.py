@@ -158,7 +158,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         "iterations": sol.iterations,
         "pinned_antennas": list(sol.pinned_antennas),
     }
-    print(json.dumps(out, indent=2))
+    print(json.dumps(out, indent=2, allow_nan=False))  # NaN is not JSON
     return 0 if sol.feasible_found else 2
 
 

@@ -8,9 +8,9 @@ and g is the effective channel gain.
 
 Each formula of the chain (the SNR, the closed-form alpha2, the three rates
 and the rate-target test) is written once, as a NumPy function that takes
-floats and arrays alike.  The scalar API (optimal_alpha2, rate_report,
-check_feasibility) wraps them, and the solver, the reference search and the
-fixed-array baseline all call them.
+floats and arrays alike.  evaluate_snrs chains them at one SNR pair, for the
+solver and the fixed-array baseline, and evaluate_snrs_batch at arrays of
+pairs, for the reference search.
 """
 from __future__ import annotations
 
@@ -117,13 +117,6 @@ def _alpha2_raw(snr_weak, qos: QosTargets):
     return (snr_weak + 1.0 - gate) / (snr_weak * gate)
 
 
-def optimal_alpha2_batch(snr_weak: np.ndarray, qos: QosTargets) -> np.ndarray:
-    """:func:`optimal_alpha2` over an array of SNRs, without the clamp labels."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        raw = _alpha2_raw(snr_weak, qos)
-    return np.clip(np.where(snr_weak > 0.0, raw, 0.0), 0.0, 0.5)
-
-
 def _interfered_rate(snr, alpha1, alpha2):
     """Rate of the weak user's signal decoded under the strong user's."""
     return np.log2(1.0 + alpha1 * snr / (alpha2 * snr + 1.0))
@@ -151,18 +144,6 @@ def qos_verdicts(r1, r2, r2_to_1, qos: QosTargets):
         r2 >= qos.r2_min - RATE_TOL,
         r2_to_1 >= qos.r1_min - RATE_TOL,
     )
-
-
-def sum_rate_objective(snr_weak, snr_strong, alpha2):
-    """Interference-resolved sum-rate objective f(alpha2), any array shape.
-
-    log2(1 + f) equals the sum rate r1 + r2, which makes f the quantity
-    to maximise; it is nondecreasing in alpha2 whenever snr_strong >=
-    snr_weak, so the optimum sits on the feasible upper boundary.
-    """
-    return alpha2 * snr_strong + (1.0 - alpha2) * (
-        1.0 + alpha2 * snr_strong
-    ) * snr_weak / (alpha2 * snr_weak + 1.0)
 
 
 def rate_report(snr_weak: float, snr_strong: float, split: PowerSplit) -> RateReport:
@@ -212,6 +193,18 @@ def evaluate_snrs(
     rates = rate_report(snr_weak, snr_strong, split)
     report = _feasibility(snr_weak, snr_strong, split, rates, qos, spacing)
     return split, rates, report, alpha
+
+
+def evaluate_snrs_batch(snr_weak: np.ndarray, snr_strong: np.ndarray, qos: QosTargets):
+    """Sum rate, feasibility and closed-form alpha2 at arrays of SNR pairs:
+    :func:`evaluate_snrs` without the clamp labels.  Feasibility covers the
+    rate targets and the channel order; spacing is the caller's to check."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        raw = _alpha2_raw(snr_weak, qos)
+    a2 = np.clip(np.where(snr_weak > 0.0, raw, 0.0), 0.0, 0.5)
+    r1, r2, r21 = noma_rates(snr_weak, snr_strong, 1.0 - a2, a2)
+    r1_qos, r2_qos, sic = qos_verdicts(r1, r2, r21, qos)
+    return r1 + r2, r1_qos & r2_qos & sic & (snr_strong >= snr_weak), a2
 
 
 def check_feasibility(

@@ -22,16 +22,10 @@ from .channel import (
     check_number,
     guided_wavelength,
     pinching_gains_batch,
+    spacing_holds,
     wavelength,
 )
-from .noma import (
-    QosTargets,
-    gain_snr,
-    noma_rates,
-    optimal_alpha2_batch,
-    qos_verdicts,
-    snr_scale,
-)
+from .noma import QosTargets, evaluate_snrs_batch, gain_snr, snr_scale
 from .placement import (
     PlacementError,
     PlacementSolution,
@@ -94,10 +88,7 @@ def batch_solution_metrics(
         gain_snr(rho, pinching_gains_batch(params, xs_layouts, feed_x, u))
         for u in users
     )
-    a2 = optimal_alpha2_batch(s1, qos)
-    r1, r2, r21 = noma_rates(s1, s2, 1.0 - a2, a2)
-    r1_qos, r2_qos, sic = qos_verdicts(r1, r2, r21, qos)
-    return r1 + r2, r1_qos & r2_qos & sic & (s2 >= s1), a2
+    return evaluate_snrs_batch(s1, s2, qos)
 
 
 def grid_points(length: float, step: float) -> int:
@@ -208,14 +199,13 @@ def _two_stage_search(params, users, qos, cfg, feed_x) -> PlacementSolution:
     best_rate, _, start = stage1
     xs = best_xs = start
     half = params.side_d / 2.0
-    slack = AntennaLayout.SPACING_SLACK
     for n in order:
         cand = start[n] + offsets
         ok = (cand >= -half) & (cand <= half)
         if n > 0:
-            ok &= cand - xs[n - 1] >= params.delta_min - slack
+            ok &= spacing_holds(params, cand - xs[n - 1])
         if n < params.n_antennas - 1:
-            ok &= xs[n + 1] - cand >= params.delta_min - slack
+            ok &= spacing_holds(params, xs[n + 1] - cand)
         cand = cand[ok]
         if cand.size == 0:
             continue

@@ -23,6 +23,7 @@ from .channel import (
     check_number,
     phases_and_distances,
     pinching_gain,
+    spacing_holds,
     wavelength,
 )
 from .noma import (
@@ -192,7 +193,7 @@ def _pick_candidate(
         cand = cand[cand <= cap + CAP_SLACK]
         if cand.size == 0 or cand[-1] < cap - CAP_SLACK:
             cand = np.append(cand, cap)
-    spacing_ok = cand - inner_x >= params.delta_min - AntennaLayout.SPACING_SLACK
+    spacing_ok = spacing_holds(params, cand - inner_x)
     if not spacing_ok.any():
         # inner neighbour moved past the whole grid; sit at minimum pitch
         return min(inner_x + params.delta_min, cap)

@@ -19,13 +19,17 @@ from statistics import mean
 
 import numpy as np
 
-from .channel import SystemParams, UserPosition, check_number, conventional_effective_gain
+from .channel import (
+    BASELINE_SCHEMES,
+    SystemParams,
+    UserPosition,
+    check_number,
+    conventional_effective_gain,
+)
 from .noma import ZERO_RATES, QosTargets, evaluate_snrs, snr_scale
 from .oracle import OracleConfig, exhaustive_placement
 from .placement import AlgoConfig, bisection_solve
 
-# fixed-array baseline scheme -> its conventional_effective_gain mode
-BASELINE_SCHEMES = {"conventional-uniform": "uniform", "conventional-mrt": "mrt-strong"}
 SCHEMES = ("pinching", *BASELINE_SCHEMES, "exhaustive")
 
 
@@ -134,9 +138,9 @@ def sample_scenario(rng: np.random.Generator, side_d: float, seed_id: int = 0) -
     raise SamplingError("could not draw a non-degenerate scenario in 100 attempts")
 
 
-def _conventional_record(params, scenario, qos, mode) -> tuple:
+def _conventional_record(params, scenario, qos, scheme) -> tuple:
     g1_sq, g2_sq = conventional_effective_gain(
-        params, (scenario.user1, scenario.user2), mode
+        params, (scenario.user1, scenario.user2), scheme
     )
     # relabel up front so user 2 keeps the stronger effective channel;
     # the rate targets follow the weak/strong role, not the identity
@@ -169,9 +173,7 @@ def evaluate_scheme(
     users = (scenario.user1, scenario.user2)
     iterations = 0
     if scheme in BASELINE_SCHEMES:
-        rates, split, feasible, swapped = _conventional_record(
-            params, scenario, qos, BASELINE_SCHEMES[scheme]
-        )
+        rates, split, feasible, swapped = _conventional_record(params, scenario, qos, scheme)
     elif scheme in ("pinching", "exhaustive"):
         sol = (bisection_solve(params, users, qos, cfg) if scheme == "pinching"
                else exhaustive_placement(params, users, qos, oracle_cfg))

@@ -1,10 +1,23 @@
-"""Grid-search reference for the closed-form power split (criterion 2)."""
+"""References for the closed-form power split: the sum-rate objective
+f(alpha2) (criteria 1 and 3) and its grid search (criterion 2)."""
 import math
 
 import numpy as np
 
-from pinchopt import QosTargets, sum_rate_objective
+from pinchopt import QosTargets
 from pinchopt.noma import noma_rates, qos_verdicts
+
+
+def sum_rate_objective(snr_weak, snr_strong, alpha2):
+    """Interference-resolved sum-rate objective f(alpha2), any array shape.
+
+    log2(1 + f) equals the sum rate r1 + r2, which makes f the quantity
+    to maximise; it is nondecreasing in alpha2 whenever snr_strong >=
+    snr_weak, so the optimum sits on the feasible upper boundary.
+    """
+    return alpha2 * snr_strong + (1.0 - alpha2) * (
+        1.0 + alpha2 * snr_strong
+    ) * snr_weak / (alpha2 * snr_weak + 1.0)
 
 
 def grid_alpha2(

@@ -2,10 +2,14 @@ import csv
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import pinchopt
 from pinchopt.cli import ConfigError, build_config, load_config, main
 from pinchopt.sim import SamplingError
 
@@ -152,6 +156,19 @@ class TestSolveCommand:
         )
         assert code == 1
         assert "unknown key: algo.baseline_mode" in capsys.readouterr().err
+
+    def test_nan_result_exits_one_without_output(self):
+        # a finite but absurd region overflows the geometry to NaN, which
+        # strict JSON refuses; run apart, as its RuntimeWarnings are errors here
+        env = dict(os.environ, PYTHONPATH=str(Path(pinchopt.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pinchopt", "solve", "--set", "system.side_d=1e300"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines()[-1].startswith("error: ")
+        assert "Traceback" not in proc.stderr
 
     def test_sampling_error_exits_one(self, monkeypatch, capsys):
         def exhausted(*args, **kwargs):

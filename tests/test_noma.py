@@ -15,8 +15,9 @@ from pinchopt import (
     optimal_alpha2,
     rate_report,
     snr_scale,
-    sum_rate_objective,
 )
+
+from grid_reference import sum_rate_objective
 
 snrs = st.floats(min_value=1e-6, max_value=1e9)
 alphas = st.floats(min_value=0.0, max_value=0.5)

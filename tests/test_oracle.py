@@ -21,14 +21,13 @@ from pinchopt import (
     rate_report,
     sample_scenario,
     snr_scale,
-    sum_rate_objective,
     trial_rng,
     wavelength,
 )
 from pinchopt.oracle import _grid, _winner, batch_solution_metrics
-from pinchopt.sim import BASELINE_SCHEMES, evaluate_scheme
+from pinchopt.sim import evaluate_scheme
 
-from grid_reference import grid_alpha2
+from grid_reference import grid_alpha2, sum_rate_objective
 
 ALPHA_STEP = 1e-4
 
@@ -272,18 +271,19 @@ class TestEvaluationPathsAgree:
             # array and scalar log2 may differ in the last bit
             assert abs(report_rates.sum_rate - rate) <= 4 * np.spacing(rate)
 
-    @pytest.mark.parametrize("mode", ["uniform", "mrt-strong"])
+    @pytest.mark.parametrize(
+        "scheme", ["conventional-uniform", "conventional-mrt"], ids=["uniform", "mrt-strong"]
+    )
     @pytest.mark.parametrize("seed_id", range(6))
-    def test_conventional_record_matches_scalar_api(self, mode, seed_id):
+    def test_conventional_record_matches_scalar_api(self, scheme, seed_id):
         # at 0 dBm over 30 m these drops mix swaps, clamps, interior splits
         # and infeasible cells
         params = SystemParams(pt_dbm=0.0, side_d=30.0)
         qos = QosTargets()
         scen = sample_scenario(trial_rng(11, seed_id), params.side_d, seed_id)
-        scheme = {m: s for s, m in BASELINE_SCHEMES.items()}[mode]
         rec = evaluate_scheme(params, scen, qos, AlgoConfig(), scheme)
         g1_sq, g2_sq = conventional_effective_gain(
-            params, (scen.user1, scen.user2), mode
+            params, (scen.user1, scen.user2), scheme
         )
         assert rec.swapped == (g2_sq < g1_sq)
         g1_sq, g2_sq = sorted((g1_sq, g2_sq))
