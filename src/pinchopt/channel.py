@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,14 @@ import numpy as np
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 BASELINE_SCHEMES = ("conventional-uniform", "conventional-mrt")
+
+# Upper bound on the height h and the region side D (each swept D too), m.
+# Up to 1 km the composite phases stay below 1e6 rad at defaults, rounded to
+# about 1e-10 rad, and squared distances are far from overflow.
+MAX_SIZE_M = 1000.0
+# Range of the transmit and noise powers, dBm: 1e-33 to 1e27 W, so the
+# power ratio in the SNR stays within 1e60 either way, far from overflow.
+POWER_RANGE_DBM = (-300.0, 300.0)
 
 
 class LayoutError(ValueError):
@@ -67,12 +76,13 @@ class SystemParams:
     noise_dbm: float = -90.0
 
     def __post_init__(self) -> None:
-        for name in ("fc", "h", "side_d"):
-            check_number(name, getattr(self, name), 0, above=True)
+        check_number("fc", self.fc, 0, above=True)
+        for name in ("h", "side_d"):
+            check_number(name, getattr(self, name), 0, MAX_SIZE_M, above=True)
         check_number("n_eff", self.n_eff, 1)
         check_number("n_antennas", self.n_antennas, 1, integer=True)
-        check_number("pt_dbm", self.pt_dbm)
-        check_number("noise_dbm", self.noise_dbm)
+        for name in ("pt_dbm", "noise_dbm"):
+            check_number(name, getattr(self, name), *POWER_RANGE_DBM)
         if self.delta_min is None:
             object.__setattr__(self, "delta_min", wavelength(self) / 2.0)
         check_number("delta_min", self.delta_min, 0, above=True)
@@ -152,7 +162,7 @@ def dbm_to_watts(p_dbm: float) -> float:
 
 def phases_and_distances(
     params: SystemParams,
-    user: UserPosition,
+    user: UserPosition | Sequence[UserPosition],
     xs: np.ndarray,
     feed_x: float,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -160,11 +170,21 @@ def phases_and_distances(
 
     The composite phase of one antenna is the free-space phase toward the
     user minus the in-waveguide phase from the feed, both in radians and
-    unreduced.  ``xs`` may have any shape; results share it.  This is the
-    single source of truth for the phase arithmetic used throughout.
+    unreduced.  ``xs`` may have any shape; results share it.  Given a
+    sequence of users, the results gain a leading users axis, and each row
+    is bit-equal to that user's own call.  This is the single source of
+    truth for the phase arithmetic used throughout.
     """
     xs = np.asarray(xs, dtype=float)
-    dist = np.sqrt((user.x - xs) ** 2 + user.y**2 + params.h**2)
+    if isinstance(user, UserPosition):
+        ux, uy2 = user.x, user.y**2
+    else:
+        # each y squared by Python's ** as above: its pow and NumPy's y*y
+        # differ in the last bit for about one float in a thousand
+        column = (-1,) + (1,) * xs.ndim
+        ux = np.array([u.x for u in user]).reshape(column)
+        uy2 = np.array([u.y**2 for u in user]).reshape(column)
+    dist = np.sqrt((ux - xs) ** 2 + uy2 + params.h**2)
     guide = np.abs(feed_x - xs)
     lam = wavelength(params)
     phases = 2.0 * np.pi * (dist / lam - guide / (lam / params.n_eff))

@@ -22,6 +22,10 @@ import numpy as np
 from .channel import AntennaLayout, SystemParams, check_number, dbm_to_watts
 
 RATE_TOL = 1e-9  # slack on rate-target comparisons
+# Upper bound on the rate targets, bits/s/Hz: 2**200 is about 1.6e60, the
+# largest SNR scale the power range allows, and 2**r_min times an SNR stays
+# far from overflow.
+MAX_RATE = 200.0
 ALPHA_TOL = 1e-12  # slack on power-coefficient sanity checks
 
 
@@ -51,8 +55,8 @@ class QosTargets:
     r2_min: float = 0.5
 
     def __post_init__(self) -> None:
-        check_number("r1_min", self.r1_min, 0)
-        check_number("r2_min", self.r2_min, 0)
+        check_number("r1_min", self.r1_min, 0, MAX_RATE)
+        check_number("r2_min", self.r2_min, 0, MAX_RATE)
 
 
 @dataclass(frozen=True)

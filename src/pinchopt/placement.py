@@ -41,6 +41,9 @@ from .noma import (
 TWO_PI = 2.0 * math.pi
 MAX_FINE_SHIFTS = 10**6  # candidates per antenna; 1000x the default budget
 CAP_SLACK = 1e-15  # a candidate this close to its region cap counts as on it
+# the fine-tune screen's error per turn of phase difference: 512 times its
+# rounding bound of 2 * 2**-53, which leaves room for rounding the bounds
+SCREEN_SLACK = 2.0**-44
 
 
 class PlacementError(ValueError):
@@ -188,29 +191,77 @@ def _pick_candidate(
     inner neighbour and aligns the composite-phase difference within
     (delta1, delta2) for both users wins; if none does, the valid candidate
     with the smallest tolerance-weighted error is used.
+
+    Every decision reads exact :func:`circular_phase_error` values, and
+    only at the few candidates a cheap screen leaves.  For each user, the
+    phase difference d to the inner neighbour is screened in turns:
+    q = d / 2pi rounds with a relative error below u = 2**-53, and
+    s = |q - rint(q)| adds none (the subtraction is exact), so s lies within
+    2u * max|q| of e / 2pi, e being the exact error.  That error is itself
+    the exact distance from d to a multiple of 2pi: fmod is exact, and so
+    is 2pi - m whenever it is the smaller.  ``slack`` bounds the gap, with
+    a wide margin for rounding the thresholds and scores.  The screen then
+    keeps the answer:
+
+    - First fit.  A fit (e1 <= delta1 and e2 <= delta2) has
+      s <= delta / 2pi + slack for both users, so every fit is a hit.  The
+      first hit is checked exactly; it fails only within the slack of a
+      tolerance edge.
+    - Fallback.  With w the zero-guarded tolerances, the screened score
+      S = sum 2pi s / w is within E = slack * sum 2pi / w of the exact
+      score.  The first exact argmin j and the screened argmin m thus give
+      S_j <= score_j + E <= score_m + E <= S_m + 2E, so j is near:
+      S_j <= min S + 2E.
+
+    Run on the hits and the near candidates, the rule therefore returns the
+    first fit if there is one, and j otherwise, since every earlier
+    candidate scores higher; a single such candidate is the answer
+    outright.  Where the slack is not below both tolerances (a zero
+    tolerance, or phase differences too large or not finite), the screen
+    cannot narrow the grid, and the rule runs on every candidate.
     """
     if cand[-1] > cap + CAP_SLACK:  # the grid ascends, so only its tail can pass the cap
         cand = cand[cand <= cap + CAP_SLACK]
         if cand.size == 0 or cand[-1] < cap - CAP_SLACK:
             cand = np.append(cand, cap)
-    spacing_ok = spacing_holds(params, cand - inner_x)
-    if not spacing_ok.any():
-        # inner neighbour moved past the whole grid; sit at minimum pitch
-        return min(inner_x + params.delta_min, cap)
+    if not spacing_holds(params, cand[0] - inner_x):
+        # gaps ascend with the grid, so the valid candidates are its tail
+        spacing_ok = spacing_holds(params, cand - inner_x)
+        if not spacing_ok.any():
+            # inner neighbour moved past the whole grid; sit at minimum pitch
+            return min(inner_x + params.delta_min, cap)
+        cand = cand[int(np.argmax(spacing_ok)):]
 
-    # the inner neighbour rides along as element 0: one phase call per user
-    xs = np.concatenate(([inner_x], cand))
-    errs = []
-    for u in users:
-        phases = phases_and_distances(params, u, xs, feed_x)[0]
-        errs.append(circular_phase_error(phases[1:], phases[0]))
-    ok = spacing_ok & (errs[0] <= cfg.delta1) & (errs[1] <= cfg.delta2)
-    if ok.any():
-        return float(cand[int(np.argmax(ok))])
-    # tolerance-weighted fallback; guard against a zero tolerance
-    score = errs[0] / max(cfg.delta1, 1e-300) + errs[1] / max(cfg.delta2, 1e-300)
-    weighted = np.where(spacing_ok, score, np.inf)
-    return float(cand[int(np.argmin(weighted))])
+    # the inner neighbour rides along as column 0: one phase call for both users
+    phases = phases_and_distances(params, users, np.concatenate(([inner_x], cand)), feed_x)[0]
+    grid, inner = phases[:, 1:], phases[:, :1]
+    d1, d2 = cfg.delta1, cfg.delta2
+    w1, w2 = max(d1, 1e-300), max(d2, 1e-300)  # guard against a zero tolerance
+
+    def scan(idx):
+        """The rule itself, on the candidates ``idx`` (an index array or slice)."""
+        errs = circular_phase_error(grid[:, idx], inner)
+        fits = (errs[0] <= d1) & (errs[1] <= d2)
+        if fits.any():
+            return float(cand[idx][int(np.argmax(fits))])
+        score = errs[0] / w1 + errs[1] / w2  # tolerance-weighted fallback
+        return float(cand[idx][int(np.argmin(score))])
+
+    turns = (grid - inner) / TWO_PI
+    slack = SCREEN_SLACK * (1.0 + float(np.abs(turns).max()))
+    if not slack < min(d1, d2) / TWO_PI:  # NaN too: the screen cannot narrow the grid
+        return scan(slice(None))
+    off = np.abs(turns - np.rint(turns))
+    hits = (off[0] <= d1 / TWO_PI + slack) & (off[1] <= d2 / TWO_PI + slack)
+    first = int(np.argmax(hits))
+    if hits[first]:  # the usual first fit; it misses only within the slack of an edge
+        errs = circular_phase_error(grid[:, first], inner[:, 0])
+        if errs[0] <= d1 and errs[1] <= d2:
+            return float(cand[first])
+    score = off[0] * (TWO_PI / w1) + off[1] * (TWO_PI / w2)
+    near = score <= score.min() + 2.0 * slack * (TWO_PI / w1 + TWO_PI / w2)
+    idx = np.flatnonzero(hits | near)
+    return float(cand[idx[0]]) if idx.size == 1 else scan(idx)  # one holds no choice
 
 
 def _tune_layout(

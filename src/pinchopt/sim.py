@@ -21,6 +21,8 @@ import numpy as np
 
 from .channel import (
     BASELINE_SCHEMES,
+    MAX_SIZE_M,
+    POWER_RANGE_DBM,
     SystemParams,
     UserPosition,
     check_number,
@@ -79,9 +81,9 @@ class SweepSpec:
             raise ValueError("sweep value lists must be non-empty")
         # checked before any output exists, not when a sweep reaches them
         for v in self.pt_dbm_values:
-            check_number("pt_dbm_values", v)
+            check_number("pt_dbm_values", v, *POWER_RANGE_DBM)
         for d in self.d_values:
-            check_number("d_values", d, 0, above=True)
+            check_number("d_values", d, 0, MAX_SIZE_M, above=True)
         for t in sum(self.delta_pairs, ()):
             check_number("delta_pairs", t, 0)
         for s in self.schemes:

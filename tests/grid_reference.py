@@ -1,11 +1,14 @@
-"""References for the closed-form power split: the sum-rate objective
-f(alpha2) (criteria 1 and 3) and its grid search (criterion 2)."""
+"""References the tests compare the package against: the sum-rate
+objective f(alpha2) (criteria 1 and 3), its grid search (criterion 2), and
+the fine-tune pick as a full scan of exact phase errors."""
 import math
 
 import numpy as np
 
 from pinchopt import QosTargets
+from pinchopt.channel import phases_and_distances, spacing_holds
 from pinchopt.noma import noma_rates, qos_verdicts
+from pinchopt.placement import CAP_SLACK, circular_phase_error
 
 
 def sum_rate_objective(snr_weak, snr_strong, alpha2):
@@ -44,3 +47,27 @@ def grid_alpha2(
         return None
     values = sum_rate_objective(snr_weak, snr_strong, alphas[ok])
     return float(alphas[ok][int(np.argmax(values))])
+
+
+def pick_candidate_scan(params, users, cfg, feed_x, cand, inner_x, cap) -> float:
+    """``placement._pick_candidate`` by exact phase errors at every candidate:
+    the first candidate that keeps the spacing and both tolerances, else the
+    first valid argmin of the tolerance-weighted error."""
+    if cand[-1] > cap + CAP_SLACK:
+        cand = cand[cand <= cap + CAP_SLACK]
+        if cand.size == 0 or cand[-1] < cap - CAP_SLACK:
+            cand = np.append(cand, cap)
+    spacing_ok = spacing_holds(params, cand - inner_x)
+    if not spacing_ok.any():
+        return min(inner_x + params.delta_min, cap)
+    xs = np.concatenate(([inner_x], cand))
+    errs = []
+    for u in users:
+        phases = phases_and_distances(params, u, xs, feed_x)[0]
+        errs.append(circular_phase_error(phases[1:], phases[0]))
+    ok = spacing_ok & (errs[0] <= cfg.delta1) & (errs[1] <= cfg.delta2)
+    if ok.any():
+        return float(cand[int(np.argmax(ok))])
+    score = errs[0] / max(cfg.delta1, 1e-300) + errs[1] / max(cfg.delta2, 1e-300)
+    weighted = np.where(spacing_ok, score, np.inf)
+    return float(cand[int(np.argmin(weighted))])

@@ -130,6 +130,25 @@ class TestAntennaUserPhase:
         )
 
 
+class TestUserSequencePhases:
+    # Python's y**2 and y*y differ in the last bit here, which moves 182 of
+    # the 1001 distances below when the users' y are squared as an array
+    Y_POW_DIFFERS = -2.149279451485503
+
+    @pytest.mark.parametrize("shape", [(), (1001,), (7, 3)])
+    def test_rows_bit_equal_one_user_calls(self, params, shape):
+        assert self.Y_POW_DIFFERS**2 != self.Y_POW_DIFFERS * self.Y_POW_DIFFERS
+        users = (UserPosition(0.7, self.Y_POW_DIFFERS), UserPosition(-3.1, 0.4),
+                 UserPosition(4.9, -1.3))
+        xs = np.linspace(-5.0, 5.0, math.prod(shape)).reshape(shape)
+        phases, dist = phases_and_distances(params, users, xs, -5.0)
+        assert phases.shape == dist.shape == (len(users),) + shape
+        for k, u in enumerate(users):
+            one_phases, one_dist = phases_and_distances(params, u, xs, -5.0)
+            assert np.array_equal(phases[k], one_phases)
+            assert np.array_equal(dist[k], one_dist)
+
+
 class TestPinchingGain:
     def test_single_antenna_below_user(self, params):
         # oracle: eta / (y^2 + h^2) with y=0, h=3 -> eta / 9

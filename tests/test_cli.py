@@ -102,8 +102,17 @@ class TestSolveCommand:
             "sweep.seed=false", "scenario.seed_id=1.5",
         )),
         ("sweep.seed=-1", "seed must be >= 0"),
-        ("sweep.d_values=[-5]", "d_values must be > 0, got -5"),
-        ("sweep.d_values=[0]", "d_values must be > 0, got 0"),
+        # finite but absurd values that overflowed, or divided by zero, in the solve
+        ("system.pt_dbm=4000", "pt_dbm must be in [-300.0, 300.0], got 4000"),
+        ("system.noise_dbm=-4000", "noise_dbm must be in [-300.0, 300.0], got -4000"),
+        ("qos.r1_min=1e300", "r1_min must be in [0, 200.0], got 1e+300"),
+        ("qos.r2_min=1e300", "r2_min must be in [0, 200.0], got 1e+300"),
+        ("sweep.pt_dbm_values=[0,4000]", "pt_dbm_values must be in [-300.0, 300.0], got 4000"),
+        ("system.h=1e300", "h must be in (0, 1000.0], got 1e+300"),
+        ("system.side_d=1e300", "side_d must be in (0, 1000.0], got 1e+300"),
+        ("sweep.d_values=[10,1e300]", "d_values must be in (0, 1000.0], got 1e+300"),
+        ("sweep.d_values=[-5]", "d_values must be in (0, 1000.0], got -5"),
+        ("sweep.d_values=[0]", "d_values must be in (0, 1000.0], got 0"),
         ("sweep.delta_pairs=[[0.5,-0.1]]", "delta_pairs must be >= 0, got -0.1"),
         ("algo.fine_step=1e-16", "fine-tune budget"),
         ("oracle.alpha_step=Infinity", "unknown key"),
@@ -158,11 +167,12 @@ class TestSolveCommand:
         assert "unknown key: algo.baseline_mode" in capsys.readouterr().err
 
     def test_nan_result_exits_one_without_output(self):
-        # a finite but absurd region overflows the geometry to NaN, which
-        # strict JSON refuses; run apart, as its RuntimeWarnings are errors here
+        # a finite but absurd refractive index overflows the in-waveguide
+        # phase to NaN, which strict JSON refuses; run apart, as its
+        # RuntimeWarnings are errors here
         env = dict(os.environ, PYTHONPATH=str(Path(pinchopt.__file__).parents[1]))
         proc = subprocess.run(
-            [sys.executable, "-m", "pinchopt", "solve", "--set", "system.side_d=1e300"],
+            [sys.executable, "-m", "pinchopt", "solve", "--set", "system.n_eff=1e306"],
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert proc.returncode == 1

@@ -44,6 +44,8 @@ from pinchopt.placement import (
 )
 from pinchopt.sim import sample_scenario, trial_rng
 
+import grid_reference
+
 TWO_PI = 2 * math.pi
 
 
@@ -414,6 +416,99 @@ def test_fine_tune_mirror_symmetric(case):
     tuned = fine_tune(params, layout, users, cfg)
     mirror = fine_tune(params, mirrored_layout(layout), mirror_users, cfg)
     assert mirror == mirrored_layout(tuned)
+
+
+# zero, tiny, the sweep pairs' values, at least pi, and anything up to 4 rad
+TOLERANCES = st.sampled_from(
+    (0.0, 5e-324, 1e-13, 0.02, 0.02, 0.2, 0.5, 0.5, 1.0, 100.0, math.pi, 3.2)
+) | st.floats(min_value=0.0, max_value=4.0)
+
+
+UNIT = st.floats(min_value=0.0, max_value=1.0)
+PICK_SIDES = st.sampled_from((10.0, 30.0)) | st.floats(min_value=0.05, max_value=30.0)
+PICK_N_EFF = st.sampled_from((1.0, 1.4)) | st.floats(min_value=1.0, max_value=50.0)
+PICK_H = st.sampled_from((3.0,)) | st.floats(min_value=0.1, max_value=10.0)
+PICK_SIZES = st.sampled_from((1, 2, 3, 1001)) | st.integers(min_value=1, max_value=1001)
+# a positive shift puts the inner neighbour past the rigid position's pitch;
+# past 1 it leaves every candidate too close
+PICK_SHIFTS = st.sampled_from((0.0,)) | st.floats(min_value=-0.1, max_value=1.05)
+
+
+@st.composite
+def pick_cases(draw):
+    """Arguments of one fine-tune pick: the geometry, the users, the feed
+    side, the inner neighbour (the centre for the first antenna) and the
+    candidate grid, which may start inside the inner neighbour's minimum
+    pitch, hold 1 to 1001 candidates and run past a cap.  A tolerance may sit
+    exactly on, or just inside, one candidate's exact phase error."""
+    side_d = draw(PICK_SIDES)
+    params = SystemParams(n_eff=draw(PICK_N_EFF), h=draw(PICK_H), side_d=side_d)
+    users = tuple(UserPosition(side_d * (draw(UNIT) - 0.5), side_d * (draw(UNIT) - 0.5))
+                  for _ in range(2))
+    feed_x = side_d * (draw(st.sampled_from((0, 1))) - 0.5)
+    inner_x = side_d * (draw(UNIT) - 0.5)
+    step = wavelength(params) / 100.0
+    size = draw(PICK_SIZES)
+    cand = inner_x + params.delta_min + step * (np.arange(size) - draw(PICK_SHIFTS) * (size - 1))
+    # the cap truncates the grid unless it lies past the last candidate
+    cap = float(cand[0]) - step + draw(UNIT) * (float(cand[-1] - cand[0]) + 2.0 * step)
+    cap = draw(st.sampled_from((cap, float(cand[-1]), float(cand[-1]) + 1.0)))
+    delta1, delta2 = draw(TOLERANCES), draw(TOLERANCES)
+    edge = draw(st.sampled_from((None, 0, 1)))
+    if edge is not None:
+        k = int(draw(UNIT) * (size - 1))
+        phases = phases_and_distances(params, users[edge], np.array([inner_x, cand[k]]), feed_x)[0]
+        err = float(circular_phase_error(phases[1], phases[0]))
+        err = draw(st.sampled_from((err, math.nextafter(err, 0.0))))
+        delta1, delta2 = (err, delta2) if edge == 0 else (delta1, err)
+    cfg = AlgoConfig(delta1=delta1, delta2=delta2)
+    return params, users, cfg, feed_x, cand, inner_x, cap
+
+
+@given(pick_cases())
+@settings(max_examples=800, deadline=None, derandomize=True)
+def test_pick_matches_full_scan(case):
+    """The screened pick returns exactly what the full exact scan returns."""
+    assert placement._pick_candidate(*case) == grid_reference.pick_candidate_scan(*case)
+
+
+class TestPickOnCraftedPhases:
+    """The pick on phase differences that drawn geometry seldom produces."""
+
+    # two differences, of about 1e7 turns, whose exact errors (both near
+    # 0.1 rad) order one way and whose errors screened in turns the other
+    NEAR_TIE = (46616962.51326365, 12376140.995999005)
+
+    @staticmethod
+    def picks(diffs, cfg):
+        """The pick and the full scan on candidates whose phase differences
+        to the inner neighbour are ``diffs`` for both users."""
+        row = np.concatenate(([0.0], diffs))
+
+        def phases(params, user, xs, feed_x):
+            return (row if isinstance(user, UserPosition) else np.stack([row, row])), None
+
+        args = (SystemParams(), (UserPosition(1.0, 1.0), UserPosition(-1.0, 0.5)), cfg,
+                -5.0, 1.0 + 0.01 * np.arange(len(diffs)), 0.0, 5.0)
+        with mock.patch.object(placement, "phases_and_distances", phases), \
+                mock.patch.object(grid_reference, "phases_and_distances", phases):
+            pick = placement._pick_candidate(*args)
+            return pick, grid_reference.pick_candidate_scan(*args)
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_fallback_scores_a_misordered_near_tie_exactly(self, order):
+        pair = np.array([self.NEAR_TIE[i] for i in order])
+        errs = circular_phase_error(pair, 0.0)
+        turns = pair / TWO_PI
+        screened = np.abs(turns - np.rint(turns))
+        assert (errs[0] < errs[1]) != (screened[0] < screened[1])
+        cfg = AlgoConfig(delta1=0.01, delta2=0.01)
+        pick, scan = self.picks(np.concatenate(([1.0], pair)), cfg)
+        assert pick == scan != 1.0
+
+    def test_nan_phases_take_the_full_scan(self):
+        pick, scan = self.picks(np.array([0.3, np.nan, 0.2]), AlgoConfig())
+        assert pick == scan == 1.01
 
 
 class TestScopedTable:
