@@ -28,6 +28,18 @@ MAX_SIZE_M = 1000.0
 # Range of the transmit and noise powers, dBm: 1e-33 to 1e27 W, so the
 # power ratio in the SNR stays within 1e60 either way, far from overflow.
 POWER_RANGE_DBM = (-300.0, 300.0)
+# Range of the carrier frequency fc, Hz: wavelengths from 300 km down to
+# 0.3 um.  At 1 kHz the path-gain factor (wavelength / 4 pi)^2 is 6e8 m^2,
+# and below it grows toward overflow (the wavelength itself overflows near
+# fc = 1e-300).  At 1 PHz the default fine step, wavelength / 100, is 3e-9 m,
+# still 5e4 float spacings of a coordinate in a region up to MAX_SIZE_M
+# (6e-14 m at 500 m); above it pitch and step shrink toward that spacing.
+FC_RANGE_HZ = (1e3, 1e15)
+# Upper bound on the effective refractive index n_eff.  The in-waveguide
+# phase advances n_eff / 100 turns per default fine step, so beyond 100 the
+# fine-tune grid steps over whole turns.  Within it and FC_RANGE_HZ the
+# composite phases across a region up to MAX_SIZE_M stay below 1e12 turns.
+MAX_N_EFF = 100.0
 
 
 class LayoutError(ValueError):
@@ -76,10 +88,10 @@ class SystemParams:
     noise_dbm: float = -90.0
 
     def __post_init__(self) -> None:
-        check_number("fc", self.fc, 0, above=True)
+        check_number("fc", self.fc, *FC_RANGE_HZ)
         for name in ("h", "side_d"):
             check_number(name, getattr(self, name), 0, MAX_SIZE_M, above=True)
-        check_number("n_eff", self.n_eff, 1)
+        check_number("n_eff", self.n_eff, 1, MAX_N_EFF)
         check_number("n_antennas", self.n_antennas, 1, integer=True)
         for name in ("pt_dbm", "noise_dbm"):
             check_number(name, getattr(self, name), *POWER_RANGE_DBM)
@@ -160,20 +172,20 @@ def dbm_to_watts(p_dbm: float) -> float:
     return 10.0 ** ((p_dbm - 30.0) / 10.0)
 
 
-def phases_and_distances(
+def phase_turns_and_distances(
     params: SystemParams,
     user: UserPosition | Sequence[UserPosition],
     xs: np.ndarray,
     feed_x: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Composite phases and user distances for antennas at positions ``xs``.
+    """Composite phases in turns, and user distances, for antennas at ``xs``.
 
     The composite phase of one antenna is the free-space phase toward the
-    user minus the in-waveguide phase from the feed, both in radians and
-    unreduced.  ``xs`` may have any shape; results share it.  Given a
-    sequence of users, the results gain a leading users axis, and each row
-    is bit-equal to that user's own call.  This is the single source of
-    truth for the phase arithmetic used throughout.
+    user minus the in-waveguide phase from the feed, unreduced; here it is
+    counted in turns (cycles of 2 pi).  ``xs`` may have any shape; results
+    share it.  Given a sequence of users, the results gain a leading users
+    axis, and each row is bit-equal to that user's own call.  This is the
+    single source of truth for the phase arithmetic used throughout.
     """
     xs = np.asarray(xs, dtype=float)
     if isinstance(user, UserPosition):
@@ -187,32 +199,45 @@ def phases_and_distances(
     dist = np.sqrt((ux - xs) ** 2 + uy2 + params.h**2)
     guide = np.abs(feed_x - xs)
     lam = wavelength(params)
-    phases = 2.0 * np.pi * (dist / lam - guide / (lam / params.n_eff))
-    return phases, dist
+    return dist / lam - guide / (lam / params.n_eff), dist
+
+
+def phases_and_distances(
+    params: SystemParams,
+    user: UserPosition | Sequence[UserPosition],
+    xs: np.ndarray,
+    feed_x: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Composite phases in radians, and user distances: 2 pi times the
+    turns of :func:`phase_turns_and_distances`, whose arguments it takes."""
+    turns, dist = phase_turns_and_distances(params, user, xs, feed_x)
+    return 2.0 * np.pi * turns, dist
 
 
 def pinching_gain(
-    params: SystemParams, layout: AntennaLayout, user: UserPosition
-) -> complex:
+    params: SystemParams,
+    layout: AntennaLayout,
+    user: UserPosition | Sequence[UserPosition],
+) -> complex | np.ndarray:
     """Effective complex channel gain of the waveguide array toward a user:
-    :func:`pinching_gains_batch` on the layout as one row."""
-    return complex(
-        pinching_gains_batch(params, np.asarray(layout.xs), layout.feed_x, user)
-    )
+    :func:`pinching_gains_batch` on the layout as one row.  Given a sequence
+    of users, an array of their gains, each bit-equal to its own call."""
+    gains = pinching_gains_batch(params, np.asarray(layout.xs), layout.feed_x, user)
+    return complex(gains) if isinstance(user, UserPosition) else gains
 
 
 def pinching_gains_batch(
     params: SystemParams,
     xs_layouts: np.ndarray,
     feed_x: float,
-    user: UserPosition,
+    user: UserPosition | Sequence[UserPosition],
 ) -> np.ndarray:
     """Effective complex gains of many candidate layouts toward a user.
 
     ``xs_layouts`` has shape (M, N), or (N,) for one layout; each gain is the
     sum over antennas of sqrt(eta) * exp(j * composite_phase) / distance.
-    The distance is bounded below by the height h, so this never divides
-    by zero.
+    Given a sequence of users, the result has a leading users axis.  The
+    distance is bounded below by the height h, so this never divides by zero.
     """
     phases, dist = phases_and_distances(params, user, xs_layouts, feed_x)
     amp = math.sqrt(path_gain_factor(params))

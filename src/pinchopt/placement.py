@@ -21,7 +21,7 @@ from .channel import (
     SystemParams,
     UserPosition,
     check_number,
-    phases_and_distances,
+    phase_turns_and_distances,
     pinching_gain,
     spacing_holds,
     wavelength,
@@ -41,8 +41,8 @@ from .noma import (
 TWO_PI = 2.0 * math.pi
 MAX_FINE_SHIFTS = 10**6  # candidates per antenna; 1000x the default budget
 CAP_SLACK = 1e-15  # a candidate this close to its region cap counts as on it
-# the fine-tune screen's error per turn of phase difference: 512 times its
-# rounding bound of 2 * 2**-53, which leaves room for rounding the bounds
+# the fine-tune screen's error per turn of composite phase: over 80 times its
+# rounding bound of 6 * 2**-53, which leaves room for rounding the bounds
 SCREEN_SLACK = 2.0**-44
 
 
@@ -192,16 +192,21 @@ def _pick_candidate(
     (delta1, delta2) for both users wins; if none does, the valid candidate
     with the smallest tolerance-weighted error is used.
 
-    Every decision reads exact :func:`circular_phase_error` values, and
-    only at the few candidates a cheap screen leaves.  For each user, the
-    phase difference d to the inner neighbour is screened in turns:
-    q = d / 2pi rounds with a relative error below u = 2**-53, and
-    s = |q - rint(q)| adds none (the subtraction is exact), so s lies within
-    2u * max|q| of e / 2pi, e being the exact error.  That error is itself
-    the exact distance from d to a multiple of 2pi: fmod is exact, and so
-    is 2pi - m whenever it is the smaller.  ``slack`` bounds the gap, with
-    a wide margin for rounding the thresholds and scores.  The screen then
-    keeps the answer:
+    Every decision reads exact :func:`circular_phase_error` values, taken
+    on the phases 2pi * t that :func:`phases_and_distances` returns, t being
+    the composite phases in turns, and only at the few candidates a cheap
+    screen leaves.  For each user, the screen reads the difference in turns
+    q = t_k - t_0 to the inner neighbour's t_0, and s = |q - rint(q)| (the
+    subtraction is exact).  The exact error e is the exact distance from
+    d = fl(2pi t_k) - fl(2pi t_0), itself rounded, to a multiple of 2pi:
+    fmod is exact, and so is 2pi - m whenever it is the smaller.  So s and
+    e / 2pi are the distances of q and of d / 2pi to the nearest integer,
+    and differ by at most |q - d / 2pi|.  With u = 2**-53 and T the largest
+    |t| of the row, each product and difference rounds with a relative
+    error below u, so |q - d / 2pi| <= u (|t_k| + |t_0|) + 2u |t_k - t_0|
+    (to first order), at most 6u * T.  ``slack`` bounds that gap, with a wide
+    margin for rounding the thresholds and scores.  The screen then keeps
+    the answer:
 
     - First fit.  A fit (e1 <= delta1 and e2 <= delta2) has
       s <= delta / 2pi + slack for both users, so every fit is a hit.  The
@@ -217,8 +222,8 @@ def _pick_candidate(
     first fit if there is one, and j otherwise, since every earlier
     candidate scores higher; a single such candidate is the answer
     outright.  Where the slack is not below both tolerances (a zero
-    tolerance, or phase differences too large or not finite), the screen
-    cannot narrow the grid, and the rule runs on every candidate.
+    tolerance, or phases too large or not finite), the screen cannot narrow
+    the grid, and the rule runs on every candidate.
     """
     if cand[-1] > cap + CAP_SLACK:  # the grid ascends, so only its tail can pass the cap
         cand = cand[cand <= cap + CAP_SLACK]
@@ -233,29 +238,30 @@ def _pick_candidate(
         cand = cand[int(np.argmax(spacing_ok)):]
 
     # the inner neighbour rides along as column 0: one phase call for both users
-    phases = phases_and_distances(params, users, np.concatenate(([inner_x], cand)), feed_x)[0]
-    grid, inner = phases[:, 1:], phases[:, :1]
+    turns = phase_turns_and_distances(
+        params, users, np.concatenate(([inner_x], cand)), feed_x)[0]
+    grid, inner = turns[:, 1:], turns[:, :1]
     d1, d2 = cfg.delta1, cfg.delta2
     w1, w2 = max(d1, 1e-300), max(d2, 1e-300)  # guard against a zero tolerance
 
     def scan(idx):
         """The rule itself, on the candidates ``idx`` (an index array or slice)."""
-        errs = circular_phase_error(grid[:, idx], inner)
+        errs = circular_phase_error(TWO_PI * grid[:, idx], TWO_PI * inner)
         fits = (errs[0] <= d1) & (errs[1] <= d2)
         if fits.any():
             return float(cand[idx][int(np.argmax(fits))])
         score = errs[0] / w1 + errs[1] / w2  # tolerance-weighted fallback
         return float(cand[idx][int(np.argmin(score))])
 
-    turns = (grid - inner) / TWO_PI
     slack = SCREEN_SLACK * (1.0 + float(np.abs(turns).max()))
     if not slack < min(d1, d2) / TWO_PI:  # NaN too: the screen cannot narrow the grid
         return scan(slice(None))
-    off = np.abs(turns - np.rint(turns))
+    q = grid - inner
+    off = np.abs(q - np.rint(q))
     hits = (off[0] <= d1 / TWO_PI + slack) & (off[1] <= d2 / TWO_PI + slack)
     first = int(np.argmax(hits))
     if hits[first]:  # the usual first fit; it misses only within the slack of an edge
-        errs = circular_phase_error(grid[:, first], inner[:, 0])
+        errs = circular_phase_error(TWO_PI * grid[:, first], TWO_PI * inner[:, 0])
         if errs[0] <= d1 and errs[1] <= d2:
             return float(cand[first])
     score = off[0] * (TWO_PI / w1) + off[1] * (TWO_PI / w2)
@@ -264,20 +270,32 @@ def _pick_candidate(
     return float(cand[idx[0]]) if idx.size == 1 else scan(idx)  # one holds no choice
 
 
+def _tune_setup(users: tuple[UserPosition, UserPosition], step: float, shifts: int) -> tuple:
+    """What :func:`_tune_layout` reads besides the layout and tolerances: the
+    outward offset grid of ``shifts`` fine steps (read-only, as it is shared)
+    and the users as the right side and the left side see them."""
+    offsets = step * np.arange(shifts + 1)
+    offsets.flags.writeable = False
+    return offsets, (users, tuple(UserPosition(-u.x, u.y) for u in users))
+
+
 def _tune_layout(
     params: SystemParams,
     layout: AntennaLayout,
     users: tuple[UserPosition, UserPosition],
     cfg: AlgoConfig,
 ) -> AntennaLayout:
-    """Uncached body of :func:`fine_tune`."""
+    """Uncached body of :func:`fine_tune`.  Its :func:`_tune_setup` is built
+    once per scope, in the tuned-layout table under the key (step, budget)."""
+    step, shifts = cfg.resolved_fine_step(params), cfg.resolved_max_shifts(params)
+    offsets, (right_users, left_users) = _tuned_layouts.lookup(
+        params, users, (step, shifts), lambda: _tune_setup(users, step, shifts)
+    )
     xs = list(layout.xs)
     c = center_index(params.n_antennas)
-    step = cfg.resolved_fine_step(params)
-    offsets = step * np.arange(cfg.resolved_max_shifts(params) + 1)
     for side, order in ((+1, range(c + 1, params.n_antennas)), (-1, range(c - 1, -1, -1))):
         # outward coordinates side * x, in which the left side is the right's mirror
-        seen = users if side > 0 else tuple(UserPosition(-u.x, u.y) for u in users)
+        seen = right_users if side > 0 else left_users
         for n in order:
             xs[n] = side * _pick_candidate(
                 params, seen, cfg, side * layout.feed_x,
@@ -325,8 +343,11 @@ class _ScopedTable:
 
 # Sweeps run each scenario's tasks back to back, so one scope's tables hold
 # at most the layouts its solves visit (tolerance pairs times power levels
-# times ``iteration_bound``) plus one per reference search.
-_tuned_layouts = _ScopedTable()  # (input layout, tolerances) -> tuned layout
+# times ``iteration_bound``) plus one per reference search, and the set-up
+# of each fine step and budget.
+# (input layout, tolerances, step and budget fields) -> tuned layout, and
+# (resolved step, resolved budget) -> set-up
+_tuned_layouts = _ScopedTable()
 _channel_terms = _ScopedTable()  # layout -> (|g|^2 at unit rho, spacing verdict)
 
 
@@ -345,10 +366,9 @@ def fine_tune(
     transmit or noise power, so a layout already tuned for the same
     geometry, users and tolerances is returned again without retuning.
     """
-    key = (
-        layout.xs, layout.feed_x, cfg.delta1, cfg.delta2,
-        cfg.resolved_fine_step(params), cfg.resolved_max_shifts(params),
-    )
+    # the step and budget resolve from these two fields and the wavelength,
+    # which the scope fixes, so only a call that tunes resolves them
+    key = (layout.xs, layout.feed_x, cfg.delta1, cfg.delta2, cfg.fine_step, cfg.max_fine_shifts)
     return _tuned_layouts.lookup(
         params, users, key, lambda: _tune_layout(params, layout, users, cfg)
     )
@@ -397,7 +417,7 @@ def evaluate_placement(
     ``gain_snr`` at unit rho is bit-equal, as its last operation is that product.
     """
     def channel_terms():
-        gains = np.array([pinching_gain(params, layout, u) for u in users])
+        gains = pinching_gain(params, layout, users)
         return gain_snr(1.0, gains).tolist(), layout.spacing_ok(params)
 
     (g1_sq, g2_sq), spacing = _channel_terms.lookup(

@@ -18,7 +18,14 @@ from pinchopt import (
     pinching_gain,
     wavelength,
 )
-from pinchopt.channel import check_number, conventional_positions, phases_and_distances
+from pinchopt.channel import (
+    FC_RANGE_HZ,
+    MAX_N_EFF,
+    check_number,
+    conventional_positions,
+    phase_turns_and_distances,
+    phases_and_distances,
+)
 
 
 class TestWavelength:
@@ -147,6 +154,47 @@ class TestUserSequencePhases:
             one_phases, one_dist = phases_and_distances(params, u, xs, -5.0)
             assert np.array_equal(phases[k], one_phases)
             assert np.array_equal(dist[k], one_dist)
+
+    @pytest.mark.parametrize("shape", [(), (1001,), (7, 3)])
+    @pytest.mark.parametrize("n_eff", [1.0, 1.4, MAX_N_EFF])
+    def test_phases_are_two_pi_times_turns(self, shape, n_eff):
+        params = SystemParams(n_eff=n_eff)
+        users = (UserPosition(0.7, self.Y_POW_DIFFERS), UserPosition(-3.1, 0.4))
+        xs = np.linspace(-5.0, 5.0, math.prod(shape)).reshape(shape)
+        for user in (users[0], users):
+            phases, dist = phases_and_distances(params, user, xs, -5.0)
+            turns, turn_dist = phase_turns_and_distances(params, user, xs, -5.0)
+            assert np.array_equal((2 * math.pi * turns).view(np.uint64), phases.view(np.uint64))
+            assert np.array_equal(turn_dist.view(np.uint64), dist.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [1, 3, 9, 17, 130])
+    def test_gains_bit_equal_one_user_calls(self, params, n):
+        users = (UserPosition(0.7, self.Y_POW_DIFFERS), UserPosition(-3.1, 0.4),
+                 UserPosition(4.9, -1.3))
+        layout = AntennaLayout(tuple(np.linspace(-4.0, 4.0, n)), -5.0)
+        gains = pinching_gain(params, layout, users)
+        assert gains.shape == (len(users),)
+        one = np.array([pinching_gain(params, layout, u) for u in users])
+        assert np.array_equal(gains.view(np.uint64), one.view(np.uint64))
+
+
+class TestBounds:
+    @pytest.mark.parametrize("fc", [28e9, SPEED_OF_LIGHT, 56e9, 30e9, *FC_RANGE_HZ])
+    @pytest.mark.parametrize("n_eff", [1.0, 1.4, 50.0, MAX_N_EFF])
+    def test_admitted(self, fc, n_eff):
+        params = SystemParams(fc=fc, n_eff=n_eff)
+        assert params.fc == fc and params.n_eff == n_eff
+
+    @pytest.mark.parametrize("field, value", [
+        ("fc", 1e300), ("fc", 1e-300), ("fc", 0.0), ("fc", -28e9),
+        ("fc", math.nextafter(FC_RANGE_HZ[0], 0.0)),
+        ("fc", math.nextafter(FC_RANGE_HZ[1], math.inf)),
+        ("n_eff", 1e306), ("n_eff", math.nextafter(1.0, 0.0)),
+        ("n_eff", math.nextafter(MAX_N_EFF, math.inf)),
+    ])
+    def test_refused_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be in "):
+            SystemParams(**{field: value})
 
 
 class TestPinchingGain:

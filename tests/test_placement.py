@@ -27,15 +27,16 @@ from pinchopt import (
     snr_scale,
     wavelength,
 )
-from pinchopt.channel import phases_and_distances
+from pinchopt.channel import MAX_N_EFF, MAX_SIZE_M, phases_and_distances
 from pinchopt.noma import evaluate_snrs, gain_snr
 from pinchopt.oracle import batch_solution_metrics
-from pinchopt import placement
+from pinchopt import channel, placement
 from pinchopt.placement import (
     MAX_FINE_SHIFTS,
     _channel_scope,
     _ScopedTable,
     _tune_layout,
+    _tune_setup,
     CAP_SLACK,
     _antenna_cap,
     center_bounds,
@@ -240,6 +241,32 @@ class TestTunedLayoutReuse:
             cases.append(((scen.user1, scen.user2), layouts))
         return cases
 
+    def test_setup_built_once_per_scope(self, params):
+        users, layouts = self._cases(14, 1, params)[0]
+        built = []
+
+        def setup(*args):
+            built.append(args)
+            return _tune_setup(*args)
+
+        cfg = AlgoConfig()
+        with mock.patch.object(placement, "_tuned_layouts", _ScopedTable()), \
+                mock.patch.object(placement, "_tune_setup", setup):
+            for p in (params, dataclasses.replace(params, pt_dbm=0.0)):
+                for layout in layouts:
+                    for delta2 in (0.02, 0.2):
+                        fine_tune(p, layout, users, dataclasses.replace(cfg, delta2=delta2))
+            assert len(built) == 1
+            fine_tune(params, layouts[0], users, AlgoConfig(fine_step=1e-4, max_fine_shifts=50))
+            assert len(built) == 2 and built[1] == (users, 1e-4, 50)
+            other = (users[0], UserPosition(users[1].x, users[1].y / 2))
+            mirrored = tuple(UserPosition(-u.x, u.y) for u in other)
+            tuned = fine_tune(params, layouts[0], other, cfg)
+            assert len(built) == 3 and built[2][0] == other
+            assert tuned == _tune_layout(params, layouts[0], other, cfg)
+        offsets, seen = _tune_setup(other, 1e-4, 10)
+        assert not offsets.flags.writeable and seen == (other, mirrored)
+
     def test_scope_covers_every_field_but_power(self, params):
         users = (UserPosition(2.0, 1.0), UserPosition(-2.0, 0.3))
         layout = initial_layout(params, 0.0, -params.side_d / 2)
@@ -425,8 +452,11 @@ TOLERANCES = st.sampled_from(
 
 
 UNIT = st.floats(min_value=0.0, max_value=1.0)
-PICK_SIDES = st.sampled_from((10.0, 30.0)) | st.floats(min_value=0.05, max_value=30.0)
-PICK_N_EFF = st.sampled_from((1.0, 1.4)) | st.floats(min_value=1.0, max_value=50.0)
+# up to the config's limits, as the screen's slack grows with the largest phase
+PICK_SIDES = (st.sampled_from((10.0, 30.0, MAX_SIZE_M))
+              | st.floats(min_value=0.05, max_value=MAX_SIZE_M))
+PICK_N_EFF = (st.sampled_from((1.0, 1.4, MAX_N_EFF))
+              | st.floats(min_value=1.0, max_value=MAX_N_EFF))
 PICK_H = st.sampled_from((3.0,)) | st.floats(min_value=0.1, max_value=10.0)
 PICK_SIZES = st.sampled_from((1, 2, 3, 1001)) | st.integers(min_value=1, max_value=1001)
 # a positive shift puts the inner neighbour past the rigid position's pitch;
@@ -473,41 +503,41 @@ def test_pick_matches_full_scan(case):
 
 
 class TestPickOnCraftedPhases:
-    """The pick on phase differences that drawn geometry seldom produces."""
+    """The pick on composite phases that drawn geometry seldom produces."""
 
-    # two differences, of about 1e7 turns, whose exact errors (both near
-    # 0.1 rad) order one way and whose errors screened in turns the other
-    NEAR_TIE = (46616962.51326365, 12376140.995999005)
+    # two phases, of about 1e7 turns, whose exact errors (both near 0.1 rad)
+    # order one way and whose errors screened in turns the other
+    NEAR_TIE = (12701269.015915494, 44943633.01591549)
 
     @staticmethod
     def picks(diffs, cfg):
-        """The pick and the full scan on candidates whose phase differences
-        to the inner neighbour are ``diffs`` for both users."""
+        """The pick and the full scan on candidates whose composite phases, in
+        turns, are ``diffs`` for both users, the inner neighbour's being 0."""
         row = np.concatenate(([0.0], diffs))
 
-        def phases(params, user, xs, feed_x):
+        def turns(params, user, xs, feed_x):
             return (row if isinstance(user, UserPosition) else np.stack([row, row])), None
 
         args = (SystemParams(), (UserPosition(1.0, 1.0), UserPosition(-1.0, 0.5)), cfg,
                 -5.0, 1.0 + 0.01 * np.arange(len(diffs)), 0.0, 5.0)
-        with mock.patch.object(placement, "phases_and_distances", phases), \
-                mock.patch.object(grid_reference, "phases_and_distances", phases):
+        # the pick calls the kernel directly, the scan through phases_and_distances
+        with mock.patch.object(placement, "phase_turns_and_distances", turns), \
+                mock.patch.object(channel, "phase_turns_and_distances", turns):
             pick = placement._pick_candidate(*args)
             return pick, grid_reference.pick_candidate_scan(*args)
 
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
     def test_fallback_scores_a_misordered_near_tie_exactly(self, order):
         pair = np.array([self.NEAR_TIE[i] for i in order])
-        errs = circular_phase_error(pair, 0.0)
-        turns = pair / TWO_PI
-        screened = np.abs(turns - np.rint(turns))
+        errs = circular_phase_error(TWO_PI * pair, 0.0)
+        screened = np.abs(pair - np.rint(pair))
         assert (errs[0] < errs[1]) != (screened[0] < screened[1])
         cfg = AlgoConfig(delta1=0.01, delta2=0.01)
-        pick, scan = self.picks(np.concatenate(([1.0], pair)), cfg)
+        pick, scan = self.picks(np.concatenate(([0.2], pair)), cfg)
         assert pick == scan != 1.0
 
     def test_nan_phases_take_the_full_scan(self):
-        pick, scan = self.picks(np.array([0.3, np.nan, 0.2]), AlgoConfig())
+        pick, scan = self.picks(np.array([0.05, np.nan, 0.03]), AlgoConfig())
         assert pick == scan == 1.01
 
 

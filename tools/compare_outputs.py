@@ -1,0 +1,97 @@
+"""Check that the working tree prints the same outputs as a base revision.
+
+Usage:
+    python tools/compare_outputs.py --base REV [--seeds 7 2024 4242]
+
+The base revision is checked out with ``git worktree add`` under a temporary
+directory, which is removed again at the end.  From each tree, with its own
+``src`` on ``PYTHONPATH``, ``python -m pinchopt`` runs, per seed:
+
+- ``pinch figures`` at ``--threads 1`` and ``--threads 2``: fig2.csv,
+  fig3.csv, fig4.csv and config.json are compared byte for byte;
+- ``pinch sweep oracle`` at D = 30 m and 0 dBm: its table and config.json;
+- ``pinch solve``: its standard output and exit code.
+
+Prints one line per comparison and exits 0 when every output matches, 1
+when one differs or a figures or sweep run fails in either tree.  Only the
+standard library is used.
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+FIGURES = ("fig2.csv", "fig3.csv", "fig4.csv", "config.json")
+ORACLE_SET = ("--set", "sweep.d_values=[30]", "--set", "sweep.pt_dbm_values=[0]")
+
+
+def pinch(tree: Path, *args: str) -> subprocess.CompletedProcess:
+    """``python -m pinchopt ARGS`` run from ``tree`` on its own sources."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env.pop("PINCH_THREADS", None)
+    return subprocess.run([sys.executable, "-m", "pinchopt", *args], cwd=tree, env=env,
+                          capture_output=True, text=True, timeout=1800)
+
+
+def outputs(tree: Path, seed: int, out: Path) -> dict[str, bytes | str]:
+    """Every compared output of ``tree`` at ``seed``, by name; files go to ``out``."""
+    got: dict[str, bytes | str] = {}
+    runs = [(f"figures --threads {t}", out / f"figures-t{t}", FIGURES,
+             ("figures", "--out", str(out / f"figures-t{t}"), "--threads", str(t)))
+            for t in (1, 2)]
+    runs.append(("sweep oracle", out / "oracle", ("oracle.csv", "config.json"),
+                 ("sweep", "oracle", "--out", str(out / "oracle" / "oracle.csv"),
+                  "--threads", "1", *ORACLE_SET)))
+    for label, directory, files, args in runs:
+        directory.mkdir(parents=True)
+        proc = pinch(tree, *args, "--seed", str(seed))
+        if proc.returncode:
+            raise RuntimeError(f"{label} --seed {seed} exited {proc.returncode} "
+                               f"in {tree}:\n{proc.stderr}")
+        for name in files:
+            got[f"{label}: {name}"] = (directory / name).read_bytes()
+    proc = pinch(tree, "solve", "--seed", str(seed))
+    got["solve: exit code"] = str(proc.returncode)
+    got["solve: stdout"] = proc.stdout
+    return got
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, metavar="REV",
+                        help="git revision to compare the working tree against")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[7, 2024, 4242],
+                        help="sweep seeds (default: 7 2024 4242)")
+    args = parser.parse_args(argv)
+
+    differ = 0
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
+        base = Path(tmp) / "base"
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
+                        str(base), args.base], check=True)
+        try:
+            for seed in args.seeds:
+                want = outputs(base, seed, Path(tmp) / f"base-{seed}")
+                got = outputs(ROOT, seed, Path(tmp) / f"head-{seed}")
+                for name, value in want.items():
+                    same = got[name] == value
+                    differ += not same
+                    print(f"seed {seed} {name}: {'same' if same else 'DIFFERS'}")
+        except RuntimeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
+                            str(base)], check=False)
+    print(f"{differ} of the outputs differ from {args.base}" if differ
+          else f"every output matches {args.base}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
