@@ -239,7 +239,13 @@ def pinching_gains_batch(
     Given a sequence of users, the result has a leading users axis.  The
     distance is bounded below by the height h, so this never divides by zero.
     """
-    phases, dist = phases_and_distances(params, user, xs_layouts, feed_x)
+    return gains_from_phases(params, *phases_and_distances(params, user, xs_layouts, feed_x))
+
+
+def gains_from_phases(params: SystemParams, phases: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Sum over the last (antenna) axis of sqrt(eta) * exp(j * phase) / distance:
+    the gains of :func:`pinching_gains_batch`, from its composite phases in
+    radians and distances, or from the same values gathered elsewhere."""
     amp = math.sqrt(path_gain_factor(params))
     return (amp * np.exp(1j * phases) / dist).sum(axis=-1)
 

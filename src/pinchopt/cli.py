@@ -73,11 +73,24 @@ def build_config(doc: dict) -> RunConfig:
         built["scenario"] = _build(Scenario, scenario, "scenario", **users)
     cfg = _build(RunConfig, doc, "", **built)
     cfg.algo.resolved_max_shifts(cfg.system)  # an oversized budget fails before any output
-    for d in cfg.sweep.d_values:  # so does an array or a worst-case grid too large for d
+    return cfg
+
+
+def _check_sweep_sizes(cfg: RunConfig, command: str, which: str | None = None) -> None:
+    """Refuse, before any run or output, what the command would meet at a
+    swept region size D: an array that does not fit D, for the commands that
+    sweep, and a worst-case reference-search grid too large for D, where a
+    reference search runs (``figures``, ``sweep oracle``, and ``sweep power``
+    over the ``exhaustive`` scheme).  ``solve`` uses neither."""
+    if command == "solve":
+        return
+    oracle = (command == "figures" or which == "oracle"
+              or which == "power" and "exhaustive" in cfg.sweep.schemes)
+    for d in cfg.sweep.d_values:
         params = dataclasses.replace(cfg.system, side_d=d)
         center_bounds(params)
-        grid_points(d, cfg.oracle.resolved_step(params))  # the grid is clipped to the region
-    return cfg
+        if oracle:
+            grid_points(d, cfg.oracle.resolved_step(params))  # the grid is clipped to the region
 
 
 def _set_path(doc: dict, dotted: str, value) -> None:
@@ -257,6 +270,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = load_config(args.config, args.overrides, args.seed)
+        _check_sweep_sizes(cfg, args.command, getattr(args, "which", None))
         threads = _resolve_threads(args.threads)
         if args.command == "solve":
             return cmd_solve(cfg)

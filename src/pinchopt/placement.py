@@ -21,6 +21,7 @@ from .channel import (
     SystemParams,
     UserPosition,
     check_number,
+    gains_from_phases,
     phase_turns_and_distances,
     pinching_gain,
     spacing_holds,
@@ -171,26 +172,34 @@ def _antenna_cap(params: SystemParams, n: int, side: int) -> float:
     return -half + n * params.delta_min
 
 
-def _pick_candidate(
-    params: SystemParams,
-    users: tuple[UserPosition, UserPosition],
-    cfg: AlgoConfig,
-    feed_x: float,
-    cand: np.ndarray,
-    inner_x: float,
-    cap: float,
-) -> float:
-    """Pick the tuned position of one antenna from an outward candidate grid.
+def _candidate_grid(params: SystemParams, cand: np.ndarray, inner_x: float, cap: float) -> np.ndarray:
+    """The candidates one antenna's pick reads, in outward coordinates
+    (side * x, ascending away from the centre antenna): the grid ``cand``
+    truncated at the room-preserving region cap ``cap`` (keeping the cap
+    itself as a final candidate), from its first candidate that keeps spacing
+    >= delta_min to the inner neighbour at ``inner_x``.  Empty when the inner
+    neighbour moved past the whole grid."""
+    if cand[-1] > cap + CAP_SLACK:  # the grid ascends, so only its tail can pass the cap
+        cand = cand[cand <= cap + CAP_SLACK]
+        if cand.size == 0 or cand[-1] < cap - CAP_SLACK:
+            cand = np.append(cand, cap)
+    if not spacing_holds(params, cand[0] - inner_x):
+        # gaps ascend with the grid, so the valid candidates are its tail
+        spacing_ok = spacing_holds(params, cand - inner_x)
+        cand = cand[int(np.argmax(spacing_ok)):] if spacing_ok.any() else cand[:0]
+    return cand
 
-    Positions are outward coordinates, ascending away from the centre
-    antenna: a left-side antenna passes its mirror image (x -> -x for the
-    positions, the feed and the users), whose phases are bit-equal because
-    rounding is symmetric under negation.  The grid is truncated at the
-    room-preserving region cap (keeping the cap itself as a final
-    candidate).  The first candidate that keeps spacing >= delta_min to the
-    inner neighbour and aligns the composite-phase difference within
-    (delta1, delta2) for both users wins; if none does, the valid candidate
-    with the smallest tolerance-weighted error is used.
+
+def _pick_candidate(turns: np.ndarray, cfg: AlgoConfig) -> int:
+    """Index of one antenna's tuned position in its :func:`_candidate_grid`.
+
+    ``turns`` holds the composite phases in turns from
+    :func:`phase_turns_and_distances`, one row per user: column 0 at the
+    inner neighbour, then one column per candidate, in outward order.  The
+    first candidate that aligns the composite-phase difference to the inner
+    neighbour within (delta1, delta2) for both users wins; if none does, the
+    one with the smallest tolerance-weighted error is used.  Every candidate
+    already keeps the spacing.
 
     Every decision reads exact :func:`circular_phase_error` values, taken
     on the phases 2pi * t that :func:`phases_and_distances` returns, t being
@@ -225,37 +234,21 @@ def _pick_candidate(
     tolerance, or phases too large or not finite), the screen cannot narrow
     the grid, and the rule runs on every candidate.
     """
-    if cand[-1] > cap + CAP_SLACK:  # the grid ascends, so only its tail can pass the cap
-        cand = cand[cand <= cap + CAP_SLACK]
-        if cand.size == 0 or cand[-1] < cap - CAP_SLACK:
-            cand = np.append(cand, cap)
-    if not spacing_holds(params, cand[0] - inner_x):
-        # gaps ascend with the grid, so the valid candidates are its tail
-        spacing_ok = spacing_holds(params, cand - inner_x)
-        if not spacing_ok.any():
-            # inner neighbour moved past the whole grid; sit at minimum pitch
-            return min(inner_x + params.delta_min, cap)
-        cand = cand[int(np.argmax(spacing_ok)):]
-
-    # the inner neighbour rides along as column 0: one phase call for both users
-    turns = phase_turns_and_distances(
-        params, users, np.concatenate(([inner_x], cand)), feed_x)[0]
     grid, inner = turns[:, 1:], turns[:, :1]
     d1, d2 = cfg.delta1, cfg.delta2
     w1, w2 = max(d1, 1e-300), max(d2, 1e-300)  # guard against a zero tolerance
 
     def scan(idx):
-        """The rule itself, on the candidates ``idx`` (an index array or slice)."""
+        """The rule itself, on the candidates ``idx`` (an index array)."""
         errs = circular_phase_error(TWO_PI * grid[:, idx], TWO_PI * inner)
         fits = (errs[0] <= d1) & (errs[1] <= d2)
         if fits.any():
-            return float(cand[idx][int(np.argmax(fits))])
-        score = errs[0] / w1 + errs[1] / w2  # tolerance-weighted fallback
-        return float(cand[idx][int(np.argmin(score))])
+            return int(idx[np.argmax(fits)])
+        return int(idx[np.argmin(errs[0] / w1 + errs[1] / w2)])  # tolerance-weighted fallback
 
     slack = SCREEN_SLACK * (1.0 + float(np.abs(turns).max()))
     if not slack < min(d1, d2) / TWO_PI:  # NaN too: the screen cannot narrow the grid
-        return scan(slice(None))
+        return scan(np.arange(grid.shape[1]))
     q = grid - inner
     off = np.abs(q - np.rint(q))
     hits = (off[0] <= d1 / TWO_PI + slack) & (off[1] <= d2 / TWO_PI + slack)
@@ -263,20 +256,19 @@ def _pick_candidate(
     if hits[first]:  # the usual first fit; it misses only within the slack of an edge
         errs = circular_phase_error(TWO_PI * grid[:, first], TWO_PI * inner[:, 0])
         if errs[0] <= d1 and errs[1] <= d2:
-            return float(cand[first])
+            return first
     score = off[0] * (TWO_PI / w1) + off[1] * (TWO_PI / w2)
     near = score <= score.min() + 2.0 * slack * (TWO_PI / w1 + TWO_PI / w2)
     idx = np.flatnonzero(hits | near)
-    return float(cand[idx[0]]) if idx.size == 1 else scan(idx)  # one holds no choice
+    return int(idx[0]) if idx.size == 1 else scan(idx)  # one holds no choice
 
 
-def _tune_setup(users: tuple[UserPosition, UserPosition], step: float, shifts: int) -> tuple:
-    """What :func:`_tune_layout` reads besides the layout and tolerances: the
-    outward offset grid of ``shifts`` fine steps (read-only, as it is shared)
-    and the users as the right side and the left side see them."""
+def _tune_setup(step: float, shifts: int) -> np.ndarray:
+    """The outward offset grid of ``shifts`` fine steps that :func:`_tune_layout`
+    adds to each antenna's position (read-only, as it is shared)."""
     offsets = step * np.arange(shifts + 1)
     offsets.flags.writeable = False
-    return offsets, (users, tuple(UserPosition(-u.x, u.y) for u in users))
+    return offsets
 
 
 def _tune_layout(
@@ -286,23 +278,68 @@ def _tune_layout(
     cfg: AlgoConfig,
 ) -> AntennaLayout:
     """Uncached body of :func:`fine_tune`.  Its :func:`_tune_setup` is built
-    once per scope, in the tuned-layout table under the key (step, budget)."""
+    once per scope, in the tuned-layout table under the key (step, budget).
+
+    Round r tunes antennas c + r and c - r (c the centre antenna), each on
+    its own :func:`_candidate_grid`, led by its inner neighbour.  Both grids
+    go through one :func:`phase_turns_and_distances` call in real
+    coordinates, with the users and the feed as given.  The picks decide in
+    outward coordinates, side * x, on their own segments of that call: a
+    left grid in real coordinates is the exact negation of its outward grid,
+    and the composite phases are bit-equal under negating every position,
+    the users' x and the feed, as rounding is symmetric.  So each side's
+    pick is what a right side alone would pick on the mirror image.
+
+    The same calls hold the turns and distances at every tuned position, as
+    a chosen candidate or as an inner neighbour, so |g|^2 at unit rho and the
+    spacing verdict of the tuned layout are gathered from them into
+    ``_channel_terms``, bit-equal to :func:`evaluate_placement`'s own.  A
+    position no call read (a single antenna, or an outermost antenna at
+    minimum pitch past its grid) leaves that to :func:`evaluate_placement`.
+    """
     step, shifts = cfg.resolved_fine_step(params), cfg.resolved_max_shifts(params)
-    offsets, (right_users, left_users) = _tuned_layouts.lookup(
-        params, users, (step, shifts), lambda: _tune_setup(users, step, shifts)
-    )
+    offsets = _tuned_layouts.lookup(params, users, (step, shifts),
+                                    lambda: _tune_setup(step, shifts))
+    n_ant = params.n_antennas
+    c = center_index(n_ant)
     xs = list(layout.xs)
-    c = center_index(params.n_antennas)
-    for side, order in ((+1, range(c + 1, params.n_antennas)), (-1, range(c - 1, -1, -1))):
-        # outward coordinates side * x, in which the left side is the right's mirror
-        seen = right_users if side > 0 else left_users
-        for n in order:
-            xs[n] = side * _pick_candidate(
-                params, seen, cfg, side * layout.feed_x,
-                cand=side * xs[n] + offsets, inner_x=side * xs[n - side],
-                cap=side * _antenna_cap(params, n, side),
-            )
-    return AntennaLayout(xs=tuple(xs), feed_x=layout.feed_x)
+    calls = []  # each round's kernel output, side by side
+    column = [None] * n_ant  # each tuned position's column in those outputs
+    base = 0  # columns of the earlier rounds' outputs
+    for r in range(1, max(c, n_ant - 1 - c) + 1):
+        picks, parts, width = [], [], 0  # picks: (side, antenna, grid, first column)
+        for side in (+1, -1):
+            n = c + side * r
+            if not 0 <= n < n_ant:
+                continue
+            inner, cap = side * xs[n - side], side * _antenna_cap(params, n, side)
+            cand = _candidate_grid(params, side * xs[n] + offsets, inner, cap)
+            if cand.size == 0:  # inner neighbour moved past the whole grid; sit at minimum pitch
+                xs[n] = side * min(inner + params.delta_min, cap)
+                continue
+            picks.append((side, n, cand, width))
+            parts += ([xs[n - side]], cand if side > 0 else -cand)
+            width += cand.size + 1
+        if not picks:
+            continue
+        calls.append(phase_turns_and_distances(params, users, np.concatenate(parts),
+                                               layout.feed_x))
+        for side, n, cand, first in picks:
+            k = _pick_candidate(calls[-1][0][:, first:first + cand.size + 1], cfg)
+            xs[n] = side * float(cand[k])
+            if column[n - side] is None:  # the centre, or an antenna at minimum pitch
+                column[n - side] = base + first
+            column[n] = base + first + 1 + k
+        base += width
+    tuned = AntennaLayout(tuple(xs), layout.feed_x)
+    if None not in column:
+        turns, dist = (calls[0] if len(calls) == 1
+                       else (np.concatenate(a, axis=1) for a in zip(*calls)))
+        gains = gains_from_phases(params, TWO_PI * turns.take(column, axis=1),
+                                  dist.take(column, axis=1))
+        _channel_terms.lookup(params, users, (tuned.xs, tuned.feed_x),
+                              lambda: _terms(params, tuned, gains))
+    return tuned
 
 
 # every SystemParams field but the two powers, which enter only via snr_scale
@@ -359,12 +396,12 @@ def fine_tune(
 ) -> AntennaLayout:
     """Align off-centre antennas' composite phases with their inner neighbour.
 
-    Antennas right of the centre are processed in ascending order shifting
-    right, then antennas left of the centre in descending order shifting
-    left; the centre antenna never moves.  The returned layout always
-    satisfies the spacing and region invariants.  It does not depend on the
-    transmit or noise power, so a layout already tuned for the same
-    geometry, users and tolerances is returned again without retuning.
+    Each antenna right of the centre shifts right and each antenna left of
+    it shifts left, tuned after its inner neighbour, so the two sides do not
+    depend on each other; the centre antenna never moves.  The returned
+    layout always satisfies the spacing and region invariants.  It does not
+    depend on the transmit or noise power, so a layout already tuned for the
+    same geometry, users and tolerances is returned again without retuning.
     """
     # the step and budget resolve from these two fields and the wavelength,
     # which the scope fixes, so only a call that tunes resolves them
@@ -404,6 +441,12 @@ def placement_solution(
     )
 
 
+def _terms(params: SystemParams, layout: AntennaLayout, gains: np.ndarray) -> tuple:
+    """What ``_channel_terms`` keeps for ``layout``: both users' |g|^2 at unit
+    rho, from their complex ``gains``, and the spacing verdict."""
+    return gain_snr(1.0, gains).tolist(), layout.spacing_ok(params)
+
+
 def evaluate_placement(
     params: SystemParams,
     layout: AntennaLayout,
@@ -416,12 +459,9 @@ def evaluate_placement(
     seen before in the same scope costs only the closed-form step; rho times
     ``gain_snr`` at unit rho is bit-equal, as its last operation is that product.
     """
-    def channel_terms():
-        gains = pinching_gain(params, layout, users)
-        return gain_snr(1.0, gains).tolist(), layout.spacing_ok(params)
-
     (g1_sq, g2_sq), spacing = _channel_terms.lookup(
-        params, users, (layout.xs, layout.feed_x), channel_terms
+        params, users, (layout.xs, layout.feed_x),
+        lambda: _terms(params, layout, pinching_gain(params, layout, users)),
     )
     rho = snr_scale(params)
     return evaluate_snrs(rho * g1_sq, rho * g2_sq, qos, spacing)

@@ -1,14 +1,14 @@
 """References the tests compare the package against: the sum-rate
 objective f(alpha2) (criteria 1 and 3), its grid search (criterion 2), and
-the fine-tune pick as a full scan of exact phase errors."""
+the fine-tune pick as a full scan of exact phase errors, antenna by antenna."""
 import math
 
 import numpy as np
 
-from pinchopt import QosTargets
+from pinchopt import AntennaLayout, QosTargets, UserPosition
 from pinchopt.channel import phases_and_distances, spacing_holds
 from pinchopt.noma import noma_rates, qos_verdicts
-from pinchopt.placement import CAP_SLACK, circular_phase_error
+from pinchopt.placement import CAP_SLACK, _antenna_cap, center_index, circular_phase_error
 
 
 def sum_rate_objective(snr_weak, snr_strong, alpha2):
@@ -49,14 +49,21 @@ def grid_alpha2(
     return float(alphas[ok][int(np.argmax(values))])
 
 
-def pick_candidate_scan(params, users, cfg, feed_x, cand, inner_x, cap) -> float:
-    """``placement._pick_candidate`` by exact phase errors at every candidate:
-    the first candidate that keeps the spacing and both tolerances, else the
-    first valid argmin of the tolerance-weighted error."""
+def capped(cand, cap):
+    """An ascending outward grid cut at its cap, keeping the cap itself."""
     if cand[-1] > cap + CAP_SLACK:
         cand = cand[cand <= cap + CAP_SLACK]
         if cand.size == 0 or cand[-1] < cap - CAP_SLACK:
             cand = np.append(cand, cap)
+    return cand
+
+
+def pick_candidate_scan(params, users, cfg, feed_x, cand, inner_x, cap) -> float:
+    """One antenna's fine-tune pick in outward coordinates, by exact phase
+    errors at every candidate: the first candidate that keeps the spacing and
+    both tolerances, else the first valid argmin of the tolerance-weighted
+    error; at minimum pitch (or the cap) when no candidate keeps the spacing."""
+    cand = capped(cand, cap)
     spacing_ok = spacing_holds(params, cand - inner_x)
     if not spacing_ok.any():
         return min(inner_x + params.delta_min, cap)
@@ -71,3 +78,25 @@ def pick_candidate_scan(params, users, cfg, feed_x, cand, inner_x, cap) -> float
     score = errs[0] / max(cfg.delta1, 1e-300) + errs[1] / max(cfg.delta2, 1e-300)
     weighted = np.where(spacing_ok, score, np.inf)
     return float(cand[int(np.argmin(weighted))])
+
+
+def tune_layout_scan(params, layout, users, cfg):
+    """``placement._tune_layout`` antenna by antenna, each by
+    :func:`pick_candidate_scan`, in the order of one chain at a time: the
+    right side ascending, then the left side descending as the mirror image
+    (x -> -x for the positions, the feed and the users) of a right side.
+    Also returns the antennas whose inner neighbour moved past their grid."""
+    step, shifts = cfg.resolved_fine_step(params), cfg.resolved_max_shifts(params)
+    offsets = step * np.arange(shifts + 1)
+    mirrored = tuple(UserPosition(-u.x, u.y) for u in users)
+    xs, passed = list(layout.xs), set()
+    c = center_index(params.n_antennas)
+    for side, order in ((+1, range(c + 1, params.n_antennas)), (-1, range(c - 1, -1, -1))):
+        for n in order:
+            cand, inner = side * xs[n] + offsets, side * xs[n - side]
+            cap = side * _antenna_cap(params, n, side)
+            if not spacing_holds(params, capped(cand, cap) - inner).any():
+                passed.add(n)
+            xs[n] = side * pick_candidate_scan(params, users if side > 0 else mirrored, cfg,
+                                               side * layout.feed_x, cand, inner, cap)
+    return AntennaLayout(tuple(xs), layout.feed_x), passed

@@ -118,8 +118,6 @@ class TestSolveCommand:
         ("oracle.alpha_step=Infinity", "unknown key"),
         ("sweep.schemes=[]", "must be non-empty"),
         ("system.n_antennas=3000", "do not fit"),
-        # refused on the worst case of side_d / step points, before any draw
-        ("oracle.position_step=1e-9", "position grid of"),
         *((v, "must be a JSON object") for v in (
             "system=5", "scenario=5", "scenario.user1=5",
         )),
@@ -209,6 +207,46 @@ class TestSolveCommand:
         out = json.loads(capsys.readouterr().out)
         assert code in (0, 2)
         assert "scenario" in out
+
+
+class TestReferenceGridCheck:
+    """The reference-search grid is sized, on the worst case of side_d / step
+    points at every swept D and before any draw, only where a search runs."""
+
+    # a tiny step, and an fc whose default step (a tenth of a wavelength) is one
+    TOO_FINE = ["oracle.position_step=1e-9", "system.fc=1e14"]
+
+    @pytest.mark.parametrize("value", TOO_FINE)
+    def test_solve_runs_no_grid_check(self, value, capsys):
+        code = main(["solve", "--set", SCENARIO_SET, "--set", value])
+        out = json.loads(capsys.readouterr().out)
+        assert code in (0, 2)
+        assert out["feasible"] is (code == 0)
+
+    @pytest.mark.parametrize("value", TOO_FINE)
+    @pytest.mark.parametrize("command", [
+        ["figures", "--out", "D"],
+        ["sweep", "oracle", "--out", "D/t.csv"],
+        ["sweep", "power", "--out", "D/t.csv", "--set", 'sweep.schemes=["exhaustive"]'],
+    ], ids=["figures", "sweep-oracle", "sweep-power-exhaustive"])
+    def test_search_commands_refuse_oversized_grid(self, command, value, tmp_path,
+                                                   monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        if command[0] == "sweep":
+            os.mkdir("D")
+        code = main([*command, "--set", SCENARIO_SET, "--set", value])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: position grid of") and "Traceback" not in err
+        assert os.listdir(tmp_path) == (["D"] if command[0] == "sweep" else [])
+        assert command[0] == "figures" or os.listdir("D") == []
+
+    def test_power_sweep_without_search_runs_no_grid_check(self, tmp_path):
+        out = tmp_path / "fig2.csv"
+        code = main(["sweep", "power", "--out", str(out), "--set", "system.fc=1e14",
+                     "--set", "sweep.trials=1", "--set", "sweep.pt_dbm_values=[30]"])
+        assert code == 0
+        assert out.exists()
 
 
 class TestSweepCommand:

@@ -27,7 +27,12 @@ from pinchopt import (
     snr_scale,
     wavelength,
 )
-from pinchopt.channel import MAX_N_EFF, MAX_SIZE_M, phases_and_distances
+from pinchopt.channel import (
+    MAX_N_EFF,
+    MAX_SIZE_M,
+    phase_turns_and_distances,
+    phases_and_distances,
+)
 from pinchopt.noma import evaluate_snrs, gain_snr
 from pinchopt.oracle import batch_solution_metrics
 from pinchopt import channel, placement
@@ -258,14 +263,14 @@ class TestTunedLayoutReuse:
                         fine_tune(p, layout, users, dataclasses.replace(cfg, delta2=delta2))
             assert len(built) == 1
             fine_tune(params, layouts[0], users, AlgoConfig(fine_step=1e-4, max_fine_shifts=50))
-            assert len(built) == 2 and built[1] == (users, 1e-4, 50)
+            assert len(built) == 2 and built[1] == (1e-4, 50)
             other = (users[0], UserPosition(users[1].x, users[1].y / 2))
-            mirrored = tuple(UserPosition(-u.x, u.y) for u in other)
             tuned = fine_tune(params, layouts[0], other, cfg)
-            assert len(built) == 3 and built[2][0] == other
+            # the same step and budget in another scope: built again, with the scope
+            assert len(built) == 3 and built[2] == built[0]
             assert tuned == _tune_layout(params, layouts[0], other, cfg)
-        offsets, seen = _tune_setup(other, 1e-4, 10)
-        assert not offsets.flags.writeable and seen == (other, mirrored)
+        offsets = _tune_setup(1e-4, 10)
+        assert not offsets.flags.writeable and np.array_equal(offsets, 1e-4 * np.arange(11))
 
     def test_scope_covers_every_field_but_power(self, params):
         users = (UserPosition(2.0, 1.0), UserPosition(-2.0, 0.3))
@@ -495,11 +500,82 @@ def pick_cases(draw):
     return params, users, cfg, feed_x, cand, inner_x, cap
 
 
+def screened_pick(params, users, cfg, feed_x, cand, inner_x, cap) -> float:
+    """One antenna's step of ``_tune_layout`` on its own, in outward
+    coordinates: its trimmed grid, one kernel call led by the inner
+    neighbour, and the screened pick on that call's turns."""
+    grid = placement._candidate_grid(params, cand, inner_x, cap)
+    if grid.size == 0:
+        return min(inner_x + params.delta_min, cap)
+    xs = np.concatenate(([inner_x], grid))
+    turns = phase_turns_and_distances(params, users, xs, feed_x)[0]
+    return float(grid[placement._pick_candidate(turns, cfg)])
+
+
 @given(pick_cases())
 @settings(max_examples=800, deadline=None, derandomize=True)
 def test_pick_matches_full_scan(case):
     """The screened pick returns exactly what the full exact scan returns."""
-    assert placement._pick_candidate(*case) == grid_reference.pick_candidate_scan(*case)
+    assert screened_pick(*case) == grid_reference.pick_candidate_scan(*case)
+
+
+# the budget in fine steps: two candidates, a few, or the default 10 wavelengths
+TUNE_BUDGETS = st.sampled_from((None, 1, 7, 60))
+# an antenna's start, outward from its rigid position, in budgets: below -1
+# its inner neighbour may pass its whole grid, above 0 it may start past its cap
+TUNE_STARTS = st.sampled_from((0.0,)) | st.floats(min_value=-1.6, max_value=0.3)
+
+
+@st.composite
+def tune_cases(draw):
+    """A layout of 1 to 7 antennas to tune, in a region small enough for the
+    caps to bind, with each off-centre antenna starting off its rigid
+    position, and the users, the feed and the tolerances."""
+    n_ant = draw(st.integers(min_value=1, max_value=7))
+    side_d = draw(st.sampled_from((10.0, 0.05, 0.2)) | st.floats(min_value=0.04, max_value=10.0))
+    params = SystemParams(side_d=side_d, n_antennas=n_ant)
+    lo, hi = center_bounds(params)
+    centre = draw(st.sampled_from((lo, hi)) | st.floats(min_value=lo, max_value=hi))
+    cfg = AlgoConfig(delta1=draw(TOLERANCES), delta2=draw(TOLERANCES),
+                     max_fine_shifts=draw(TUNE_BUDGETS))
+    budget = cfg.resolved_max_shifts(params) * cfg.resolved_fine_step(params)
+    c = center_index(n_ant)
+    rigid = initial_layout(params, centre, side_d * draw(st.sampled_from((-0.5, 0.5))))
+    xs = list(rigid.xs)
+    for n in range(n_ant):
+        if n != c:
+            xs[n] += (1 if n > c else -1) * draw(TUNE_STARTS) * budget
+    users = tuple(UserPosition(side_d * (draw(UNIT) - 0.5), side_d * (draw(UNIT) - 0.5))
+                  for _ in range(2))
+    return params, AntennaLayout(tuple(xs), rigid.feed_x), users, cfg
+
+
+@given(tune_cases())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_tune_matches_per_antenna_scan(case):
+    """Tuning both chains round by round through one kernel call gives the
+    layout of the per-antenna full scan in the one-chain-at-a-time order,
+    and the channel terms it stores for that layout are bit-equal to
+    evaluate_placement's own; it stores them whenever the kernel read every
+    tuned position."""
+    params, layout, users, cfg = case
+    want, passed = grid_reference.tune_layout_scan(params, layout, users, cfg)
+    with mock.patch.object(placement, "_tuned_layouts", _ScopedTable()), \
+            mock.patch.object(placement, "_channel_terms", _ScopedTable()) as terms:
+        tuned = _tune_layout(params, layout, users, cfg)
+        stored = terms.lookup(params, users, (tuned.xs, tuned.feed_x), lambda: None)
+    assert tuned == want
+    # the centre is read as the inner neighbour of a pick next to it, and so
+    # is an antenna whose inner neighbour passed its grid
+    c = center_index(params.n_antennas)
+    picked = set(range(params.n_antennas)) - passed - {c}
+    outward = {a: {a - 1, a + 1} if a == c else {a + (1 if a > c else -1)}
+               for a in passed | {c}}
+    assert (stored is not None) == all(outward[a] & picked for a in outward)
+    if stored is not None:
+        gains = gain_snr(1.0, pinching_gain(params, tuned, users)).tolist()
+        assert [g.hex() for g in stored[0]] == [g.hex() for g in gains]
+        assert stored[1] is tuned.spacing_ok(params)
 
 
 class TestPickOnCraftedPhases:
@@ -511,19 +587,20 @@ class TestPickOnCraftedPhases:
 
     @staticmethod
     def picks(diffs, cfg):
-        """The pick and the full scan on candidates whose composite phases, in
-        turns, are ``diffs`` for both users, the inner neighbour's being 0."""
+        """The pick on composite phases, in turns, of ``diffs`` for both users
+        (the inner neighbour's being 0), and the full scan on candidates with
+        those phases."""
         row = np.concatenate(([0.0], diffs))
+        cand = 1.0 + 0.01 * np.arange(len(diffs))
+        pick = float(cand[placement._pick_candidate(np.stack([row, row]), cfg)])
 
         def turns(params, user, xs, feed_x):
-            return (row if isinstance(user, UserPosition) else np.stack([row, row])), None
+            return row, None
 
         args = (SystemParams(), (UserPosition(1.0, 1.0), UserPosition(-1.0, 0.5)), cfg,
-                -5.0, 1.0 + 0.01 * np.arange(len(diffs)), 0.0, 5.0)
-        # the pick calls the kernel directly, the scan through phases_and_distances
-        with mock.patch.object(placement, "phase_turns_and_distances", turns), \
-                mock.patch.object(channel, "phase_turns_and_distances", turns):
-            pick = placement._pick_candidate(*args)
+                -5.0, cand, 0.0, 5.0)
+        # the scan reads each user's phases through phases_and_distances
+        with mock.patch.object(channel, "phase_turns_and_distances", turns):
             return pick, grid_reference.pick_candidate_scan(*args)
 
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)])

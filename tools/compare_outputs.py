@@ -10,7 +10,10 @@ directory, which is removed again at the end.  From each tree, with its own
 - ``pinch figures`` at ``--threads 1`` and ``--threads 2``: fig2.csv,
   fig3.csv, fig4.csv and config.json are compared byte for byte;
 - ``pinch sweep oracle`` at D = 30 m and 0 dBm: its table and config.json;
-- ``pinch solve``: its standard output and exit code.
+- ``pinch solve`` at the defaults, at ``system.n_antennas`` 1, 2, 4 and 5
+  (N = 3 tunes one antenna per side, so these cover the single antenna and
+  the rounds of a longer chain), and at ``algo.delta2=0`` (a zero tolerance
+  takes the pick's full scan): its standard output and exit code.
 
 Prints one line per comparison and exits 0 when every output matches, 1
 when one differs or a figures or sweep run fails in either tree.  Only the
@@ -28,6 +31,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 FIGURES = ("fig2.csv", "fig3.csv", "fig4.csv", "config.json")
 ORACLE_SET = ("--set", "sweep.d_values=[30]", "--set", "sweep.pt_dbm_values=[0]")
+SOLVE_SETS = ((), *(("--set", f"system.n_antennas={n}") for n in (1, 2, 4, 5)),
+              ("--set", "algo.delta2=0"))
 
 
 def pinch(tree: Path, *args: str) -> subprocess.CompletedProcess:
@@ -55,9 +60,11 @@ def outputs(tree: Path, seed: int, out: Path) -> dict[str, bytes | str]:
                                f"in {tree}:\n{proc.stderr}")
         for name in files:
             got[f"{label}: {name}"] = (directory / name).read_bytes()
-    proc = pinch(tree, "solve", "--seed", str(seed))
-    got["solve: exit code"] = str(proc.returncode)
-    got["solve: stdout"] = proc.stdout
+    for sets in SOLVE_SETS:
+        label = " ".join(("solve", *sets))
+        proc = pinch(tree, "solve", *sets, "--seed", str(seed))
+        got[f"{label}: exit code"] = str(proc.returncode)
+        got[f"{label}: stdout"] = proc.stdout
     return got
 
 
