@@ -79,17 +79,20 @@ def build_config(doc: dict) -> RunConfig:
 def _check_sweep_sizes(cfg: RunConfig, command: str, which: str | None = None) -> None:
     """Refuse, before any run or output, what the command would meet at a
     swept region size D: an array that does not fit D, for the commands that
-    sweep, and a worst-case reference-search grid too large for D, where a
-    reference search runs (``figures``, ``sweep oracle``, and ``sweep power``
-    over the ``exhaustive`` scheme).  ``solve`` uses neither."""
+    sweep, and a worst-case reference-search grid too large for D, at each D
+    where a reference search runs (fig4's first D, in ``figures`` and ``sweep
+    oracle``, and every D of a ``figures`` or ``sweep power`` whose schemes
+    include ``exhaustive``).  ``solve`` uses neither."""
     if command == "solve":
         return
-    oracle = (command == "figures" or which == "oracle"
-              or which == "power" and "exhaustive" in cfg.sweep.schemes)
+    sweeps = SWEEPS if command == "figures" else (which,)
+    searched = set(cfg.sweep.d_values[:1]) if "oracle" in sweeps else set()
+    if "power" in sweeps and "exhaustive" in cfg.sweep.schemes:
+        searched.update(cfg.sweep.d_values)
     for d in cfg.sweep.d_values:
         params = dataclasses.replace(cfg.system, side_d=d)
         center_bounds(params)
-        if oracle:
+        if d in searched:
             grid_points(d, cfg.oracle.resolved_step(params))  # the grid is clipped to the region
 
 

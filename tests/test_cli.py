@@ -7,7 +7,8 @@ import time
 import pytest
 
 import pinchopt
-from pinchopt.cli import ConfigError, build_config, load_config, main
+from pinchopt.cli import ConfigError, _check_sweep_sizes, build_config, load_config, main
+from pinchopt.oracle import OracleSizeError
 from pinchopt.sim import SamplingError
 
 SCENARIO_SET = 'scenario={"user1":{"x":2.0,"y":1.0},"user2":{"x":-2.0,"y":0.3}}'
@@ -240,6 +241,17 @@ class TestReferenceGridCheck:
         assert err.startswith("error: position grid of") and "Traceback" not in err
         assert os.listdir(tmp_path) == (["D"] if command[0] == "sweep" else [])
         assert command[0] == "figures" or os.listdir("D") == []
+
+    def test_grid_checked_only_where_searched(self):
+        # 1.5e-5 m steps: 6.7e5 points over 10 m, 2e6 over 30 m
+        sets = ["sweep.d_values=[10,30]", "oracle.position_step=1.5e-5"]
+        cfg = load_config(None, sets, None)
+        for command, which in (("figures", None), ("sweep", "oracle"), ("sweep", "power")):
+            _check_sweep_sizes(cfg, command, which)  # fig4 searches at the first D only
+        cfg = load_config(None, [*sets, 'sweep.schemes=["pinching","exhaustive"]'], None)
+        for command, which in (("figures", None), ("sweep", "power")):
+            with pytest.raises(OracleSizeError, match="position grid of 2e"):
+                _check_sweep_sizes(cfg, command, which)
 
     def test_power_sweep_without_search_runs_no_grid_check(self, tmp_path):
         out = tmp_path / "fig2.csv"
