@@ -172,7 +172,9 @@ def _antenna_cap(params: SystemParams, n: int, side: int) -> float:
     return -half + n * params.delta_min
 
 
-def _candidate_grid(params: SystemParams, cand: np.ndarray, inner_x: float, cap: float) -> np.ndarray:
+def _candidate_grid(
+    params: SystemParams, cand: np.ndarray, inner_x: float, cap: float
+) -> np.ndarray:
     """The candidates one antenna's pick reads, in outward coordinates
     (side * x, ascending away from the centre antenna): the grid ``cand``
     truncated at the room-preserving region cap ``cap`` (keeping the cap
