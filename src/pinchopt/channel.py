@@ -40,6 +40,11 @@ FC_RANGE_HZ = (1e3, 1e15)
 # fine-tune grid steps over whole turns.  Within it and FC_RANGE_HZ the
 # composite phases across a region up to MAX_SIZE_M stay below 1e12 turns.
 MAX_N_EFF = 100.0
+# Lower bound on the minimum antenna spacing delta_min, m: far above
+# AntennaLayout.SPACING_SLACK (1e-12), below which any gap passes, and above
+# the float spacing of coordinates up to MAX_SIZE_M / 2 (6e-14 m), below
+# which the pitch rounds away; half a wavelength at 1 PHz is 1.5e-7 m.
+MIN_SPACING_M = 1e-9
 
 
 class LayoutError(ValueError):
@@ -97,7 +102,7 @@ class SystemParams:
             check_number(name, getattr(self, name), *POWER_RANGE_DBM)
         if self.delta_min is None:
             object.__setattr__(self, "delta_min", wavelength(self) / 2.0)
-        check_number("delta_min", self.delta_min, 0, above=True)
+        check_number("delta_min", self.delta_min, MIN_SPACING_M)
 
 
 @dataclass(frozen=True)

@@ -170,7 +170,7 @@ def cmd_solve(cfg: RunConfig) -> int:
             "sum": sol.rates.sum_rate,
         },
         "feasible": sol.feasible_found,
-        "feasibility": dataclasses.asdict(sol.feasibility),
+        "feasibility": sol.feasibility._asdict(),
         "iterations": sol.iterations,
         "pinned_antennas": list(sol.pinned_antennas),
     }

@@ -29,18 +29,18 @@ MAX_RATE = 200.0
 ALPHA_TOL = 1e-12  # slack on power-coefficient sanity checks
 
 
-@dataclass(frozen=True)
-class PowerSplit:
+# a NamedTuple body may not define __new__, so the checks go in a subclass
+class PowerSplit(NamedTuple("PowerSplit", [("alpha1", float), ("alpha2", float)])):
     """Power allocation coefficients (alpha1 for the weak user)."""
 
-    alpha1: float
-    alpha2: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if abs(self.alpha1 + self.alpha2 - 1.0) > ALPHA_TOL:
+    def __new__(cls, alpha1: float, alpha2: float) -> "PowerSplit":
+        if abs(alpha1 + alpha2 - 1.0) > ALPHA_TOL:
             raise ValueError("alpha1 + alpha2 must equal 1")
-        if self.alpha1 < 0 or self.alpha2 < 0:
+        if alpha1 < 0 or alpha2 < 0:
             raise ValueError("power coefficients must be non-negative")
+        return tuple.__new__(cls, (alpha1, alpha2))
 
     @classmethod
     def from_alpha2(cls, alpha2: float) -> "PowerSplit":
@@ -59,8 +59,7 @@ class QosTargets:
         check_number("r2_min", self.r2_min, 0, MAX_RATE)
 
 
-@dataclass(frozen=True)
-class RateReport:
+class RateReport(NamedTuple):
     """Achievable rates of one configuration, bits/s/Hz."""
 
     r1: float
@@ -72,8 +71,7 @@ class RateReport:
 ZERO_RATES = RateReport(0.0, 0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(NamedTuple):
     """Per-constraint verdicts for one (layout, power split) candidate."""
 
     spacing: bool

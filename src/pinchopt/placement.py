@@ -388,6 +388,7 @@ class _ScopedTable:
 # (resolved step, resolved budget) -> set-up
 _tuned_layouts = _ScopedTable()
 _channel_terms = _ScopedTable()  # layout -> (|g|^2 at unit rho, spacing verdict)
+_rigid_layouts = _ScopedTable()  # bisection centre -> rigid layout
 
 
 def fine_tune(
@@ -499,7 +500,9 @@ def bisection_solve(
         iterations += 1
         mid = 0.5 * (left + right)
         center = min(max(mid, lo_bound), hi_bound)
-        rigid = AntennaLayout(tuple(center + o for o in offsets), feed_x)
+        rigid = _rigid_layouts.lookup(
+            params, users, center,
+            lambda: AntennaLayout(tuple(center + o for o in offsets), feed_x))
         layout = fine_tune(params, rigid, users, cfg)
         split, rates, report, alpha = evaluate_placement(params, layout, users, qos)
         last = (layout, split, rates, report, alpha)

@@ -30,9 +30,12 @@ from .channel import (
 )
 from .noma import ZERO_RATES, QosTargets, evaluate_snrs, snr_scale
 from .oracle import OracleConfig, exhaustive_placement
-from .placement import AlgoConfig, bisection_solve
+from .placement import AlgoConfig, _ScopedTable, bisection_solve
 
 SCHEMES = ("pinching", *BASELINE_SCHEMES, "exhaustive")
+# baseline scheme -> both users' |g|^2, which no power enters, for the
+# current scenario: one entry per scheme, kept across the power levels
+_baseline_gains = _ScopedTable()
 
 
 class SamplingError(RuntimeError):
@@ -141,9 +144,9 @@ def sample_scenario(rng: np.random.Generator, side_d: float, seed_id: int = 0) -
 
 
 def _conventional_record(params, scenario, qos, scheme) -> tuple:
-    g1_sq, g2_sq = conventional_effective_gain(
-        params, (scenario.user1, scenario.user2), scheme
-    )
+    users = (scenario.user1, scenario.user2)
+    g1_sq, g2_sq = _baseline_gains.lookup(
+        params, users, scheme, lambda: conventional_effective_gain(params, users, scheme))
     # relabel up front so user 2 keeps the stronger effective channel;
     # the rate targets follow the weak/strong role, not the identity
     swapped = g2_sq < g1_sq

@@ -21,6 +21,7 @@ from pinchopt import (
 from pinchopt.channel import (
     FC_RANGE_HZ,
     MAX_N_EFF,
+    MIN_SPACING_M,
     check_number,
     conventional_positions,
     phase_turns_and_distances,
@@ -195,6 +196,18 @@ class TestBounds:
     def test_refused_naming_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be in "):
             SystemParams(**{field: value})
+
+    @pytest.mark.parametrize("fc", [28e9, FC_RANGE_HZ[1]])
+    @pytest.mark.parametrize("delta_min", [None, MIN_SPACING_M, 1e-3, 0.01])
+    def test_spacing_admitted(self, fc, delta_min):
+        params = SystemParams(fc=fc, delta_min=delta_min)
+        assert params.delta_min >= MIN_SPACING_M
+
+    @pytest.mark.parametrize("value", [1e-17, 5e-324, 0.0, -1e-3,
+                                       math.nextafter(MIN_SPACING_M, 0.0)])
+    def test_spacing_refused_naming_the_field(self, value):
+        with pytest.raises(ValueError, match="^delta_min must be >= 1e-09, got "):
+            SystemParams(delta_min=value)
 
 
 class TestPinchingGain:

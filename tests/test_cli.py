@@ -80,6 +80,13 @@ class TestSolveCommand:
             "spacing", "r1_qos", "r2_qos", "sic", "order_alpha", "order_channel",
         }
 
+    def test_feasibility_keys_keep_their_order(self, capsys):
+        main(["solve", "--set", SCENARIO_SET])
+        out = json.loads(capsys.readouterr().out)
+        assert list(out["feasibility"]) == [
+            "spacing", "r1_qos", "r2_qos", "sic", "order_alpha", "order_channel",
+        ]
+
     def test_unsatisfiable_target_exits_two(self, capsys):
         code = main(["solve", "--set", SCENARIO_SET, "--set", "qos.r1_min=50"])
         out = json.loads(capsys.readouterr().out)
@@ -111,6 +118,9 @@ class TestSolveCommand:
         ("system.n_eff=1e306", "n_eff must be in [1, 100.0], got 1e+306"),
         ("system.fc=1e300", "fc must be in [1000.0, 1000000000000000.0], got 1e+300"),
         ("system.fc=1e-300", "fc must be in [1000.0, 1000000000000000.0], got 1e-300"),
+        # a pitch that rounds away, and a spacing below the spacing check's slack
+        ("system.delta_min=1e-17", "delta_min must be >= 1e-09, got 1e-17"),
+        ("system.delta_min=5e-324", "delta_min must be >= 1e-09, got 5e-324"),
         ("sweep.d_values=[10,1e300]", "d_values must be in (0, 1000.0], got 1e+300"),
         ("sweep.d_values=[-5]", "d_values must be in (0, 1000.0], got -5"),
         ("sweep.d_values=[0]", "d_values must be in (0, 1000.0], got 0"),
@@ -169,7 +179,7 @@ class TestSolveCommand:
         # a solution with a NaN in it, which strict JSON refuses
         def nan_solve(*args):
             sol = pinchopt.bisection_solve(*args)
-            rates = dataclasses.replace(sol.rates, sum_rate=float("nan"))
+            rates = sol.rates._replace(sum_rate=float("nan"))
             return dataclasses.replace(sol, rates=rates)
 
         monkeypatch.setattr("pinchopt.cli.bisection_solve", nan_solve)

@@ -161,6 +161,11 @@ class TestPowerSplit:
         with pytest.raises(ValueError):
             PowerSplit(1.2, -0.2)
 
+    def test_sum_beyond_tolerance_rejected(self):
+        with pytest.raises(ValueError):
+            PowerSplit(0.5, 0.5 + 2e-12)
+        assert PowerSplit.from_alpha2(0.25) == (0.75, 0.25)
+
     def test_candidate_splits_above_half_are_constructible(self):
         # feasibility of the NOMA ordering is judged by check_feasibility,
         # not at construction time

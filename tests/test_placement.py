@@ -35,7 +35,7 @@ from pinchopt.channel import (
 )
 from pinchopt.noma import evaluate_snrs, gain_snr
 from pinchopt.oracle import batch_solution_metrics
-from pinchopt import channel, placement
+from pinchopt import channel, placement, sim
 from pinchopt.placement import (
     MAX_FINE_SHIFTS,
     _channel_scope,
@@ -416,6 +416,76 @@ class TestTunedLayoutReuse:
             with mock.patch.object(placement, "_tuned_layouts", _ScopedTable()), \
                     mock.patch.object(placement, "_channel_terms", _ScopedTable()):
                 assert bisection_solve(p, users, qos, cfg) == want
+
+
+class TestIterateTables:
+    """The rigid layouts and the baseline gains that sweeps keep per scenario,
+    and the tuple records an iterate builds."""
+
+    @staticmethod
+    def _never():
+        raise AssertionError("computed again: the lookup should have hit")
+
+    def test_rigid_layouts_equal_initial_layout(self, params, qos, algo_cfg):
+        users, _ = TestTunedLayoutReuse._cases(15, 1, params)[0]
+        c = center_index(params.n_antennas)
+        table = _ScopedTable()
+        seen = []
+
+        def spy(p, layout, u, cfg):
+            """Check each iterate's rigid layout is the table's entry for its
+            centre, and the rigid array there."""
+            centre = layout.xs[c]
+            assert table.lookup(p, u, centre, self._never) is layout
+            assert layout == initial_layout(p, centre, -p.side_d / 2)
+            seen.append(layout.xs)
+            return fine_tune(p, layout, u, cfg)
+
+        with mock.patch.object(placement, "_rigid_layouts", table), \
+                mock.patch.object(placement, "fine_tune", spy):
+            # the first midpoint recurs in the wider region, with another feed
+            for side_d in (params.side_d, 2 * params.side_d):
+                for pt in TestTunedLayoutReuse.POWERS:
+                    p = dataclasses.replace(params, side_d=side_d, pt_dbm=pt)
+                    bisection_solve(p, users, qos, algo_cfg)
+        assert len(set(seen)) < len(seen) / 2  # centres met again
+
+    def test_baseline_gains_match_fresh_and_follow_the_scope(self, params, qos):
+        scen = sample_scenario(trial_rng(16, 0), params.side_d)
+        users = (scen.user1, scen.user2)
+        calls = []
+
+        def gains(p, u, scheme):
+            calls.append(scheme)
+            return channel.conventional_effective_gain(p, u, scheme)
+
+        table = _ScopedTable()
+        taller = dataclasses.replace(params, h=4.0)
+        for base in (params, taller):
+            for pt in TestTunedLayoutReuse.POWERS:
+                p = dataclasses.replace(base, pt_dbm=pt)
+                for scheme in channel.BASELINE_SCHEMES:
+                    with mock.patch.object(sim, "_baseline_gains", _ScopedTable()):
+                        fresh = sim.evaluate_scheme(p, scen, qos, AlgoConfig(), scheme)
+                    with mock.patch.object(sim, "_baseline_gains", table), \
+                            mock.patch.object(sim, "conventional_effective_gain", gains):
+                        assert sim.evaluate_scheme(p, scen, qos, AlgoConfig(), scheme) == fresh
+                    # the table holds a fresh call's gains bit for bit
+                    assert table.lookup(p, users, scheme, self._never) == (
+                        channel.conventional_effective_gain(p, users, scheme))
+            # one call per scheme and scope: the powers share it, h does not
+            assert calls == list(channel.BASELINE_SCHEMES) * (1 + (base is taller))
+
+    def test_records_refuse_assignment(self, params, qos, algo_cfg):
+        users, _ = TestTunedLayoutReuse._cases(17, 1, params)[0]
+        sol = bisection_solve(params, users, qos, algo_cfg)
+        for record, name in ((sol.split, "alpha2"), (sol.rates, "sum_rate"),
+                             (sol.feasibility, "spacing")):
+            assert isinstance(record, tuple)
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+            with pytest.raises(AttributeError):
+                record.extra = 1.0
 
 
 coords = st.floats(min_value=-5.0, max_value=5.0)

@@ -10,6 +10,8 @@ directory, which is removed again at the end.  From each tree, with its own
 - ``pinch figures`` at ``--threads 1`` and ``--threads 2``: fig2.csv,
   fig3.csv, fig4.csv and config.json are compared byte for byte;
 - ``pinch sweep oracle`` at D = 30 m and 0 dBm: its table and config.json;
+- ``pinch sweep power`` over every scheme (``pinching``, both fixed-array
+  baselines and ``exhaustive``) at 4 trials: its table and config.json;
 - ``pinch solve`` at the defaults, at ``system.n_antennas`` 1, 2, 4 and 5
   (N = 3 tunes one antenna per side, so these cover the single antenna and
   the rounds of a longer chain), and at ``algo.delta2=0`` (a zero tolerance
@@ -31,6 +33,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 FIGURES = ("fig2.csv", "fig3.csv", "fig4.csv", "config.json")
 ORACLE_SET = ("--set", "sweep.d_values=[30]", "--set", "sweep.pt_dbm_values=[0]")
+POWER_SET = ("--set", 'sweep.schemes=["pinching","conventional-uniform",'
+             '"conventional-mrt","exhaustive"]', "--set", "sweep.trials=4")
 SOLVE_SETS = ((), *(("--set", f"system.n_antennas={n}") for n in (1, 2, 4, 5)),
               ("--set", "algo.delta2=0"))
 
@@ -52,6 +56,9 @@ def outputs(tree: Path, seed: int, out: Path) -> dict[str, bytes | str]:
     runs.append(("sweep oracle", out / "oracle", ("oracle.csv", "config.json"),
                  ("sweep", "oracle", "--out", str(out / "oracle" / "oracle.csv"),
                   "--threads", "1", *ORACLE_SET)))
+    runs.append(("sweep power", out / "power", ("power.csv", "config.json"),
+                 ("sweep", "power", "--out", str(out / "power" / "power.csv"),
+                  "--threads", "1", *POWER_SET)))
     for label, directory, files, args in runs:
         directory.mkdir(parents=True)
         proc = pinch(tree, *args, "--seed", str(seed))
