@@ -76,14 +76,7 @@ class TestSolveCommand:
         assert len(out["antenna_xs"]) == 3
         assert out["feasible"] is True
         assert out["rates"]["sum"] > 0
-        assert set(out["feasibility"]) == {
-            "spacing", "r1_qos", "r2_qos", "sic", "order_alpha", "order_channel",
-        }
-
-    def test_feasibility_keys_keep_their_order(self, capsys):
-        main(["solve", "--set", SCENARIO_SET])
-        out = json.loads(capsys.readouterr().out)
-        assert list(out["feasibility"]) == [
+        assert list(out["feasibility"]) == [  # the record's field order
             "spacing", "r1_qos", "r2_qos", "sic", "order_alpha", "order_channel",
         ]
 
