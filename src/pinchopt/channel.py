@@ -198,9 +198,9 @@ def phase_turns_and_distances(
     else:
         # each y squared by Python's ** as above: its pow and NumPy's y*y
         # differ in the last bit for about one float in a thousand
-        column = (-1,) + (1,) * xs.ndim
-        ux = np.array([u.x for u in user]).reshape(column)
-        uy2 = np.array([u.y**2 for u in user]).reshape(column)
+        cols = np.array([u.x for u in user] + [u.y**2 for u in user]).reshape(
+            (2, -1) + (1,) * xs.ndim)
+        ux, uy2 = cols[0], cols[1]
     dist = np.sqrt((ux - xs) ** 2 + uy2 + params.h**2)
     guide = np.abs(feed_x - xs)
     lam = wavelength(params)

@@ -110,6 +110,13 @@ def circular_phase_error(a, b):
     return np.minimum(m, TWO_PI - m)
 
 
+def _turn_error(t0: float, t: float) -> float:
+    """:func:`circular_phase_error` of the phases 2pi * t and 2pi * t0, on
+    Python floats: the same correctly rounded operations, so the same bits."""
+    m = math.fmod(abs(TWO_PI * t - TWO_PI * t0), TWO_PI)
+    return min(m, TWO_PI - m)
+
+
 def feed_point(params: SystemParams) -> float:
     """The feed point both solvers use: the region's left edge."""
     return -params.side_d / 2.0
@@ -192,7 +199,7 @@ def _candidate_grid(
     return cand
 
 
-def _pick_candidate(turns: np.ndarray, cfg: AlgoConfig) -> int:
+def _pick_candidate(turns: np.ndarray, cfg: AlgoConfig, bound: float) -> int:
     """Index of one antenna's tuned position in its :func:`_candidate_grid`.
 
     ``turns`` holds the composite phases in turns from
@@ -203,21 +210,22 @@ def _pick_candidate(turns: np.ndarray, cfg: AlgoConfig) -> int:
     one with the smallest tolerance-weighted error is used.  Every candidate
     already keeps the spacing.
 
-    Every decision reads exact :func:`circular_phase_error` values, taken
-    on the phases 2pi * t that :func:`phases_and_distances` returns, t being
-    the composite phases in turns, and only at the few candidates a cheap
-    screen leaves.  For each user, the screen reads the difference in turns
-    q = t_k - t_0 to the inner neighbour's t_0, and s = |q - rint(q)| (the
-    subtraction is exact).  The exact error e is the exact distance from
-    d = fl(2pi t_k) - fl(2pi t_0), itself rounded, to a multiple of 2pi:
-    fmod is exact, and so is 2pi - m whenever it is the smaller.  So s and
-    e / 2pi are the distances of q and of d / 2pi to the nearest integer,
-    and differ by at most |q - d / 2pi|.  With u = 2**-53 and T the largest
-    |t| of the row, each product and difference rounds with a relative
-    error below u, so |q - d / 2pi| <= u (|t_k| + |t_0|) + 2u |t_k - t_0|
-    (to first order), at most 6u * T.  ``slack`` bounds that gap, with a wide
-    margin for rounding the thresholds and scores.  The screen then keeps
-    the answer:
+    Every decision reads exact :func:`circular_phase_error` values of the
+    phases 2pi * t that :func:`phases_and_distances` returns, t being the
+    composite phases in turns, and only at the few candidates a cheap screen
+    leaves (at its first hit, on Python floats by :func:`_turn_error`).
+    For each user, the screen reads the difference in turns q = t_k - t_0
+    to the inner neighbour's t_0, and s = |q - rint(q)| (the subtraction is
+    exact).  The exact error e is the exact distance from d = fl(2pi t_k) -
+    fl(2pi t_0), itself rounded, to a multiple of 2pi: fmod is exact, and
+    so is 2pi - m whenever it is the smaller.  So s and e / 2pi are the
+    distances of q and of d / 2pi to the nearest integer, and differ by at
+    most |q - d / 2pi|.  With u = 2**-53 and T = ``bound``, at or above
+    every |t| of the row (a tune takes it once, from :func:`_turns_bound`),
+    each product and difference rounds with a relative error below u, so
+    |q - d / 2pi| <= u (|t_k| + |t_0|) + 2u |t_k - t_0| (to first order),
+    at most 6u * T.  ``slack`` bounds that gap, with a wide margin for
+    rounding the thresholds and scores.  The screen then keeps the answer:
 
     - First fit.  A fit (e1 <= delta1 and e2 <= delta2) has
       s <= delta / 2pi + slack for both users, so every fit is a hit.  The
@@ -233,7 +241,7 @@ def _pick_candidate(turns: np.ndarray, cfg: AlgoConfig) -> int:
     first fit if there is one, and j otherwise, since every earlier
     candidate scores higher; a single such candidate is the answer
     outright.  Where the slack is not below both tolerances (a zero
-    tolerance, or phases too large or not finite), the screen cannot narrow
+    tolerance, or a bound too large or not finite), the screen cannot narrow
     the grid, and the rule runs on every candidate.
     """
     grid, inner = turns[:, 1:], turns[:, :1]
@@ -248,21 +256,36 @@ def _pick_candidate(turns: np.ndarray, cfg: AlgoConfig) -> int:
             return int(idx[np.argmax(fits)])
         return int(idx[np.argmin(errs[0] / w1 + errs[1] / w2)])  # tolerance-weighted fallback
 
-    slack = SCREEN_SLACK * (1.0 + float(np.abs(turns).max()))
+    slack = SCREEN_SLACK * (1.0 + bound)
     if not slack < min(d1, d2) / TWO_PI:  # NaN too: the screen cannot narrow the grid
         return scan(np.arange(grid.shape[1]))
-    q = grid - inner
-    off = np.abs(q - np.rint(q))
+    off = grid - inner
+    off -= np.rint(off)
+    off = np.abs(off, out=off)
     hits = (off[0] <= d1 / TWO_PI + slack) & (off[1] <= d2 / TWO_PI + slack)
-    first = int(np.argmax(hits))
+    first = int(hits.argmax())
     if hits[first]:  # the usual first fit; it misses only within the slack of an edge
-        errs = circular_phase_error(TWO_PI * grid[:, first], TWO_PI * inner[:, 0])
-        if errs[0] <= d1 and errs[1] <= d2:
+        (t1, k1), (t2, k2) = turns.take((0, first + 1), axis=1).tolist()
+        if _turn_error(t1, k1) <= d1 and _turn_error(t2, k2) <= d2:
             return first
     score = off[0] * (TWO_PI / w1) + off[1] * (TWO_PI / w2)
     near = score <= score.min() + 2.0 * slack * (TWO_PI / w1 + TWO_PI / w2)
     idx = np.flatnonzero(hits | near)
     return int(idx[0]) if idx.size == 1 else scan(idx)  # one holds no choice
+
+
+def _turns_bound(params: SystemParams, users: tuple, feed_x: float, reach: float) -> float:
+    """An upper bound on |t| over the composite phases t, in turns, that
+    :func:`phase_turns_and_distances` returns for ``users`` and ``feed_x`` at
+    any positions |x| <= ``reach``; NaN or infinite if an input is.  It
+    repeats the kernel's operations on operands at least as large (|u.x|
+    summed over the users plus reach, u.y**2 summed, |feed_x| + reach):
+    rounding is monotone, and the kernel's t = fl(p - g) of p, g >= 0 has
+    |t| <= max(p, g) <= fl(p + g)."""
+    lam = wavelength(params)
+    x = sum(abs(u.x) for u in users) + reach
+    far = math.sqrt(x * x + sum(u.y**2 for u in users) + params.h**2)
+    return far / lam + (abs(feed_x) + reach) / (lam / params.n_eff)
 
 
 def _tune_setup(step: float, shifts: int) -> np.ndarray:
@@ -305,11 +328,18 @@ def _tune_layout(
     n_ant = params.n_antennas
     c = center_index(n_ant)
     xs = list(layout.xs)
+    # If the array fits the region (see center_bounds), so does every cap, and
+    # every position a call reads is the centre or past it on its side, at most
+    # CAP_SLACK outside the region; max keeps a NaN centre NaN.
+    fits = _antenna_cap(params, c, -1) <= _antenna_cap(params, c, +1)
+    reach = max(abs(xs[c]), params.side_d / 2.0) + CAP_SLACK if fits else math.inf
+    bound = _turns_bound(params, users, layout.feed_x, reach)
     calls = []  # each round's kernel output, side by side
     column = [None] * n_ant  # each tuned position's column in those outputs
     base = 0  # columns of the earlier rounds' outputs
     for r in range(1, max(c, n_ant - 1 - c) + 1):
-        picks, parts, width = [], [], 0  # picks: (side, antenna, grid, first column)
+        picks, width = [], 0  # picks: (side, antenna, grid, first column)
+        row = np.empty(2 * offsets.size + 2)  # inner neighbours, grids times side (exact)
         for side in (+1, -1):
             n = c + side * r
             if not 0 <= n < n_ant:
@@ -320,14 +350,14 @@ def _tune_layout(
                 xs[n] = side * min(inner + params.delta_min, cap)
                 continue
             picks.append((side, n, cand, width))
-            parts += ([xs[n - side]], cand if side > 0 else -cand)
+            row[width] = xs[n - side]  # a grid is never longer than ``offsets``
+            np.multiply(cand, side, out=row[width + 1:width + 1 + cand.size])
             width += cand.size + 1
         if not picks:
             continue
-        calls.append(phase_turns_and_distances(params, users, np.concatenate(parts),
-                                               layout.feed_x))
+        calls.append(phase_turns_and_distances(params, users, row[:width], layout.feed_x))
         for side, n, cand, first in picks:
-            k = _pick_candidate(calls[-1][0][:, first:first + cand.size + 1], cfg)
+            k = _pick_candidate(calls[-1][0][:, first:first + cand.size + 1], cfg, bound)
             xs[n] = side * float(cand[k])
             if column[n - side] is None:  # the centre, or an antenna at minimum pitch
                 column[n - side] = base + first

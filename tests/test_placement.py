@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pinchopt import (
     AlgoConfig,
@@ -28,6 +28,7 @@ from pinchopt import (
     wavelength,
 )
 from pinchopt.channel import (
+    FC_RANGE_HZ,
     MAX_N_EFF,
     MAX_SIZE_M,
     phase_turns_and_distances,
@@ -38,10 +39,12 @@ from pinchopt.oracle import batch_solution_metrics
 from pinchopt import channel, placement, sim
 from pinchopt.placement import (
     MAX_FINE_SHIFTS,
+    SCREEN_SLACK,
     _channel_scope,
     _ScopedTable,
     _tune_layout,
     _tune_setup,
+    _turns_bound,
     CAP_SLACK,
     _antenna_cap,
     center_bounds,
@@ -87,6 +90,14 @@ class TestCircularPhaseError:
         expected = np.minimum(m, TWO_PI - m)
         assert np.array_equal(circular_phase_error(a, b), expected)
         assert circular_phase_error(a[0], b[0]) == expected[0]
+
+    def test_turn_error_on_python_floats_is_bit_equal(self, rng):
+        # phases in turns from 1e-3 to 1e12, the range the config admits
+        size = (2, 20_000)
+        t = rng.uniform(-1.0, 1.0, size=size) * 10.0 ** rng.uniform(-3, 12, size=size)
+        want = circular_phase_error(TWO_PI * t[1], TWO_PI * t[0])
+        got = [placement._turn_error(t0, t1) for t0, t1 in zip(*t.tolist())]
+        assert [g.hex() for g in got] == [float(w).hex() for w in want]
 
 
 class TestInitialLayout:
@@ -527,12 +538,18 @@ TOLERANCES = st.sampled_from(
 
 
 UNIT = st.floats(min_value=0.0, max_value=1.0)
-# up to the config's limits, as the screen's slack grows with the largest phase
+# a region coordinate in units of the side, its two corners included
+PICK_PLACES = st.sampled_from((0.0, 1.0)) | UNIT
+# up to the config's limits, as the screen's slack grows with the phases' bound
 PICK_SIDES = (st.sampled_from((10.0, 30.0, MAX_SIZE_M))
               | st.floats(min_value=0.05, max_value=MAX_SIZE_M))
 PICK_N_EFF = (st.sampled_from((1.0, 1.4, MAX_N_EFF))
               | st.floats(min_value=1.0, max_value=MAX_N_EFF))
 PICK_H = st.sampled_from((3.0,)) | st.floats(min_value=0.1, max_value=10.0)
+# log-uniform over the whole range: the high end takes the full scan
+PICK_FC = st.sampled_from((28e9,)) | st.floats(
+    min_value=math.log10(FC_RANGE_HZ[0]), max_value=math.log10(FC_RANGE_HZ[1])
+).map(lambda e: min(max(10.0**e, FC_RANGE_HZ[0]), FC_RANGE_HZ[1]))
 PICK_SIZES = st.sampled_from((1, 2, 3, 1001)) | st.integers(min_value=1, max_value=1001)
 # a positive shift puts the inner neighbour past the rigid position's pitch;
 # past 1 it leaves every candidate too close
@@ -544,14 +561,17 @@ def pick_cases(draw):
     """Arguments of one fine-tune pick: the geometry, the users, the feed
     side, the inner neighbour (the centre for the first antenna) and the
     candidate grid, which may start inside the inner neighbour's minimum
-    pitch, hold 1 to 1001 candidates and run past a cap.  A tolerance may sit
-    exactly on, or just inside, one candidate's exact phase error."""
+    pitch, hold 1 to 1001 candidates and run past a cap.  The users and the
+    inner neighbour may sit on the region's corners, where the phases and
+    their bound are largest.  A tolerance may sit exactly on, or just
+    inside, one candidate's exact phase error."""
     side_d = draw(PICK_SIDES)
-    params = SystemParams(n_eff=draw(PICK_N_EFF), h=draw(PICK_H), side_d=side_d)
-    users = tuple(UserPosition(side_d * (draw(UNIT) - 0.5), side_d * (draw(UNIT) - 0.5))
-                  for _ in range(2))
+    params = SystemParams(fc=draw(PICK_FC), n_eff=draw(PICK_N_EFF), h=draw(PICK_H),
+                          side_d=side_d)
+    users = tuple(UserPosition(side_d * (draw(PICK_PLACES) - 0.5),
+                               side_d * (draw(PICK_PLACES) - 0.5)) for _ in range(2))
     feed_x = side_d * (draw(st.sampled_from((0, 1))) - 0.5)
-    inner_x = side_d * (draw(UNIT) - 0.5)
+    inner_x = side_d * (draw(PICK_PLACES) - 0.5)
     step = wavelength(params) / 100.0
     size = draw(PICK_SIZES)
     cand = inner_x + params.delta_min + step * (np.arange(size) - draw(PICK_SHIFTS) * (size - 1))
@@ -561,7 +581,7 @@ def pick_cases(draw):
     delta1, delta2 = draw(TOLERANCES), draw(TOLERANCES)
     edge = draw(st.sampled_from((None, 0, 1)))
     if edge is not None:
-        k = int(draw(UNIT) * (size - 1))
+        k = int(draw(PICK_PLACES) * (size - 1))  # the first candidate too
         phases = phases_and_distances(params, users[edge], np.array([inner_x, cand[k]]), feed_x)[0]
         err = float(circular_phase_error(phases[1], phases[0]))
         err = draw(st.sampled_from((err, math.nextafter(err, 0.0))))
@@ -573,13 +593,15 @@ def pick_cases(draw):
 def screened_pick(params, users, cfg, feed_x, cand, inner_x, cap) -> float:
     """One antenna's step of ``_tune_layout`` on its own, in outward
     coordinates: its trimmed grid, one kernel call led by the inner
-    neighbour, and the screened pick on that call's turns."""
+    neighbour, and the screened pick on that call's turns, with their bound
+    at the largest |x| the call reads (the grid ascends)."""
     grid = placement._candidate_grid(params, cand, inner_x, cap)
     if grid.size == 0:
         return min(inner_x + params.delta_min, cap)
     xs = np.concatenate(([inner_x], grid))
     turns = phase_turns_and_distances(params, users, xs, feed_x)[0]
-    return float(grid[placement._pick_candidate(turns, cfg)])
+    bound = _turns_bound(params, users, feed_x, float(np.abs(xs[[0, 1, -1]]).max()))
+    return float(grid[placement._pick_candidate(turns, cfg, bound)])
 
 
 @given(pick_cases())
@@ -648,6 +670,56 @@ def test_tune_matches_per_antenna_scan(case):
         assert stored[1] is tuned.spacing_ok(params)
 
 
+# the users below the middle and the array at the far end from the feed,
+# where the guided phase outgrows the free-space one
+@example((SystemParams(), initial_layout(SystemParams(), center_bounds(SystemParams())[1], -5.0),
+          (UserPosition(0.0, 0.0), UserPosition(0.1, 0.0)), AlgoConfig()))
+# an array too long for its region: its caps, and the antennas pinned on
+# them, lie far past the region's other edge
+@example((SystemParams(side_d=0.02, n_antennas=101, delta_min=0.01, h=0.1),
+          AntennaLayout(tuple((n - 50) * 0.01 for n in range(101)), 0.01),
+          (UserPosition(0.01, 0.0), UserPosition(0.005, 0.0)), AlgoConfig()))
+# a centre far outside the region, which the left antenna's grid follows
+@example((SystemParams(), AntennaLayout((49.99, 50.0, 50.01), -5.0),
+          (UserPosition(0.0, 0.0), UserPosition(0.1, 0.0)), AlgoConfig()))
+@given(tune_cases())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_turns_bound_covers_every_kernel_call(case):
+    """The one bound on |t| that a tune takes is at or above every phase,
+    in turns, of every kernel call the tune makes."""
+    params, layout, users, cfg = case
+    bounds, maxima = [], []
+
+    def bound(*args):
+        bounds.append(_turns_bound(*args))
+        return bounds[-1]
+
+    def kernel(*args):
+        turns, dist = phase_turns_and_distances(*args)
+        maxima.append(float(np.abs(turns).max()))
+        return turns, dist
+
+    with mock.patch.object(placement, "_turns_bound", bound), \
+            mock.patch.object(placement, "phase_turns_and_distances", kernel):
+        _tune_layout(params, layout, users, cfg)
+    assert len(bounds) == 1
+    assert all(m <= bounds[0] for m in maxima)
+
+
+@pytest.mark.parametrize("side_d", sim.SweepSpec().d_values)
+@pytest.mark.parametrize("delta1, delta2", sim.SweepSpec().delta_pairs)
+def test_turns_bound_keeps_the_screen_at_the_defaults(side_d, delta1, delta2):
+    """At each shipped region size and tolerance pair, the slack from the
+    bound stays below both tolerances in turns even with the users and the
+    feed on the region's corners, where the bound is largest, so every pick
+    there is screened."""
+    params = SystemParams(side_d=side_d)
+    half = side_d / 2.0
+    users = (UserPosition(half, half), UserPosition(-half, -half))
+    bound = _turns_bound(params, users, placement.feed_point(params), half + CAP_SLACK)
+    assert SCREEN_SLACK * (1.0 + bound) < min(delta1, delta2) / TWO_PI
+
+
 class TestPickOnCraftedPhases:
     """The pick on composite phases that drawn geometry seldom produces."""
 
@@ -662,7 +734,9 @@ class TestPickOnCraftedPhases:
         those phases."""
         row = np.concatenate(([0.0], diffs))
         cand = 1.0 + 0.01 * np.arange(len(diffs))
-        pick = float(cand[placement._pick_candidate(np.stack([row, row]), cfg)])
+        # the bound at the row's largest phase: NaN when a phase is
+        bound = float(np.abs(row).max())
+        pick = float(cand[placement._pick_candidate(np.stack([row, row]), cfg, bound)])
 
         def turns(params, user, xs, feed_x):
             return row, None

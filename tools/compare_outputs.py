@@ -12,10 +12,15 @@ directory, which is removed again at the end.  From each tree, with its own
 - ``pinch sweep oracle`` at D = 30 m and 0 dBm: its table and config.json;
 - ``pinch sweep power`` over every scheme (``pinching``, both fixed-array
   baselines and ``exhaustive``) at 4 trials: its table and config.json;
+- ``pinch sweep power`` at ``qos.r1_min=4 qos.r2_min=4``, where bisection
+  walks move left and the power levels' walks part ways: its table and
+  config.json;
 - ``pinch solve`` at the defaults, at ``system.n_antennas`` 1, 2, 4 and 5
   (N = 3 tunes one antenna per side, so these cover the single antenna and
-  the rounds of a longer chain), and at ``algo.delta2=0`` (a zero tolerance
-  takes the pick's full scan): its standard output and exit code.
+  the rounds of a longer chain), at ``algo.delta2=0`` (a zero tolerance
+  takes the pick's full scan), and at ``algo.delta1=0.01 algo.delta2=0.01``
+  (most picks find no fit and take the fallback): its standard output and
+  exit code.
 
 Prints one line per comparison and exits 0 when every output matches, 1
 when one differs or a figures or sweep run fails in either tree.  Only the
@@ -35,8 +40,10 @@ FIGURES = ("fig2.csv", "fig3.csv", "fig4.csv", "config.json")
 ORACLE_SET = ("--set", "sweep.d_values=[30]", "--set", "sweep.pt_dbm_values=[0]")
 POWER_SET = ("--set", 'sweep.schemes=["pinching","conventional-uniform",'
              '"conventional-mrt","exhaustive"]', "--set", "sweep.trials=4")
+QOS_SET = ("--set", "qos.r1_min=4", "--set", "qos.r2_min=4")
 SOLVE_SETS = ((), *(("--set", f"system.n_antennas={n}") for n in (1, 2, 4, 5)),
-              ("--set", "algo.delta2=0"))
+              ("--set", "algo.delta2=0"),
+              ("--set", "algo.delta1=0.01", "--set", "algo.delta2=0.01"))
 
 
 def pinch(tree: Path, *args: str) -> subprocess.CompletedProcess:
@@ -59,6 +66,9 @@ def outputs(tree: Path, seed: int, out: Path) -> dict[str, bytes | str]:
     runs.append(("sweep power", out / "power", ("power.csv", "config.json"),
                  ("sweep", "power", "--out", str(out / "power" / "power.csv"),
                   "--threads", "1", *POWER_SET)))
+    runs.append(("sweep power qos 4/4", out / "power-qos", ("power.csv", "config.json"),
+                 ("sweep", "power", "--out", str(out / "power-qos" / "power.csv"),
+                  "--threads", "1", *QOS_SET)))
     for label, directory, files, args in runs:
         directory.mkdir(parents=True)
         proc = pinch(tree, *args, "--seed", str(seed))
