@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 from .channel import SystemParams, UserPosition, check_number
 from .noma import QosTargets
-from .oracle import OracleConfig, OracleSizeError, grid_points
-from .placement import AlgoConfig, bisection_solve, center_bounds, check_users
+from .oracle import OracleConfig, OracleSizeError
+from .placement import AlgoConfig, bisection_solve, check_users
 from .sim import (
     SWEEPS,
     SamplingError,
@@ -74,26 +74,6 @@ def build_config(doc: dict) -> RunConfig:
     cfg = _build(RunConfig, doc, "", **built)
     cfg.algo.resolved_max_shifts(cfg.system)  # an oversized budget fails before any output
     return cfg
-
-
-def _check_sweep_sizes(cfg: RunConfig, command: str, which: str | None = None) -> None:
-    """Refuse, before any run or output, what the command would meet at a
-    swept region size D: an array that does not fit D, for the commands that
-    sweep, and a worst-case reference-search grid too large for D, at each D
-    where a reference search runs (fig4's first D, in ``figures`` and ``sweep
-    oracle``, and every D of a ``figures`` or ``sweep power`` whose schemes
-    include ``exhaustive``).  ``solve`` uses neither."""
-    if command == "solve":
-        return
-    sweeps = SWEEPS if command == "figures" else (which,)
-    searched = set(cfg.sweep.d_values[:1]) if "oracle" in sweeps else set()
-    if "power" in sweeps and "exhaustive" in cfg.sweep.schemes:
-        searched.update(cfg.sweep.d_values)
-    for d in cfg.sweep.d_values:
-        params = dataclasses.replace(cfg.system, side_d=d)
-        center_bounds(params)
-        if d in searched:
-            grid_points(d, cfg.oracle.resolved_step(params))  # the grid is clipped to the region
 
 
 def _set_path(doc: dict, dotted: str, value) -> None:
@@ -233,20 +213,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="override sweep.seed")
     p.add_argument("--set", metavar="KEY=VALUE", action="append", default=[],
                    dest="overrides", help="override a config key (repeatable)")
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=int, default=1,
                    help="worker processes for sweeps; 0 = one per CPU, never "
-                        "more than CPUs or tasks (default: PINCH_THREADS or 1)")
-
-
-def _resolve_threads(value: int | None) -> int:
-    source = "--threads"
-    if value is None:
-        source, env = "PINCH_THREADS", os.environ.get("PINCH_THREADS", "1")
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"PINCH_THREADS must be an integer, got {env!r}") from exc
-    return check_number(source, value, 0, integer=True)
+                        "more than CPUs or tasks (default: 1)")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -273,14 +242,13 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = load_config(args.config, args.overrides, args.seed)
-        _check_sweep_sizes(cfg, args.command, getattr(args, "which", None))
-        threads = _resolve_threads(args.threads)
+        threads = check_number("--threads", args.threads, 0, integer=True)
         if args.command == "solve":
             return cmd_solve(cfg)
         if args.command == "sweep":
             return cmd_sweep(cfg, args.which, args.out, threads)
         return cmd_figures(cfg, args.out_dir, threads)
-    except (ConfigError, ValueError, OSError, OracleSizeError, SamplingError) as exc:
+    except (ValueError, OSError, OracleSizeError, SamplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -29,8 +29,8 @@ from .channel import (
     conventional_effective_gain,
 )
 from .noma import ZERO_RATES, QosTargets, evaluate_snrs, snr_scale
-from .oracle import OracleConfig, exhaustive_placement
-from .placement import AlgoConfig, _ScopedTable, bisection_solve
+from .oracle import OracleConfig, exhaustive_placement, grid_points
+from .placement import AlgoConfig, _ScopedTable, bisection_solve, center_bounds
 
 SCHEMES = ("pinching", *BASELINE_SCHEMES, "exhaustive")
 # baseline scheme -> both users' |g|^2, which no power enters, for the
@@ -201,6 +201,20 @@ def _run_group(jobs):
     return [(i, evaluate_scheme(*task)) for i, task in jobs]
 
 
+def _check_tasks(plans) -> None:
+    """Refuse, before any task runs, what a task would meet: an array that does
+    not fit the region, for the solver and the reference search, and a search
+    grid over its cap on the worst case, the whole region (the grid is clipped
+    to it).  Each distinct task configuration is checked once, in task order."""
+    configs = dict.fromkeys((t[0], t[4], t[5:]) for _, rows, _ in plans
+                            for _, _, ts in rows for t in ts)
+    for params, scheme, tail in configs:  # tail: (oracle_cfg,) on an exhaustive task
+        if scheme in ("pinching", "exhaustive"):
+            center_bounds(params)
+        if scheme == "exhaustive":
+            grid_points(params.side_d, tail[0].resolved_step(params))
+
+
 def _run_plans(plans, threads: int) -> list[SweepResult]:
     """Run sweeps' ``(header, rows, stat)`` plans as one task list.  A row is
     ``(key, cells, tasks)``, its table row ``cells + stat(records[key])``, and
@@ -301,13 +315,15 @@ def run_sweeps(
     """The named :data:`SWEEPS`, in order, each as from running it alone, but
     from one task list, so every sweep meets the layouts the others tuned on
     each scenario.  Each (region size, trial) drop is drawn once and the same
-    :class:`Scenario` goes to every sweep."""
+    :class:`Scenario` goes to every sweep.  Every distinct task configuration
+    is checked before any task runs (``PlacementError``, ``OracleSizeError``)."""
     @functools.cache
     def drops(side_d: float) -> list[Scenario]:
         return [sample_scenario(trial_rng(sweep.seed, t), side_d, seed_id=t)
                 for t in range(sweep.trials)]
 
     plans = [SWEEPS[name](params, qos, cfg, sweep, oracle_cfg, drops) for name in names]
+    _check_tasks(plans)
     return _run_plans(plans, threads)
 
 

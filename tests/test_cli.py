@@ -7,9 +7,10 @@ import time
 import pytest
 
 import pinchopt
-from pinchopt.cli import ConfigError, _check_sweep_sizes, build_config, load_config, main
+from pinchopt import sim
+from pinchopt.cli import ConfigError, build_config, load_config, main
 from pinchopt.oracle import OracleSizeError
-from pinchopt.sim import SamplingError
+from pinchopt.sim import SamplingError, run_sweeps
 
 SCENARIO_SET = 'scenario={"user1":{"x":2.0,"y":1.0},"user2":{"x":-2.0,"y":0.3}}'
 SMALL_SWEEP = [
@@ -215,7 +216,8 @@ class TestSolveCommand:
 
 class TestReferenceGridCheck:
     """The reference-search grid is sized, on the worst case of side_d / step
-    points at every swept D and before any draw, only where a search runs."""
+    points, before any task and only where a search runs; the array is fitted
+    to a region only where it is placed."""
 
     # a tiny step, and an fc whose default step (a tenth of a wavelength) is one
     TOO_FINE = ["oracle.position_step=1e-9", "system.fc=1e14"]
@@ -235,6 +237,13 @@ class TestReferenceGridCheck:
     ], ids=["figures", "sweep-oracle", "sweep-power-exhaustive"])
     def test_search_commands_refuse_oversized_grid(self, command, value, tmp_path,
                                                    monkeypatch, capsys):
+        calls = []
+
+        def refused(*args):
+            calls.append(args)
+            raise AssertionError("a task ran before the grid was sized")
+
+        monkeypatch.setattr(sim, "evaluate_scheme", refused)
         monkeypatch.chdir(tmp_path)
         if command[0] == "sweep":
             os.mkdir("D")
@@ -242,19 +251,38 @@ class TestReferenceGridCheck:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: position grid of") and "Traceback" not in err
+        assert calls == []
         assert os.listdir(tmp_path) == (["D"] if command[0] == "sweep" else [])
         assert command[0] == "figures" or os.listdir("D") == []
 
-    def test_grid_checked_only_where_searched(self):
+    def test_grid_checked_only_where_searched(self, monkeypatch):
+        monkeypatch.setattr(sim, "_run_plans", lambda plans, threads: plans)  # checks only
+
+        def check(names, *extra):
+            cfg = load_config(None, [*sets, *extra], None)
+            run_sweeps(names, cfg.system, cfg.qos, cfg.algo, cfg.sweep, cfg.oracle)
+
         # 1.5e-5 m steps: 6.7e5 points over 10 m, 2e6 over 30 m
-        sets = ["sweep.d_values=[10,30]", "oracle.position_step=1.5e-5"]
-        cfg = load_config(None, sets, None)
-        for command, which in (("figures", None), ("sweep", "oracle"), ("sweep", "power")):
-            _check_sweep_sizes(cfg, command, which)  # fig4 searches at the first D only
-        cfg = load_config(None, [*sets, 'sweep.schemes=["pinching","exhaustive"]'], None)
-        for command, which in (("figures", None), ("sweep", "power")):
+        sets = ["sweep.d_values=[10,30]", "oracle.position_step=1.5e-5", "sweep.trials=1"]
+        for names in (list(sim.SWEEPS), ["oracle"], ["power"]):
+            check(names)  # fig4 searches at the first D only
+        for names in (list(sim.SWEEPS), ["power"]):
             with pytest.raises(OracleSizeError, match="position grid of 2e"):
-                _check_sweep_sizes(cfg, command, which)
+                check(names, 'sweep.schemes=["pinching","exhaustive"]')
+
+    def test_array_checked_only_where_placed(self, tmp_path, capsys):
+        # the delta sweep runs at the first D only, so 1 mm is never placed on
+        out = tmp_path / "t.csv"
+        assert main(["sweep", "delta", "--out", str(out), "--set", "sweep.d_values=[10,0.001]",
+                     "--set", "sweep.trials=1", "--set", "sweep.pt_dbm_values=[0]"]) == 0
+        assert "3 rows" in capsys.readouterr().out
+        assert len(out.read_text().splitlines()) == 1 + 3
+        # a fixed array is never placed, so it may be longer than the region
+        out = tmp_path / "p.csv"
+        assert main(["sweep", "power", "--out", str(out), "--set", "system.n_antennas=3000",
+                     "--set", 'sweep.schemes=["conventional-uniform"]',
+                     "--set", "sweep.trials=1", "--set", "sweep.pt_dbm_values=[0]"]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 3
 
     def test_power_sweep_without_search_runs_no_grid_check(self, tmp_path):
         out = tmp_path / "fig2.csv"
@@ -414,27 +442,11 @@ class TestUsageErrors:
     def test_missing_required_out_exits_one(self, capsys):
         assert main(["sweep", "power"]) == 1
 
-    def test_bad_threads_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("PINCH_THREADS", "many")
-        code = main(["sweep", "power", "--out", str(tmp_path / "t.csv"),
-                     "--seed", "5", *SMALL_SWEEP])
-        assert code == 1
-        assert "PINCH_THREADS" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flag", ["--threads", "env"])
-    def test_negative_threads_exit_one(self, tmp_path, monkeypatch, capsys, flag):
+    @pytest.mark.parametrize("flag", [["--threads", "-3"], ["--threads=-3"]],
+                             ids=["--threads", "--threads="])
+    def test_negative_threads_exit_one(self, tmp_path, capsys, flag):
         args = ["sweep", "power", "--out", str(tmp_path / "t.csv"), "--seed", "5",
-                *SMALL_SWEEP]
-        if flag == "env":
-            monkeypatch.setenv("PINCH_THREADS", "-2")
-        else:
-            args += ["--threads", "-3"]
+                *SMALL_SWEEP, *flag]
         assert main(args) == 1
-        assert "must be >= 0" in capsys.readouterr().err
+        assert "--threads must be >= 0, got -3" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
-
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PINCH_THREADS", "1")
-        out = tmp_path / "t.csv"
-        assert main(["sweep", "power", "--out", str(out), "--seed", "5", *SMALL_SWEEP]) == 0
-        assert out.exists()

@@ -3,9 +3,12 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinchopt import (
     AlgoConfig,
+    OracleConfig,
     QosTargets,
     ResultTable,
     Scenario,
@@ -19,7 +22,9 @@ from pinchopt import (
     write_table,
 )
 from pinchopt import sim
-from pinchopt.sim import worker_count
+from pinchopt.oracle import OracleSizeError
+from pinchopt.placement import PlacementError
+from pinchopt.sim import SCHEMES, SWEEPS, worker_count
 
 FIGURES = ["power", "delta", "oracle"]
 
@@ -255,6 +260,34 @@ class TestRunSweeps:
         together = run_sweeps(FIGURES, SystemParams(), QosTargets(), AlgoConfig(), spec)
         assert sorted(drawn) == [(d, t) for d in spec.d_values for t in range(spec.trials)]
         assert [r.table for r in together] == [r.table for r in alone]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(names=st.lists(st.sampled_from(list(SWEEPS)), min_size=1, unique=True),
+       d_values=st.lists(st.sampled_from([0.004, 0.012, 10.0]), min_size=1, unique=True),
+       n_antennas=st.integers(1, 4),
+       schemes=st.lists(st.sampled_from(SCHEMES), min_size=1, unique=True),
+       fine_step=st.booleans())
+def test_refused_before_any_task_or_never(names, d_values, n_antennas, schemes, fine_step):
+    """A sweep is refused before its first task, or no task meets a size error:
+    arrays of 1 to 4 antennas on regions they do or do not fit, and a search
+    step whose worst-case grid is 2e6 points over the default 10 m region."""
+    params = SystemParams(n_antennas=n_antennas)
+    oracle_cfg = OracleConfig(position_step=params.side_d / 2e6 if fine_step else None)
+    spec = SweepSpec(pt_dbm_values=(0.0,), d_values=tuple(d_values), trials=1,
+                     schemes=tuple(schemes))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return evaluate_scheme(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "evaluate_scheme", counting)
+        try:
+            run_sweeps(names, params, QosTargets(), AlgoConfig(), spec, oracle_cfg)
+        except (PlacementError, OracleSizeError):
+            assert calls == []
 
 
 class TestWorkerCount:

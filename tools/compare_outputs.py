@@ -20,11 +20,17 @@ directory, which is removed again at the end.  From each tree, with its own
   the rounds of a longer chain), at ``algo.delta2=0`` (a zero tolerance
   takes the pick's full scan), and at ``algo.delta1=0.01 algo.delta2=0.01``
   (most picks find no fit and take the fallback): its standard output and
-  exit code.
+  exit code;
+- refused runs, each with its exit code and standard error byte for byte:
+  ``pinch figures`` at ``system.n_antennas=3000`` (the array does not fit),
+  ``pinch sweep oracle`` at ``oracle.position_step=1e-9`` and ``pinch sweep
+  power`` of ``exhaustive`` at ``system.fc=1e14`` (reference grids over
+  their cap), ``pinch solve`` at ``algo.fine_step=1e-16`` (a fine-tune
+  budget over its cap) and ``pinch figures --threads -1``.
 
 Prints one line per comparison and exits 0 when every output matches, 1
-when one differs or a figures or sweep run fails in either tree.  Only the
-standard library is used.
+when one differs or a figures or sweep run that should succeed fails in
+either tree.  Only the standard library is used.
 """
 from __future__ import annotations
 
@@ -49,7 +55,7 @@ SOLVE_SETS = ((), *(("--set", f"system.n_antennas={n}") for n in (1, 2, 4, 5)),
 def pinch(tree: Path, *args: str) -> subprocess.CompletedProcess:
     """``python -m pinchopt ARGS`` run from ``tree`` on its own sources."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    env.pop("PINCH_THREADS", None)
+    env.pop("PINCH_THREADS", None)  # read as the worker count by older revisions
     return subprocess.run([sys.executable, "-m", "pinchopt", *args], cwd=tree, env=env,
                           capture_output=True, text=True, timeout=1800)
 
@@ -82,6 +88,21 @@ def outputs(tree: Path, seed: int, out: Path) -> dict[str, bytes | str]:
         proc = pinch(tree, "solve", *sets, "--seed", str(seed))
         got[f"{label}: exit code"] = str(proc.returncode)
         got[f"{label}: stdout"] = proc.stdout
+    (out / "refused").mkdir()  # exists, so no path check comes before the refusal
+    to = ("--out", str(out / "refused" / "t.csv"))
+    refusals = {
+        "figures n_antennas=3000": ("figures", *to, "--set", "system.n_antennas=3000"),
+        "sweep oracle position_step=1e-9": ("sweep", "oracle", *to,
+                                            "--set", "oracle.position_step=1e-9"),
+        "sweep power exhaustive fc=1e14": ("sweep", "power", *to, "--set", "system.fc=1e14",
+                                           "--set", 'sweep.schemes=["exhaustive"]'),
+        "solve fine_step=1e-16": ("solve", "--set", "algo.fine_step=1e-16"),
+        "figures --threads -1": ("figures", *to, "--threads", "-1"),
+    }
+    for label, args in refusals.items():
+        proc = pinch(tree, *args, "--seed", str(seed))
+        got[f"refused {label}: exit code"] = str(proc.returncode)
+        got[f"refused {label}: stderr"] = proc.stderr
     return got
 
 
