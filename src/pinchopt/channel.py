@@ -190,21 +190,32 @@ def phase_turns_and_distances(
     counted in turns (cycles of 2 pi).  ``xs`` may have any shape; results
     share it.  Given a sequence of users, the results gain a leading users
     axis, and each row is bit-equal to that user's own call.  This is the
-    single source of truth for the phase arithmetic used throughout.
+    single source of truth for the phase arithmetic used throughout:
+    sqrt(((ux - x)**2 + uy**2) + h**2) / lam - |feed_x - x| / (lam / n_eff),
+    in that order, in place in full-shape buffers (so a 0-d ``xs`` too is
+    squared as an array, not by a NumPy scalar's pow).
     """
     xs = np.asarray(xs, dtype=float)
     if isinstance(user, UserPosition):
-        ux, uy2 = user.x, user.y**2
+        ux, uy2, shape = user.x, user.y**2, xs.shape
     else:
         # each y squared by Python's ** as above: its pow and NumPy's y*y
         # differ in the last bit for about one float in a thousand
         cols = np.array([u.x for u in user] + [u.y**2 for u in user]).reshape(
             (2, -1) + (1,) * xs.ndim)
-        ux, uy2 = cols[0], cols[1]
-    dist = np.sqrt((ux - xs) ** 2 + uy2 + params.h**2)
-    guide = np.abs(feed_x - xs)
+        ux, uy2, shape = cols[0], cols[1], (len(cols[0]),) + xs.shape
+    dist = np.subtract(ux, xs, out=np.empty(shape))
+    np.square(dist, out=dist)
+    dist += uy2
+    dist += params.h**2
+    np.sqrt(dist, out=dist)
+    guide = np.subtract(feed_x, xs, out=np.empty(xs.shape))
+    np.abs(guide, out=guide)
     lam = wavelength(params)
-    return dist / lam - guide / (lam / params.n_eff), dist
+    turns = dist / lam
+    guide /= lam / params.n_eff
+    turns -= guide
+    return turns, dist
 
 
 def phases_and_distances(

@@ -239,10 +239,10 @@ def _pick_candidate(turns: np.ndarray, cfg: AlgoConfig, bound: float) -> int:
 
     Run on the hits and the near candidates, the rule therefore returns the
     first fit if there is one, and j otherwise, since every earlier
-    candidate scores higher; a single such candidate is the answer
-    outright.  Where the slack is not below both tolerances (a zero
-    tolerance, or a bound too large or not finite), the screen cannot narrow
-    the grid, and the rule runs on every candidate.
+    candidate scores higher; a single such candidate is the answer outright
+    (with no hit, so no fit, it is m).  Where the slack is not below both
+    tolerances (a zero tolerance, or a bound too large or not finite), the
+    screen cannot narrow the grid, and the rule runs on every candidate.
     """
     grid, inner = turns[:, 1:], turns[:, :1]
     d1, d2 = cfg.delta1, cfg.delta2
@@ -269,31 +269,41 @@ def _pick_candidate(turns: np.ndarray, cfg: AlgoConfig, bound: float) -> int:
         if _turn_error(t1, k1) <= d1 and _turn_error(t2, k2) <= d2:
             return first
     score = off[0] * (TWO_PI / w1) + off[1] * (TWO_PI / w2)
-    near = score <= score.min() + 2.0 * slack * (TWO_PI / w1 + TWO_PI / w2)
-    idx = np.flatnonzero(hits | near)
+    m = int(score.argmin())
+    near = score <= score[m] + 2.0 * slack * (TWO_PI / w1 + TWO_PI / w2)
+    if hits[first]:  # a later hit may still fit
+        near |= hits
+    elif np.count_nonzero(near) == 1:  # no fit, and m alone is near
+        return m
+    idx = np.flatnonzero(near)
     return int(idx[0]) if idx.size == 1 else scan(idx)  # one holds no choice
 
 
-def _turns_bound(params: SystemParams, users: tuple, feed_x: float, reach: float) -> float:
+def _turns_bound(params: SystemParams, setup: tuple, feed_x: float, reach: float) -> float:
     """An upper bound on |t| over the composite phases t, in turns, that
-    :func:`phase_turns_and_distances` returns for ``users`` and ``feed_x`` at
-    any positions |x| <= ``reach``; NaN or infinite if an input is.  It
-    repeats the kernel's operations on operands at least as large (|u.x|
-    summed over the users plus reach, u.y**2 summed, |feed_x| + reach):
-    rounding is monotone, and the kernel's t = fl(p - g) of p, g >= 0 has
-    |t| <= max(p, g) <= fl(p + g)."""
-    lam = wavelength(params)
-    x = sum(abs(u.x) for u in users) + reach
-    far = math.sqrt(x * x + sum(u.y**2 for u in users) + params.h**2)
-    return far / lam + (abs(feed_x) + reach) / (lam / params.n_eff)
+    :func:`phase_turns_and_distances` returns for the users of ``setup`` (a
+    :func:`_tune_setup`) and ``feed_x`` at any positions |x| <= ``reach``;
+    NaN or infinite if an input is.  It repeats the kernel's operations on
+    operands at least as large (|u.x| summed over the users plus reach,
+    u.y**2 summed, |feed_x| + reach): rounding is monotone, and the kernel's
+    t = fl(p - g) of p, g >= 0 has |t| <= max(p, g) <= fl(p + g)."""
+    lam, x_sum, y2_sum, guide_lam = setup[2:]
+    x = x_sum + reach
+    far = math.sqrt(x * x + y2_sum + params.h**2)
+    return far / lam + (abs(feed_x) + reach) / guide_lam
 
 
-def _tune_setup(step: float, shifts: int) -> np.ndarray:
-    """The outward offset grid of ``shifts`` fine steps that :func:`_tune_layout`
-    adds to each antenna's position (read-only, as it is shared)."""
+def _tune_setup(params: SystemParams, users: tuple, cfg: AlgoConfig) -> tuple:
+    """What the tunes of one scope share for ``cfg``'s step and budget: the
+    outward offset grid and its negation (read-only, as they are shared), and
+    the operands of :func:`_turns_bound` the scope fixes (lam, sum |u.x|, sum
+    u.y**2, lam / n_eff).  An over-cap budget raises before any allocation."""
+    step, shifts = cfg.resolved_fine_step(params), cfg.resolved_max_shifts(params)
     offsets = step * np.arange(shifts + 1)
-    offsets.flags.writeable = False
-    return offsets
+    lam, left = wavelength(params), -offsets
+    offsets.flags.writeable = left.flags.writeable = False
+    return (offsets, left, lam, sum(abs(u.x) for u in users), sum(u.y**2 for u in users),
+            lam / params.n_eff)
 
 
 def _tune_layout(
@@ -303,7 +313,7 @@ def _tune_layout(
     cfg: AlgoConfig,
 ) -> AntennaLayout:
     """Uncached body of :func:`fine_tune`.  Its :func:`_tune_setup` is built
-    once per scope, in the tuned-layout table under the key (step, budget).
+    once per scope, in the tuned-layout table under the raw step and budget.
 
     Round r tunes antennas c + r and c - r (c the centre antenna), each on
     its own :func:`_candidate_grid`, led by its inner neighbour.  Both grids
@@ -315,6 +325,10 @@ def _tune_layout(
     the users' x and the feed, as rounding is symmetric.  So each side's
     pick is what a right side alone would pick on the mirror image.
 
+    A grid that :func:`_candidate_grid` would leave whole (checked at its
+    ends) goes into the row once, as x plus the signed offsets: fl(x - o) =
+    -fl(-x + o) but for the sign of a zero, so a grid reaching 0 does not.
+
     The same calls hold the turns and distances at every tuned position, as
     a chosen candidate or as an inner neighbour, so |g|^2 at unit rho and the
     spacing verdict of the tuned layout are gathered from them into
@@ -322,9 +336,9 @@ def _tune_layout(
     position no call read (a single antenna, or an outermost antenna at
     minimum pitch past its grid) leaves that to :func:`evaluate_placement`.
     """
-    step, shifts = cfg.resolved_fine_step(params), cfg.resolved_max_shifts(params)
-    offsets = _tuned_layouts.lookup(params, users, (step, shifts),
-                                    lambda: _tune_setup(step, shifts))
+    setup = _tuned_layouts.lookup(params, users, (cfg.fine_step, cfg.max_fine_shifts),
+                                  lambda: _tune_setup(params, users, cfg))
+    offsets, left, last = setup[0], setup[1], float(setup[0][-1])
     n_ant = params.n_antennas
     c = center_index(n_ant)
     xs = list(layout.xs)
@@ -333,32 +347,38 @@ def _tune_layout(
     # CAP_SLACK outside the region; max keeps a NaN centre NaN.
     fits = _antenna_cap(params, c, -1) <= _antenna_cap(params, c, +1)
     reach = max(abs(xs[c]), params.side_d / 2.0) + CAP_SLACK if fits else math.inf
-    bound = _turns_bound(params, users, layout.feed_x, reach)
+    bound = _turns_bound(params, setup, layout.feed_x, reach)
     calls = []  # each round's kernel output, side by side
     column = [None] * n_ant  # each tuned position's column in those outputs
     base = 0  # columns of the earlier rounds' outputs
     for r in range(1, max(c, n_ant - 1 - c) + 1):
-        picks, width = [], 0  # picks: (side, antenna, grid, first column)
-        row = np.empty(2 * offsets.size + 2)  # inner neighbours, grids times side (exact)
+        picks, width = [], 0  # picks: (side, antenna, grid size, first column)
+        row = np.empty(2 * offsets.size + 2)  # inner neighbours, then grids in real coordinates
         for side in (+1, -1):
             n = c + side * r
             if not 0 <= n < n_ant:
                 continue
             inner, cap = side * xs[n - side], side * _antenna_cap(params, n, side)
-            cand = _candidate_grid(params, side * xs[n] + offsets, inner, cap)
-            if cand.size == 0:  # inner neighbour moved past the whole grid; sit at minimum pitch
-                xs[n] = side * min(inner + params.delta_min, cap)
-                continue
-            picks.append((side, n, cand, width))
-            row[width] = xs[n - side]  # a grid is never longer than ``offsets``
-            np.multiply(cand, side, out=row[width + 1:width + 1 + cand.size])
-            width += cand.size + 1
+            lo, hi = side * xs[n], side * xs[n] + last  # the outward grid's ends
+            if hi <= cap + CAP_SLACK and spacing_holds(params, lo - inner) and not lo <= 0 <= hi:
+                size = offsets.size
+                np.add(xs[n], offsets if side > 0 else left, out=row[width + 1:width + 1 + size])
+            else:
+                cand = _candidate_grid(params, lo + offsets, inner, cap)
+                if cand.size == 0:  # inner neighbour moved past the whole grid; sit at minimum pitch
+                    xs[n] = side * min(inner + params.delta_min, cap)
+                    continue
+                size = cand.size
+                np.multiply(cand, side, out=row[width + 1:width + 1 + size])
+            picks.append((side, n, size, width))
+            row[width] = xs[n - side]
+            width += size + 1
         if not picks:
             continue
         calls.append(phase_turns_and_distances(params, users, row[:width], layout.feed_x))
-        for side, n, cand, first in picks:
-            k = _pick_candidate(calls[-1][0][:, first:first + cand.size + 1], cfg, bound)
-            xs[n] = side * float(cand[k])
+        for side, n, size, first in picks:
+            k = _pick_candidate(calls[-1][0][:, first:first + size + 1], cfg, bound)
+            xs[n] = float(row[first + 1 + k])
             if column[n - side] is None:  # the centre, or an antenna at minimum pitch
                 column[n - side] = base + first
             column[n] = base + first + 1 + k
@@ -415,7 +435,7 @@ class _ScopedTable:
 # times ``iteration_bound``) plus one per reference search, and the set-up
 # of each fine step and budget.
 # (input layout, tolerances, step and budget fields) -> tuned layout, and
-# (resolved step, resolved budget) -> set-up
+# (step and budget fields) -> set-up
 _tuned_layouts = _ScopedTable()
 _channel_terms = _ScopedTable()  # layout -> (|g|^2 at unit rho, spacing verdict)
 _rigid_layouts = _ScopedTable()  # bisection centre -> rigid layout
@@ -436,8 +456,7 @@ def fine_tune(
     depend on the transmit or noise power, so a layout already tuned for the
     same geometry, users and tolerances is returned again without retuning.
     """
-    # the step and budget resolve from these two fields and the wavelength,
-    # which the scope fixes, so only a call that tunes resolves them
+    # the scope fixes the wavelength, so the two fields fix the step and budget
     key = (layout.xs, layout.feed_x, cfg.delta1, cfg.delta2, cfg.fine_step, cfg.max_fine_shifts)
     return _tuned_layouts.lookup(
         params, users, key, lambda: _tune_layout(params, layout, users, cfg)

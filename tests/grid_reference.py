@@ -1,12 +1,13 @@
 """References the tests compare the package against: the sum-rate
-objective f(alpha2) (criteria 1 and 3), its grid search (criterion 2), and
-the fine-tune pick as a full scan of exact phase errors, antenna by antenna."""
+objective f(alpha2) (criteria 1 and 3), its grid search (criterion 2), the
+composite-phase kernel as one out-of-place expression, and the fine-tune
+pick as a full scan of exact phase errors, antenna by antenna."""
 import math
 
 import numpy as np
 
 from pinchopt import AntennaLayout, QosTargets, UserPosition
-from pinchopt.channel import phases_and_distances, spacing_holds
+from pinchopt.channel import phases_and_distances, spacing_holds, wavelength
 from pinchopt.noma import noma_rates, qos_verdicts
 from pinchopt.placement import CAP_SLACK, _antenna_cap, center_index, circular_phase_error
 
@@ -47,6 +48,24 @@ def grid_alpha2(
         return None
     values = sum_rate_objective(snr_weak, snr_strong, alphas[ok])
     return float(alphas[ok][int(np.argmax(values))])
+
+
+def phase_turns_out_of_place(params, user, xs, feed_x):
+    """``channel.phase_turns_and_distances`` as one out-of-place expression,
+    with the same operations in the same order, each into a new array.  At a
+    0-d ``xs`` with one user it squares a NumPy scalar, by pow, where the
+    kernel squares a 0-d array, by x*x: the two agree wherever those do."""
+    xs = np.asarray(xs, dtype=float)
+    if isinstance(user, UserPosition):
+        ux, uy2 = user.x, user.y**2
+    else:
+        cols = np.array([u.x for u in user] + [u.y**2 for u in user]).reshape(
+            (2, -1) + (1,) * xs.ndim)
+        ux, uy2 = cols[0], cols[1]
+    dist = np.sqrt((ux - xs) ** 2 + uy2 + params.h**2)
+    guide = np.abs(feed_x - xs)
+    lam = wavelength(params)
+    return dist / lam - guide / (lam / params.n_eff), dist
 
 
 def capped(cand, cap):

@@ -28,6 +28,8 @@ from pinchopt.channel import (
     phases_and_distances,
 )
 
+import grid_reference
+
 
 class TestWavelength:
     def test_28_ghz(self, params):
@@ -177,6 +179,43 @@ class TestUserSequencePhases:
         assert gains.shape == (len(users),)
         one = np.array([pinching_gain(params, layout, u) for u in users])
         assert np.array_equal(gains.view(np.uint64), one.view(np.uint64))
+
+
+class TestInPlaceKernel:
+    """The kernel, run in place, keeps the bits of the out-of-place expression."""
+
+    Y_POW_DIFFERS = TestUserSequencePhases.Y_POW_DIFFERS
+
+    @pytest.mark.parametrize("shape", [(), (1001,), (7, 3)])
+    @pytest.mark.parametrize("feed_x", [-5.0, 0.3])  # 0.3: the feed inside the grid
+    @pytest.mark.parametrize("n_eff", [1.0, 1.4, MAX_N_EFF])
+    def test_bit_equal_to_out_of_place(self, shape, feed_x, n_eff):
+        params = SystemParams(n_eff=n_eff)
+        users = (UserPosition(0.7, self.Y_POW_DIFFERS), UserPosition(-3.1, 0.4))
+        xs = np.linspace(-5.0, 5.0, math.prod(shape)).reshape(shape)
+        if shape == ():  # the reference squares this case by pow, the kernel by x*x
+            assert all(float(np.float64(d) ** 2) == d * d for d in (u.x - float(xs) for u in users))
+        else:
+            assert (feed_x - xs).min() < 0 < (feed_x - xs).max() or feed_x == -5.0
+        for user in (users[0], users):
+            got = phase_turns_and_distances(params, user, xs, feed_x)
+            want = grid_reference.phase_turns_out_of_place(params, user, xs, feed_x)
+            for g, w in zip(got, want):
+                assert np.shape(g) == np.shape(w)
+                assert np.array_equal(np.asarray(g).view(np.uint64),
+                                      np.asarray(w).view(np.uint64))
+
+    def test_zero_d_row_bit_equal_to_its_sequence_row(self, params):
+        # here a NumPy scalar's pow and x*x differ in the last bit of ux - x
+        # squared, and the difference survives into the distance
+        user, x = UserPosition(2.4721993970056673, 0.4), 0.07766679723145309
+        d = user.x - x
+        assert float(np.float64(d) ** 2) != d * d
+        xs = np.asarray(x)
+        one = phase_turns_and_distances(params, user, xs, -5.0)
+        rows = phase_turns_and_distances(params, (user, user), xs, -5.0)
+        for a, b in zip(one, rows):
+            assert np.array_equal(np.asarray(a).view(np.uint64), b[0].view(np.uint64))
 
 
 class TestBounds:

@@ -261,12 +261,13 @@ class TestTunedLayoutReuse:
         users, layouts = self._cases(14, 1, params)[0]
         built = []
 
-        def setup(*args):
-            built.append(args)
-            return _tune_setup(*args)
+        def setup(p, u, c):
+            built.append((u, c.fine_step, c.max_fine_shifts))
+            return _tune_setup(p, u, c)
 
-        cfg = AlgoConfig()
-        with mock.patch.object(placement, "_tuned_layouts", _ScopedTable()), \
+        cfg, over = AlgoConfig(), AlgoConfig(fine_step=1e-16)
+        table = _ScopedTable()
+        with mock.patch.object(placement, "_tuned_layouts", table), \
                 mock.patch.object(placement, "_tune_setup", setup):
             for p in (params, dataclasses.replace(params, pt_dbm=0.0)):
                 for layout in layouts:
@@ -274,14 +275,27 @@ class TestTunedLayoutReuse:
                         fine_tune(p, layout, users, dataclasses.replace(cfg, delta2=delta2))
             assert len(built) == 1
             fine_tune(params, layouts[0], users, AlgoConfig(fine_step=1e-4, max_fine_shifts=50))
-            assert len(built) == 2 and built[1] == (1e-4, 50)
+            assert len(built) == 2 and built[1] == (users, 1e-4, 50)
             other = (users[0], UserPosition(users[1].x, users[1].y / 2))
             tuned = fine_tune(params, layouts[0], other, cfg)
             # the same step and budget in another scope: built again, with the scope
-            assert len(built) == 3 and built[2] == built[0]
+            assert len(built) == 3 and built[2] == (other, *built[0][1:])
             assert tuned == _tune_layout(params, layouts[0], other, cfg)
-        offsets = _tune_setup(1e-4, 10)
+            lam = wavelength(params)
+            assert table.lookup(params, other, (None, None), lambda: None)[2:] == (
+                lam, abs(other[0].x) + abs(other[1].x), other[0].y**2 + other[1].y**2,
+                lam / params.n_eff)
+            # a budget over its cap is refused on every call, and leaves no entry
+            for _ in range(2):
+                with pytest.raises(PlacementError, match="fine-tune budget"):
+                    fine_tune(params, layouts[0], other, over)
+            assert len(built) == 5
+            assert table.lookup(params, other, (over.fine_step, None), lambda: None) is None
+        offsets, left = _tune_setup(params, users,
+                                    AlgoConfig(fine_step=1e-4, max_fine_shifts=10))[:2]
         assert not offsets.flags.writeable and np.array_equal(offsets, 1e-4 * np.arange(11))
+        assert not left.flags.writeable
+        assert np.array_equal(left.view(np.uint64), (-offsets).view(np.uint64))
 
     def test_scope_covers_every_field_but_power(self, params):
         users = (UserPosition(2.0, 1.0), UserPosition(-2.0, 0.3))
@@ -600,7 +614,8 @@ def screened_pick(params, users, cfg, feed_x, cand, inner_x, cap) -> float:
         return min(inner_x + params.delta_min, cap)
     xs = np.concatenate(([inner_x], grid))
     turns = phase_turns_and_distances(params, users, xs, feed_x)[0]
-    bound = _turns_bound(params, users, feed_x, float(np.abs(xs[[0, 1, -1]]).max()))
+    bound = _turns_bound(params, _tune_setup(params, users, cfg), feed_x,
+                         float(np.abs(xs[[0, 1, -1]]).max()))
     return float(grid[placement._pick_candidate(turns, cfg, bound)])
 
 
@@ -642,21 +657,62 @@ def tune_cases(draw):
     return params, AntennaLayout(tuple(xs), rigid.feed_x), users, cfg
 
 
+def boundary_case(last_past=None, gap_short=None):
+    """Default geometry, a zero tolerance pair and a one-step budget (two
+    candidates a grid), with a symmetric three-antenna layout at a boundary
+    of the whole-grid check on both sides: each outer antenna's last
+    candidate ``last_past`` float steps past its cap plus CAP_SLACK, or its
+    gap to the centre at 0 ``gap_short`` float steps short of delta_min -
+    SPACING_SLACK.  The weak user is placed so that both picks take the
+    candidate the check is about: the last at the cap, the first at the gap
+    (when the gap is not short)."""
+    params, cfg = SystemParams(), AlgoConfig(delta1=0.0, delta2=0.0, max_fine_shifts=1)
+    step = cfg.resolved_fine_step(params)
+    if last_past is not None:
+        edge = params.side_d / 2.0 + CAP_SLACK
+        for _ in range(last_past):
+            edge = math.nextafter(edge, math.inf)
+        probe = x = edge - step
+        assert x + step == edge
+    else:
+        probe = x = params.delta_min - AntennaLayout.SPACING_SLACK
+        for _ in range(gap_short):
+            x = math.nextafter(x, 0.0)
+    for k in range(200):
+        users = (UserPosition(-4.0 + 0.04 * k, 2.0), UserPosition(-4.0, -1.0))
+        tuned, _ = grid_reference.tune_layout_scan(
+            params, AntennaLayout((-probe, 0.0, probe), -5.0), users, cfg)
+        if tuned.xs[0] < -probe and tuned.xs[2] > probe if last_past is not None else (
+                tuned.xs[0] == -probe and tuned.xs[2] == probe):
+            return params, AntennaLayout((-x, 0.0, x), -5.0), users, cfg
+    raise AssertionError("no user places both picks")
+
+
+@example(boundary_case(last_past=0))
+@example(boundary_case(last_past=1))
+@example(boundary_case(gap_short=0))
+@example(boundary_case(gap_short=1))
+# the left antenna's first candidate, and its pick at these tolerances, is
+# the real coordinate 0, which the outward grid's negation makes -0.0
+@example((SystemParams(), AntennaLayout((0.0, SystemParams().delta_min, 0.2), -5.0),
+          (UserPosition(1.0, 2.0), UserPosition(-4.0, -1.0)),
+          AlgoConfig(delta1=math.pi, delta2=math.pi)))
 @given(tune_cases())
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_tune_matches_per_antenna_scan(case):
     """Tuning both chains round by round through one kernel call gives the
     layout of the per-antenna full scan in the one-chain-at-a-time order,
-    and the channel terms it stores for that layout are bit-equal to
-    evaluate_placement's own; it stores them whenever the kernel read every
-    tuned position."""
+    bit for bit, and the channel terms it stores for that layout are
+    bit-equal to evaluate_placement's own; it stores them whenever the
+    kernel read every tuned position."""
     params, layout, users, cfg = case
     want, passed = grid_reference.tune_layout_scan(params, layout, users, cfg)
     with mock.patch.object(placement, "_tuned_layouts", _ScopedTable()), \
             mock.patch.object(placement, "_channel_terms", _ScopedTable()) as terms:
         tuned = _tune_layout(params, layout, users, cfg)
         stored = terms.lookup(params, users, (tuned.xs, tuned.feed_x), lambda: None)
-    assert tuned == want
+    assert [x.hex() for x in tuned.xs] == [x.hex() for x in want.xs]
+    assert tuned.feed_x.hex() == want.feed_x.hex()
     # the centre is read as the inner neighbour of a pick next to it, and so
     # is an antenna whose inner neighbour passed its grid
     c = center_index(params.n_antennas)
@@ -716,7 +772,8 @@ def test_turns_bound_keeps_the_screen_at_the_defaults(side_d, delta1, delta2):
     params = SystemParams(side_d=side_d)
     half = side_d / 2.0
     users = (UserPosition(half, half), UserPosition(-half, -half))
-    bound = _turns_bound(params, users, placement.feed_point(params), half + CAP_SLACK)
+    bound = _turns_bound(params, _tune_setup(params, users, AlgoConfig()),
+                         placement.feed_point(params), half + CAP_SLACK)
     assert SCREEN_SLACK * (1.0 + bound) < min(delta1, delta2) / TWO_PI
 
 
@@ -728,15 +785,19 @@ class TestPickOnCraftedPhases:
     NEAR_TIE = (12701269.015915494, 44943633.01591549)
 
     @staticmethod
-    def picks(diffs, cfg):
+    def picks(diffs, cfg, narrowed=None):
         """The pick on composite phases, in turns, of ``diffs`` for both users
         (the inner neighbour's being 0), and the full scan on candidates with
-        those phases."""
+        those phases.  ``narrowed`` says whether the pick should index the
+        candidates its screen kept (by np.flatnonzero)."""
         row = np.concatenate(([0.0], diffs))
         cand = 1.0 + 0.01 * np.arange(len(diffs))
         # the bound at the row's largest phase: NaN when a phase is
         bound = float(np.abs(row).max())
-        pick = float(cand[placement._pick_candidate(np.stack([row, row]), cfg, bound)])
+        with mock.patch.object(np, "flatnonzero", wraps=np.flatnonzero) as kept:
+            pick = float(cand[placement._pick_candidate(np.stack([row, row]), cfg, bound)])
+        if narrowed is not None:
+            assert kept.called == narrowed
 
         def turns(params, user, xs, feed_x):
             return row, None
@@ -754,8 +815,16 @@ class TestPickOnCraftedPhases:
         screened = np.abs(pair - np.rint(pair))
         assert (errs[0] < errs[1]) != (screened[0] < screened[1])
         cfg = AlgoConfig(delta1=0.01, delta2=0.01)
-        pick, scan = self.picks(np.concatenate(([0.2], pair)), cfg)
+        # no hit, and both of the pair near the least screened score
+        pick, scan = self.picks(np.concatenate(([0.2], pair)), cfg, narrowed=True)
         assert pick == scan != 1.0
+
+    def test_single_near_candidate_without_a_hit_is_the_pick(self):
+        # every phase difference is over 0.01 rad from a whole turn, and one
+        # screened score is far below the others
+        pick, scan = self.picks(np.array([0.3, 0.1, 0.25]), AlgoConfig(delta1=0.01, delta2=0.01),
+                                narrowed=False)
+        assert pick == scan == 1.01
 
     def test_nan_phases_take_the_full_scan(self):
         pick, scan = self.picks(np.array([0.05, np.nan, 0.03]), AlgoConfig())

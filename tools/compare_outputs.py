@@ -18,9 +18,11 @@ directory, which is removed again at the end.  From each tree, with its own
 - ``pinch solve`` at the defaults, at ``system.n_antennas`` 1, 2, 4 and 5
   (N = 3 tunes one antenna per side, so these cover the single antenna and
   the rounds of a longer chain), at ``algo.delta2=0`` (a zero tolerance
-  takes the pick's full scan), and at ``algo.delta1=0.01 algo.delta2=0.01``
-  (most picks find no fit and take the fallback): its standard output and
-  exit code;
+  takes the pick's full scan), at ``algo.delta1=0.01 algo.delta2=0.01``
+  (most picks find no fit and take the fallback), and at
+  ``system.side_d=0.05``, alone and with ``system.n_antennas=7`` (a grid
+  of 10 wavelengths is longer than the region, so every grid meets its
+  cap and is cut there): its standard output and exit code;
 - refused runs, each with its exit code and standard error byte for byte:
   ``pinch figures`` at ``system.n_antennas=3000`` (the array does not fit),
   ``pinch sweep oracle`` at ``oracle.position_step=1e-9`` and ``pinch sweep
@@ -49,7 +51,9 @@ POWER_SET = ("--set", 'sweep.schemes=["pinching","conventional-uniform",'
 QOS_SET = ("--set", "qos.r1_min=4", "--set", "qos.r2_min=4")
 SOLVE_SETS = ((), *(("--set", f"system.n_antennas={n}") for n in (1, 2, 4, 5)),
               ("--set", "algo.delta2=0"),
-              ("--set", "algo.delta1=0.01", "--set", "algo.delta2=0.01"))
+              ("--set", "algo.delta1=0.01", "--set", "algo.delta2=0.01"),
+              ("--set", "system.side_d=0.05"),
+              ("--set", "system.side_d=0.05", "--set", "system.n_antennas=7"))
 
 
 def pinch(tree: Path, *args: str) -> subprocess.CompletedProcess:
