@@ -10,7 +10,7 @@ Each formula of the chain (the SNR, the closed-form alpha2, the three rates
 and the rate-target test) is written once, as a NumPy function that takes
 floats and arrays alike.  evaluate_snrs chains them at one SNR pair, for the
 solver and the fixed-array baseline, and evaluate_snrs_batch at arrays of
-pairs, for the reference search.
+pairs, for the reference search and the solver's replayed walks.
 """
 from __future__ import annotations
 
@@ -198,15 +198,21 @@ def evaluate_snrs(
 
 
 def evaluate_snrs_batch(snr_weak: np.ndarray, snr_strong: np.ndarray, qos: QosTargets):
-    """Sum rate, feasibility and closed-form alpha2 at arrays of SNR pairs:
-    :func:`evaluate_snrs` without the clamp labels.  Feasibility covers the
-    rate targets and the channel order; spacing is the caller's to check."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    """Sum rate, closed-form alpha2, the rate-target verdict and the channel
+    order at arrays of SNR pairs: :func:`evaluate_snrs` without the clamp
+    labels, bit for bit, as each step is the same correctly rounded
+    operation.  ``qos_ok`` is :attr:`FeasibilityReport.qos_ok` and
+    ``qos_ok & ordered`` is :attr:`FeasibilityReport.overall` of a layout
+    that keeps its spacing (the clamped alpha2 keeps the alpha order
+    whenever the rates are numbers); spacing is the caller's to check."""
+    # a zero or subnormal weak SNR divides by zero or overflows, as the scalar
+    # chain does silently; those entries come out clamped
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         raw = _alpha2_raw(snr_weak, qos)
     a2 = np.clip(np.where(snr_weak > 0.0, raw, 0.0), 0.0, 0.5)
     r1, r2, r21 = noma_rates(snr_weak, snr_strong, 1.0 - a2, a2)
     r1_qos, r2_qos, sic = qos_verdicts(r1, r2, r21, qos)
-    return r1 + r2, r1_qos & r2_qos & sic & (snr_strong >= snr_weak), a2
+    return r1 + r2, a2, r1_qos & r2_qos & sic, snr_strong >= snr_weak
 
 
 def check_feasibility(

@@ -88,7 +88,8 @@ def batch_solution_metrics(
         gain_snr(rho, pinching_gains_batch(params, xs_layouts, feed_x, u))
         for u in users
     )
-    return evaluate_snrs_batch(s1, s2, qos)
+    rates, alpha2, qos_ok, ordered = evaluate_snrs_batch(s1, s2, qos)
+    return rates, qos_ok & ordered, alpha2
 
 
 def grid_points(length: float, step: float) -> int:

@@ -35,6 +35,7 @@ from .noma import (
     RateReport,
     ZERO_RATES,
     evaluate_snrs,
+    evaluate_snrs_batch,
     gain_snr,
     snr_scale,
 )
@@ -417,13 +418,21 @@ class _ScopedTable:
     def __init__(self) -> None:
         self._state: tuple = (None, None, None, {})
 
-    def lookup(self, params: SystemParams, users: tuple, key, compute):
+    def table(self, params: SystemParams, users: tuple) -> dict:
+        """The table of the scope of ``params`` and ``users``.  A caller may
+        store into it later; once another scope has taken over, that store
+        is lost, which only repeats work."""
         state = self._state
         if params is not state[0] or users is not state[1]:
             scope = _channel_scope(params, users)
             table = state[3] if scope == state[2] else {}
             state = self._state = (params, users, scope, table)
-        table = state[3]
+        return state[3]
+
+    def lookup(self, params: SystemParams, users: tuple, key, compute):
+        state = self._state
+        table = (state[3] if params is state[0] and users is state[1]
+                 else self.table(params, users))
         value = table.get(key)
         if value is None:
             value = table[key] = compute()
@@ -439,6 +448,8 @@ class _ScopedTable:
 _tuned_layouts = _ScopedTable()
 _channel_terms = _ScopedTable()  # layout -> (|g|^2 at unit rho, spacing verdict)
 _rigid_layouts = _ScopedTable()  # bisection centre -> rigid layout
+# (tolerances, step and budget fields) -> the last walk, see bisection_solve
+_walks = _ScopedTable()
 
 
 def fine_tune(
@@ -499,6 +510,14 @@ def _terms(params: SystemParams, layout: AntennaLayout, gains: np.ndarray) -> tu
     return gain_snr(1.0, gains).tolist(), layout.spacing_ok(params)
 
 
+def _layout_terms(params: SystemParams, layout: AntennaLayout, users: tuple) -> tuple:
+    """``_channel_terms``' entry for ``layout``, computed on a miss."""
+    return _channel_terms.lookup(
+        params, users, (layout.xs, layout.feed_x),
+        lambda: _terms(params, layout, pinching_gain(params, layout, users)),
+    )
+
+
 def evaluate_placement(
     params: SystemParams,
     layout: AntennaLayout,
@@ -511,12 +530,25 @@ def evaluate_placement(
     seen before in the same scope costs only the closed-form step; rho times
     ``gain_snr`` at unit rho is bit-equal, as its last operation is that product.
     """
-    (g1_sq, g2_sq), spacing = _channel_terms.lookup(
-        params, users, (layout.xs, layout.feed_x),
-        lambda: _terms(params, layout, pinching_gain(params, layout, users)),
-    )
+    (g1_sq, g2_sq), spacing = _layout_terms(params, layout, users)
     rho = snr_scale(params)
     return evaluate_snrs(rho * g1_sq, rho * g2_sq, qos, spacing)
+
+
+def _replay(params: SystemParams, users: tuple, walk: list, qos: QosTargets) -> list:
+    """(sum rate, qos_ok, overall) of each iterate of ``walk``, a ``_walks``
+    entry, at ``params``' powers, from one :func:`evaluate_snrs_batch` call:
+    what :func:`evaluate_placement` gives the iterate's layout, bit for bit.
+    The first replay of a walk gathers its layouts' ``_channel_terms`` into
+    the entry, as arrays of |g1|^2, |g2|^2 at unit rho and spacing verdicts."""
+    if walk[2] is None:
+        terms = [_layout_terms(params, layout, users) for layout in walk[1]]
+        walk[2] = (np.array([g for g, _ in terms]).T.copy(),
+                   np.array([spacing for _, spacing in terms]))
+    gains, spacing = walk[2]
+    snr = snr_scale(params) * gains
+    rates, _, qos_ok, ordered = evaluate_snrs_batch(snr[0], snr[1], qos)
+    return list(zip(rates.tolist(), qos_ok.tolist(), (qos_ok & ordered & spacing).tolist()))
 
 
 def bisection_solve(
@@ -534,30 +566,62 @@ def bisection_solve(
     rate targets hold.  The best fully feasible iterate by sum rate is
     returned; if none is feasible the last iterate comes back with zero
     rates and feasible_found False.
+
+    The tuned layouts do not depend on the powers, so solves of one scope
+    at other powers walk the same centres until a rate verdict parts them.
+    ``_walks`` keeps, per tolerances, step and budget, the scope's last walk
+    as ``[centres, layouts, terms]``: each iterate's clamped centre and tuned
+    layout, as plain lists, and ``terms``, None until a later solve reuses
+    the walk and then the layouts' |g1|^2, |g2|^2 at unit rho and spacing
+    verdicts as arrays.  A solve that finds a walk evaluates all its
+    iterates at its own power in one batch (:func:`_replay`), and while each
+    of its iterates so far sits at the recorded centre, takes the iterate's
+    sum rate and verdicts from its row: the same centre gives the same rigid
+    and tuned layout, and the batch chain equals :func:`evaluate_placement`'s
+    scalar one bit for bit.  From the first other centre on, each iterate
+    runs :func:`evaluate_placement`, and the walk is recorded in place of
+    the last.  A returned iterate read from a row is evaluated once more, so
+    the solution is built from :func:`evaluate_placement`'s own records.
     """
     check_users(params, users)
     feed_x = feed_point(params)
     lo_bound, hi_bound = center_bounds(params)
 
     offsets = _pitch_offsets(params)
+    rigids, walks = _rigid_layouts.table(params, users), _walks.table(params, users)
+    key = (cfg.delta1, cfg.delta2, cfg.fine_step, cfg.max_fine_shifts)
+    walk = walks.get(key) or [[], [], None]
+    rows = _replay(params, users, walk, qos) if walk[0] else ()
+    replayed = 0  # leading iterates read from rows
+    centres, layouts = [], []  # the iterates after those
 
     left = users[1].x
     right = users[0].x
-    best = last = None  # (layout, split, rates, report, alpha) of an iterate
+    best = last = None  # (layout, evaluate_placement result or None for a row)
+    best_rate = 0.0
     iterations = 0
     while iterations == 0 or abs(right - left) > cfg.epsilon:
         iterations += 1
         mid = 0.5 * (left + right)
         center = min(max(mid, lo_bound), hi_bound)
-        rigid = _rigid_layouts.lookup(
-            params, users, center,
-            lambda: AntennaLayout(tuple(center + o for o in offsets), feed_x))
+        rigid = rigids.get(center)
+        if rigid is None:
+            rigid = rigids[center] = AntennaLayout(tuple(center + o for o in offsets), feed_x)
         layout = fine_tune(params, rigid, users, cfg)
-        split, rates, report, alpha = evaluate_placement(params, layout, users, qos)
-        last = (layout, split, rates, report, alpha)
-        if report.overall and (best is None or rates.sum_rate > best[2].sum_rate):
-            best = last
-        if report.qos_ok:
+        if replayed == iterations - 1 < len(rows) and walk[0][replayed] == center:
+            rate, qos_ok, overall = rows[replayed]
+            replayed += 1
+            last = (layout, None)
+        else:
+            evaluated = evaluate_placement(params, layout, users, qos)
+            rate, report = evaluated[1].sum_rate, evaluated[2]
+            qos_ok, overall = report.qos_ok, report.overall
+            last = (layout, evaluated)
+            centres.append(center)
+            layouts.append(layout)
+        if overall and (best is None or rate > best_rate):
+            best, best_rate = last, rate
+        if qos_ok:
             right = mid
         else:
             left = mid
@@ -566,7 +630,12 @@ def bisection_solve(
             # next midpoint would round onto an endpoint and never move
             break
 
-    return placement_solution(params, best or last, iterations, best is not None)
+    if centres:  # the walk left the recorded one, or there was none
+        walks[key] = [walk[0][:replayed] + centres, walk[1][:replayed] + layouts, None]
+    layout, evaluated = best or last
+    if evaluated is None:
+        evaluated = evaluate_placement(params, layout, users, qos)
+    return placement_solution(params, (layout, *evaluated), iterations, best is not None)
 
 
 def iteration_bound(params: SystemParams, cfg: AlgoConfig) -> int:

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 import signal
@@ -231,6 +232,14 @@ class TestFineTune:
                     k += 1
 
 
+def fresh_tables() -> contextlib.ExitStack:
+    """The solver's four scoped tables replaced by empty ones."""
+    stack = contextlib.ExitStack()
+    for name in ("_tuned_layouts", "_channel_terms", "_rigid_layouts", "_walks"):
+        stack.enter_context(mock.patch.object(placement, name, _ScopedTable()))
+    return stack
+
+
 class TestTunedLayoutReuse:
     """fine_tune reuses layouts across power levels, never across scopes."""
 
@@ -438,8 +447,7 @@ class TestTunedLayoutReuse:
         # one scenario's solves back to back, the tables warm from the first
         warm = [bisection_solve(p, users, qos, cfg) for p, cfg in runs]
         for (p, cfg), want in zip(runs, warm):
-            with mock.patch.object(placement, "_tuned_layouts", _ScopedTable()), \
-                    mock.patch.object(placement, "_channel_terms", _ScopedTable()):
+            with fresh_tables():
                 assert bisection_solve(p, users, qos, cfg) == want
 
 
@@ -511,6 +519,140 @@ class TestIterateTables:
                 setattr(record, name, getattr(record, name))
             with pytest.raises(AttributeError):
                 record.extra = 1.0
+
+
+class TestWarmWalks:
+    """A solve that replays its scope's last walk returns the same solution,
+    bit for bit, as one that starts from nothing."""
+
+    POWERS = (0.0, 10.0, 20.0, 30.0, 40.0)
+    ORDERS = {"ascending": POWERS, "descending": POWERS[::-1],
+              "interleaved": (20.0, 0.0, 40.0, 10.0, 30.0)}
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10**6), side_d=st.sampled_from((10.0, 30.0)),
+           order=st.sampled_from(sorted(ORDERS)),
+           qos=st.sampled_from((QosTargets(), QosTargets(4.0, 4.0))))
+    def test_warm_solves_equal_fresh_solves(self, seed, side_d, order, qos):
+        scen = sample_scenario(trial_rng(seed, 0), side_d)
+        users = (scen.user1, scen.user2)
+        # fig3's order: every tolerance pair at one power, then the next
+        # power; the two epsilons share one walk
+        runs = [(SystemParams(side_d=side_d, pt_dbm=pt),
+                 AlgoConfig(epsilon=eps, delta1=d1, delta2=d2))
+                for pt in self.ORDERS[order]
+                for d1, d2 in TestTunedLayoutReuse.PAIRS
+                for eps in (1e-3, 1e-5)]
+        with fresh_tables():
+            warm = [bisection_solve(p, users, qos, cfg) for p, cfg in runs]
+        for (p, cfg), got in zip(runs, warm):
+            with fresh_tables():
+                assert repr(got) == repr(bisection_solve(p, users, qos, cfg))
+
+    @pytest.mark.parametrize("qos, feasible", [(QosTargets(), True),
+                                               (QosTargets(60.0, 60.0), False)])
+    def test_replayed_solve_evaluates_only_its_answer(self, params, qos, feasible):
+        """Every iterate on the recorded walk is read from its row, so the
+        scalar chain runs once, on the returned iterate: the best one, or
+        the last one when none is feasible.  fine_tune still runs once per
+        iterate."""
+        scen = sample_scenario(trial_rng(18, 0), params.side_d)
+        users, cfg = (scen.user1, scen.user2), AlgoConfig()
+        evaluated, tuned = [], []
+
+        def evaluate(p, layout, u, q):
+            evaluated.append(layout)
+            return evaluate_placement(p, layout, u, q)
+
+        def tune(p, layout, u, c):
+            tuned.append(layout)
+            return fine_tune(p, layout, u, c)
+
+        later = dataclasses.replace(params, pt_dbm=params.pt_dbm + 7.0)
+        key = (cfg.delta1, cfg.delta2, cfg.fine_step, cfg.max_fine_shifts)
+        with fresh_tables():
+            first = bisection_solve(params, users, qos, cfg)
+            walk = placement._walks.table(params, users)[key]
+            assert walk[2] is None  # a cold solve gathers no terms
+            with mock.patch.object(placement, "evaluate_placement", evaluate), \
+                    mock.patch.object(placement, "fine_tune", tune):
+                got = bisection_solve(later, users, qos, cfg)
+            assert placement._walks.table(params, users)[key] is walk
+            # the replay kept its layouts' terms in the entry, bit for bit
+            gains, spacing = walk[2]
+            for n, layout in enumerate(walk[1]):
+                (g1, g2), ok = placement._layout_terms(params, layout, users)
+                assert gains[:, n].tolist() == [g1, g2] and spacing[n] == ok
+        assert got.iterations == first.iterations > 1
+        assert evaluated == [got.layout]
+        assert len(tuned) == got.iterations
+        assert got.feasible_found is feasible
+        with fresh_tables():
+            assert repr(got) == repr(bisection_solve(later, users, qos, cfg))
+
+    def test_walk_recorded_where_it_parts(self, params):
+        """At QoS 4/4 the walks of low and high power part ways; each solve
+        records its own walk, keeping the common head."""
+        qos, cfg = QosTargets(4.0, 4.0), AlgoConfig()
+        key = (cfg.delta1, cfg.delta2, cfg.fine_step, cfg.max_fine_shifts)
+        parted = 0
+        for t in range(6):
+            scen = sample_scenario(trial_rng(19, t), params.side_d)
+            users = (scen.user1, scen.user2)
+            walks = []
+            with fresh_tables():
+                for pt in (0.0, 40.0, 0.0):
+                    p = dataclasses.replace(params, pt_dbm=pt)
+                    bisection_solve(p, users, qos, cfg)
+                    walks.append(placement._walks.table(p, users)[key])
+            low, high, again = walks
+            assert again[0] == low[0] and len(low[0]) == len(high[0])
+            head = next((i for i, (a, b) in enumerate(zip(low[0], high[0])) if a != b),
+                        len(low[0]))
+            parted += head < len(low[0])
+            for field_low, field_high in zip(low[:2], high[:2]):  # centres, layouts
+                assert field_low[:head] == field_high[:head]
+        assert parted > 0
+
+    def test_threads_replaying_walks(self, params):
+        """Threads solving different scenarios at several powers, with a
+        short switch interval, each get the fresh solution."""
+        cfg, qos = AlgoConfig(), QosTargets(4.0, 4.0)
+        cases = [(scen.user1, scen.user2) for scen in
+                 (sample_scenario(trial_rng(20, t), params.side_d) for t in range(4))]
+        powers = [dataclasses.replace(params, pt_dbm=pt) for pt in self.POWERS]
+        expected = []
+        for users in cases:
+            with fresh_tables():
+                expected.append([repr(bisection_solve(p, users, qos, cfg)) for p in powers])
+        errors = []
+        start = threading.Barrier(len(cases))
+
+        def work(users, want):
+            try:
+                start.wait(timeout=60)
+                for _ in range(10):
+                    for p, w in zip(powers[::-1] + powers, want[::-1] + want):
+                        got = repr(bisection_solve(p, users, qos, cfg))
+                        if got != w:
+                            errors.append((users, p.pt_dbm, got, w))
+            except Exception as exc:  # would not reach the test from a thread
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with fresh_tables():
+                threads = [threading.Thread(target=work, args=case)
+                           for case in zip(cases, expected)]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
 
 
 coords = st.floats(min_value=-5.0, max_value=5.0)

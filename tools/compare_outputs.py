@@ -13,8 +13,12 @@ directory, which is removed again at the end.  From each tree, with its own
 - ``pinch sweep power`` over every scheme (``pinching``, both fixed-array
   baselines and ``exhaustive``) at 4 trials: its table and config.json;
 - ``pinch sweep power`` at ``qos.r1_min=4 qos.r2_min=4``, where bisection
-  walks move left and the power levels' walks part ways: its table and
-  config.json;
+  walks move left and the power levels' walks part ways, once with the
+  powers ascending and once descending, so a solve replaying the last
+  power's walk leaves it in either direction: its table and config.json;
+- ``pinch sweep delta`` at ``qos.r1_min=4 qos.r2_min=4``, where each power
+  runs every tolerance pair, so each pair's walk is replayed after the other
+  pairs' solves: its table and config.json;
 - ``pinch solve`` at the defaults, at ``system.n_antennas`` 1, 2, 4 and 5
   (N = 3 tunes one antenna per side, so these cover the single antenna and
   the rounds of a longer chain), at ``algo.delta2=0`` (a zero tolerance
@@ -49,6 +53,7 @@ ORACLE_SET = ("--set", "sweep.d_values=[30]", "--set", "sweep.pt_dbm_values=[0]"
 POWER_SET = ("--set", 'sweep.schemes=["pinching","conventional-uniform",'
              '"conventional-mrt","exhaustive"]', "--set", "sweep.trials=4")
 QOS_SET = ("--set", "qos.r1_min=4", "--set", "qos.r2_min=4")
+DESCENDING_SET = ("--set", "sweep.pt_dbm_values=[40,35,30,25,20,15,10,5,0]")
 SOLVE_SETS = ((), *(("--set", f"system.n_antennas={n}") for n in (1, 2, 4, 5)),
               ("--set", "algo.delta2=0"),
               ("--set", "algo.delta1=0.01", "--set", "algo.delta2=0.01"),
@@ -78,6 +83,13 @@ def outputs(tree: Path, seed: int, out: Path) -> dict[str, bytes | str]:
                   "--threads", "1", *POWER_SET)))
     runs.append(("sweep power qos 4/4", out / "power-qos", ("power.csv", "config.json"),
                  ("sweep", "power", "--out", str(out / "power-qos" / "power.csv"),
+                  "--threads", "1", *QOS_SET)))
+    runs.append(("sweep power qos 4/4 descending", out / "power-qos-down",
+                 ("power.csv", "config.json"),
+                 ("sweep", "power", "--out", str(out / "power-qos-down" / "power.csv"),
+                  "--threads", "1", *QOS_SET, *DESCENDING_SET)))
+    runs.append(("sweep delta qos 4/4", out / "delta-qos", ("delta.csv", "config.json"),
+                 ("sweep", "delta", "--out", str(out / "delta-qos" / "delta.csv"),
                   "--threads", "1", *QOS_SET)))
     for label, directory, files, args in runs:
         directory.mkdir(parents=True)
