@@ -332,13 +332,15 @@ def _tune_layout(
 
     The same calls hold the turns and distances at every tuned position, as
     a chosen candidate or as an inner neighbour, so |g|^2 at unit rho and the
-    spacing verdict of the tuned layout are gathered from them into
-    ``_channel_terms``, bit-equal to :func:`evaluate_placement`'s own.  A
+    spacing verdict of the tuned layout are gathered from them into the
+    channel-term table, bit-equal to :func:`evaluate_placement`'s own.  A
     position no call read (a single antenna, or an outermost antenna at
     minimum pitch past its grid) leaves that to :func:`evaluate_placement`.
     """
-    setup = _tuned_layouts.lookup(params, users, (cfg.fine_step, cfg.max_fine_shifts),
-                                  lambda: _tune_setup(params, users, cfg))
+    tuned_table, terms = scope_tables(params, users)[:2]
+    setup = tuned_table.get((cfg.fine_step, cfg.max_fine_shifts))
+    if setup is None:
+        setup = tuned_table[cfg.fine_step, cfg.max_fine_shifts] = _tune_setup(params, users, cfg)
     offsets, left, last = setup[0], setup[1], float(setup[0][-1])
     n_ant = params.n_antennas
     c = center_index(n_ant)
@@ -390,8 +392,8 @@ def _tune_layout(
                        else (np.concatenate(a, axis=1) for a in zip(*calls)))
         gains = gains_from_phases(params, TWO_PI * turns.take(column, axis=1),
                                   dist.take(column, axis=1))
-        _channel_terms.lookup(params, users, (tuned.xs, tuned.feed_x),
-                              lambda: _terms(params, tuned, gains))
+        if (tuned.xs, tuned.feed_x) not in terms:
+            terms[tuned.xs, tuned.feed_x] = _terms(params, tuned, gains)
     return tuned
 
 
@@ -407,49 +409,34 @@ def _channel_scope(params: SystemParams, users: tuple[UserPosition, UserPosition
     return _power_free_fields(params), tuple((u.x, u.y) for u in users)
 
 
-class _ScopedTable:
-    """Values for one scenario at a time, the scenario being its
-    :func:`_channel_scope`.  The state is one (params, users, scope, table)
-    tuple, read once per call and replaced whole: the scope is rebuilt only
-    when the argument objects change and the table only when the scope does,
-    so an entry is never returned in another scope, even to threads solving
-    different scenarios, and a lost swap only repeats work."""
-
-    def __init__(self) -> None:
-        self._state: tuple = (None, None, None, {})
-
-    def table(self, params: SystemParams, users: tuple) -> dict:
-        """The table of the scope of ``params`` and ``users``.  A caller may
-        store into it later; once another scope has taken over, that store
-        is lost, which only repeats work."""
-        state = self._state
-        if params is not state[0] or users is not state[1]:
-            scope = _channel_scope(params, users)
-            table = state[3] if scope == state[2] else {}
-            state = self._state = (params, users, scope, table)
-        return state[3]
-
-    def lookup(self, params: SystemParams, users: tuple, key, compute):
-        state = self._state
-        table = (state[3] if params is state[0] and users is state[1]
-                 else self.table(params, users))
-        value = table.get(key)
-        if value is None:
-            value = table[key] = compute()
-        return value
+_scope: tuple = (None, None, None, None)  # (params, users, scope, tables)
 
 
-# Sweeps run each scenario's tasks back to back, so one scope's tables hold
-# at most the layouts its solves visit (tolerance pairs times power levels
-# times ``iteration_bound``) plus one per reference search, and the set-up
-# of each fine step and budget.
-# (input layout, tolerances, step and budget fields) -> tuned layout, and
-# (step and budget fields) -> set-up
-_tuned_layouts = _ScopedTable()
-_channel_terms = _ScopedTable()  # layout -> (|g|^2 at unit rho, spacing verdict)
-_rigid_layouts = _ScopedTable()  # bisection centre -> rigid layout
-# (tolerances, step and budget fields) -> the last walk, see bisection_solve
-_walks = _ScopedTable()
+def scope_tables(params: SystemParams, users: tuple) -> tuple[dict, dict, dict, dict, dict]:
+    """The five tables of the scenario of ``params`` and ``users``, its
+    :func:`_channel_scope`: (input layout, tolerances, step and budget
+    fields) -> tuned layout, and (step and budget fields) -> set-up; layout
+    -> (|g|^2 at unit rho, spacing verdict); bisection centre -> rigid
+    layout; (tolerances, step and budget fields) -> the last walk, see
+    :func:`bisection_solve`; baseline scheme -> both users' |g|^2, for sim.
+
+    The state ``_scope`` is read once per call and replaced whole.  The
+    scope is rebuilt only when ``params`` is another object or ``users``
+    another pair (a fresh tuple of the same users hits), and the tables only
+    when the scope changes, so an entry is never returned in another scope,
+    even to threads solving different scenarios.  A caller may store into a
+    table later; once another scope has taken over, that store is lost,
+    which only repeats work.  Sweeps run each scenario's tasks back to back,
+    so the tables hold at most the layouts one scenario's solves visit
+    (tolerance pairs times power levels times ``iteration_bound``) plus one
+    per reference search."""
+    global _scope
+    state = _scope
+    if params is not state[0] or users != state[1]:
+        scope = _channel_scope(params, users)
+        tables = state[3] if scope == state[2] else ({}, {}, {}, {}, {})
+        state = _scope = (params, users, scope, tables)
+    return state[3]
 
 
 def fine_tune(
@@ -469,9 +456,11 @@ def fine_tune(
     """
     # the scope fixes the wavelength, so the two fields fix the step and budget
     key = (layout.xs, layout.feed_x, cfg.delta1, cfg.delta2, cfg.fine_step, cfg.max_fine_shifts)
-    return _tuned_layouts.lookup(
-        params, users, key, lambda: _tune_layout(params, layout, users, cfg)
-    )
+    tuned = scope_tables(params, users)[0]
+    value = tuned.get(key)
+    if value is None:
+        value = tuned[key] = _tune_layout(params, layout, users, cfg)
+    return value
 
 
 def pinned_antennas(params: SystemParams, layout: AntennaLayout) -> tuple[int, ...]:
@@ -505,17 +494,19 @@ def placement_solution(
 
 
 def _terms(params: SystemParams, layout: AntennaLayout, gains: np.ndarray) -> tuple:
-    """What ``_channel_terms`` keeps for ``layout``: both users' |g|^2 at unit
-    rho, from their complex ``gains``, and the spacing verdict."""
+    """What the channel-term table keeps for ``layout``: both users' |g|^2 at
+    unit rho, from their complex ``gains``, and the spacing verdict."""
     return gain_snr(1.0, gains).tolist(), layout.spacing_ok(params)
 
 
 def _layout_terms(params: SystemParams, layout: AntennaLayout, users: tuple) -> tuple:
-    """``_channel_terms``' entry for ``layout``, computed on a miss."""
-    return _channel_terms.lookup(
-        params, users, (layout.xs, layout.feed_x),
-        lambda: _terms(params, layout, pinching_gain(params, layout, users)),
-    )
+    """The channel-term table's entry for ``layout``, computed on a miss."""
+    terms = scope_tables(params, users)[1]
+    value = terms.get((layout.xs, layout.feed_x))
+    if value is None:
+        value = terms[layout.xs, layout.feed_x] = _terms(
+            params, layout, pinching_gain(params, layout, users))
+    return value
 
 
 def evaluate_placement(
@@ -536,10 +527,10 @@ def evaluate_placement(
 
 
 def _replay(params: SystemParams, users: tuple, walk: list, qos: QosTargets) -> list:
-    """(sum rate, qos_ok, overall) of each iterate of ``walk``, a ``_walks``
+    """(sum rate, qos_ok, overall) of each iterate of ``walk``, a walk-table
     entry, at ``params``' powers, from one :func:`evaluate_snrs_batch` call:
     what :func:`evaluate_placement` gives the iterate's layout, bit for bit.
-    The first replay of a walk gathers its layouts' ``_channel_terms`` into
+    The first replay of a walk gathers its layouts' channel terms into
     the entry, as arrays of |g1|^2, |g2|^2 at unit rho and spacing verdicts."""
     if walk[2] is None:
         terms = [_layout_terms(params, layout, users) for layout in walk[1]]
@@ -569,11 +560,11 @@ def bisection_solve(
 
     The tuned layouts do not depend on the powers, so solves of one scope
     at other powers walk the same centres until a rate verdict parts them.
-    ``_walks`` keeps, per tolerances, step and budget, the scope's last walk
-    as ``[centres, layouts, terms]``: each iterate's clamped centre and tuned
-    layout, as plain lists, and ``terms``, None until a later solve reuses
-    the walk and then the layouts' |g1|^2, |g2|^2 at unit rho and spacing
-    verdicts as arrays.  A solve that finds a walk evaluates all its
+    The walk table keeps, per tolerances, step and budget, the scope's last
+    walk as ``[centres, layouts, terms]``: each iterate's clamped centre and
+    tuned layout, as plain lists, and ``terms``, None until a later solve
+    reuses the walk and then the layouts' |g1|^2, |g2|^2 at unit rho and
+    spacing verdicts as arrays.  A solve that finds a walk evaluates all its
     iterates at its own power in one batch (:func:`_replay`), and while each
     of its iterates so far sits at the recorded centre, takes the iterate's
     sum rate and verdicts from its row: the same centre gives the same rigid
@@ -588,7 +579,7 @@ def bisection_solve(
     lo_bound, hi_bound = center_bounds(params)
 
     offsets = _pitch_offsets(params)
-    rigids, walks = _rigid_layouts.table(params, users), _walks.table(params, users)
+    rigids, walks = scope_tables(params, users)[2:4]
     key = (cfg.delta1, cfg.delta2, cfg.fine_step, cfg.max_fine_shifts)
     walk = walks.get(key) or [[], [], None]
     rows = _replay(params, users, walk, qos) if walk[0] else ()

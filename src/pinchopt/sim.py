@@ -30,12 +30,9 @@ from .channel import (
 )
 from .noma import ZERO_RATES, QosTargets, evaluate_snrs, snr_scale
 from .oracle import OracleConfig, exhaustive_placement, grid_points
-from .placement import AlgoConfig, _ScopedTable, bisection_solve, center_bounds
+from .placement import AlgoConfig, bisection_solve, center_bounds, scope_tables
 
 SCHEMES = ("pinching", *BASELINE_SCHEMES, "exhaustive")
-# baseline scheme -> both users' |g|^2, which no power enters, for the
-# current scenario: one entry per scheme, kept across the power levels
-_baseline_gains = _ScopedTable()
 
 
 class SamplingError(RuntimeError):
@@ -143,10 +140,13 @@ def sample_scenario(rng: np.random.Generator, side_d: float, seed_id: int = 0) -
     raise SamplingError("could not draw a non-degenerate scenario in 100 attempts")
 
 
-def _conventional_record(params, scenario, qos, scheme) -> tuple:
-    users = (scenario.user1, scenario.user2)
-    g1_sq, g2_sq = _baseline_gains.lookup(
-        params, users, scheme, lambda: conventional_effective_gain(params, users, scheme))
+def _conventional_record(params, users, qos, scheme) -> tuple:
+    # both users' |g|^2 enter no power, so the scenario's power levels share them
+    gains = scope_tables(params, users)[4]
+    g_sq = gains.get(scheme)
+    if g_sq is None:
+        g_sq = gains[scheme] = conventional_effective_gain(params, users, scheme)
+    g1_sq, g2_sq = g_sq
     # relabel up front so user 2 keeps the stronger effective channel;
     # the rate targets follow the weak/strong role, not the identity
     swapped = g2_sq < g1_sq
@@ -178,7 +178,7 @@ def evaluate_scheme(
     users = (scenario.user1, scenario.user2)
     iterations = 0
     if scheme in BASELINE_SCHEMES:
-        rates, split, feasible, swapped = _conventional_record(params, scenario, qos, scheme)
+        rates, split, feasible, swapped = _conventional_record(params, users, qos, scheme)
     elif scheme in ("pinching", "exhaustive"):
         sol = (bisection_solve(params, users, qos, cfg) if scheme == "pinching"
                else exhaustive_placement(params, users, qos, oracle_cfg))

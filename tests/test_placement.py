@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import math
 import signal
@@ -42,7 +41,6 @@ from pinchopt.placement import (
     MAX_FINE_SHIFTS,
     SCREEN_SLACK,
     _channel_scope,
-    _ScopedTable,
     _tune_layout,
     _tune_setup,
     _turns_bound,
@@ -51,6 +49,7 @@ from pinchopt.placement import (
     center_bounds,
     center_index,
     pinned_antennas,
+    scope_tables,
 )
 from pinchopt.sim import sample_scenario, trial_rng
 
@@ -232,12 +231,10 @@ class TestFineTune:
                     k += 1
 
 
-def fresh_tables() -> contextlib.ExitStack:
-    """The solver's four scoped tables replaced by empty ones."""
-    stack = contextlib.ExitStack()
-    for name in ("_tuned_layouts", "_channel_terms", "_rigid_layouts", "_walks"):
-        stack.enter_context(mock.patch.object(placement, name, _ScopedTable()))
-    return stack
+def fresh_tables():
+    """The scope state replaced by an empty one, so every table starts empty
+    and the state before comes back on exit."""
+    return mock.patch.object(placement, "_scope", (None, None, None, None))
 
 
 class TestTunedLayoutReuse:
@@ -275,9 +272,7 @@ class TestTunedLayoutReuse:
             return _tune_setup(p, u, c)
 
         cfg, over = AlgoConfig(), AlgoConfig(fine_step=1e-16)
-        table = _ScopedTable()
-        with mock.patch.object(placement, "_tuned_layouts", table), \
-                mock.patch.object(placement, "_tune_setup", setup):
+        with fresh_tables(), mock.patch.object(placement, "_tune_setup", setup):
             for p in (params, dataclasses.replace(params, pt_dbm=0.0)):
                 for layout in layouts:
                     for delta2 in (0.02, 0.2):
@@ -291,7 +286,7 @@ class TestTunedLayoutReuse:
             assert len(built) == 3 and built[2] == (other, *built[0][1:])
             assert tuned == _tune_layout(params, layouts[0], other, cfg)
             lam = wavelength(params)
-            assert table.lookup(params, other, (None, None), lambda: None)[2:] == (
+            assert scope_tables(params, other)[0][None, None][2:] == (
                 lam, abs(other[0].x) + abs(other[1].x), other[0].y**2 + other[1].y**2,
                 lam / params.n_eff)
             # a budget over its cap is refused on every call, and leaves no entry
@@ -299,7 +294,7 @@ class TestTunedLayoutReuse:
                 with pytest.raises(PlacementError, match="fine-tune budget"):
                     fine_tune(params, layouts[0], other, over)
             assert len(built) == 5
-            assert table.lookup(params, other, (over.fine_step, None), lambda: None) is None
+            assert (over.fine_step, None) not in scope_tables(params, other)[0]
         offsets, left = _tune_setup(params, users,
                                     AlgoConfig(fine_step=1e-4, max_fine_shifts=10))[:2]
         assert not offsets.flags.writeable and np.array_equal(offsets, 1e-4 * np.arange(11))
@@ -455,27 +450,21 @@ class TestIterateTables:
     """The rigid layouts and the baseline gains that sweeps keep per scenario,
     and the tuple records an iterate builds."""
 
-    @staticmethod
-    def _never():
-        raise AssertionError("computed again: the lookup should have hit")
-
-    def test_rigid_layouts_equal_initial_layout(self, params, qos, algo_cfg):
+    def test_rigid_layout_table_equals_initial_layout(self, params, qos, algo_cfg):
         users, _ = TestTunedLayoutReuse._cases(15, 1, params)[0]
         c = center_index(params.n_antennas)
-        table = _ScopedTable()
         seen = []
 
         def spy(p, layout, u, cfg):
             """Check each iterate's rigid layout is the table's entry for its
             centre, and the rigid array there."""
             centre = layout.xs[c]
-            assert table.lookup(p, u, centre, self._never) is layout
+            assert scope_tables(p, u)[2][centre] is layout
             assert layout == initial_layout(p, centre, -p.side_d / 2)
             seen.append(layout.xs)
             return fine_tune(p, layout, u, cfg)
 
-        with mock.patch.object(placement, "_rigid_layouts", table), \
-                mock.patch.object(placement, "fine_tune", spy):
+        with fresh_tables(), mock.patch.object(placement, "fine_tune", spy):
             # the first midpoint recurs in the wider region, with another feed
             for side_d in (params.side_d, 2 * params.side_d):
                 for pt in TestTunedLayoutReuse.POWERS:
@@ -483,7 +472,7 @@ class TestIterateTables:
                     bisection_solve(p, users, qos, algo_cfg)
         assert len(set(seen)) < len(seen) / 2  # centres met again
 
-    def test_baseline_gains_match_fresh_and_follow_the_scope(self, params, qos):
+    def test_baseline_gain_table_matches_fresh_and_follows_scope(self, params, qos):
         scen = sample_scenario(trial_rng(16, 0), params.side_d)
         users = (scen.user1, scen.user2)
         calls = []
@@ -492,22 +481,21 @@ class TestIterateTables:
             calls.append(scheme)
             return channel.conventional_effective_gain(p, u, scheme)
 
-        table = _ScopedTable()
         taller = dataclasses.replace(params, h=4.0)
-        for base in (params, taller):
-            for pt in TestTunedLayoutReuse.POWERS:
-                p = dataclasses.replace(base, pt_dbm=pt)
-                for scheme in channel.BASELINE_SCHEMES:
-                    with mock.patch.object(sim, "_baseline_gains", _ScopedTable()):
-                        fresh = sim.evaluate_scheme(p, scen, qos, AlgoConfig(), scheme)
-                    with mock.patch.object(sim, "_baseline_gains", table), \
-                            mock.patch.object(sim, "conventional_effective_gain", gains):
-                        assert sim.evaluate_scheme(p, scen, qos, AlgoConfig(), scheme) == fresh
-                    # the table holds a fresh call's gains bit for bit
-                    assert table.lookup(p, users, scheme, self._never) == (
-                        channel.conventional_effective_gain(p, users, scheme))
-            # one call per scheme and scope: the powers share it, h does not
-            assert calls == list(channel.BASELINE_SCHEMES) * (1 + (base is taller))
+        with fresh_tables():  # the warm state, which each fresh run below restores
+            for base in (params, taller):
+                for pt in TestTunedLayoutReuse.POWERS:
+                    p = dataclasses.replace(base, pt_dbm=pt)
+                    for scheme in channel.BASELINE_SCHEMES:
+                        with fresh_tables():
+                            fresh = sim.evaluate_scheme(p, scen, qos, AlgoConfig(), scheme)
+                        with mock.patch.object(sim, "conventional_effective_gain", gains):
+                            assert sim.evaluate_scheme(p, scen, qos, AlgoConfig(), scheme) == fresh
+                        # the table holds a fresh call's gains bit for bit
+                        assert scope_tables(p, users)[4][scheme] == (
+                            channel.conventional_effective_gain(p, users, scheme))
+                # one call per scheme and scope: the powers share it, h does not
+                assert calls == list(channel.BASELINE_SCHEMES) * (1 + (base is taller))
 
     def test_records_refuse_assignment(self, params, qos, algo_cfg):
         users, _ = TestTunedLayoutReuse._cases(17, 1, params)[0]
@@ -572,12 +560,12 @@ class TestWarmWalks:
         key = (cfg.delta1, cfg.delta2, cfg.fine_step, cfg.max_fine_shifts)
         with fresh_tables():
             first = bisection_solve(params, users, qos, cfg)
-            walk = placement._walks.table(params, users)[key]
+            walk = scope_tables(params, users)[3][key]
             assert walk[2] is None  # a cold solve gathers no terms
             with mock.patch.object(placement, "evaluate_placement", evaluate), \
                     mock.patch.object(placement, "fine_tune", tune):
                 got = bisection_solve(later, users, qos, cfg)
-            assert placement._walks.table(params, users)[key] is walk
+            assert scope_tables(params, users)[3][key] is walk
             # the replay kept its layouts' terms in the entry, bit for bit
             gains, spacing = walk[2]
             for n, layout in enumerate(walk[1]):
@@ -604,7 +592,7 @@ class TestWarmWalks:
                 for pt in (0.0, 40.0, 0.0):
                     p = dataclasses.replace(params, pt_dbm=pt)
                     bisection_solve(p, users, qos, cfg)
-                    walks.append(placement._walks.table(p, users)[key])
+                    walks.append(scope_tables(p, users)[3][key])
             low, high, again = walks
             assert again[0] == low[0] and len(low[0]) == len(high[0])
             head = next((i for i, (a, b) in enumerate(zip(low[0], high[0])) if a != b),
@@ -849,10 +837,9 @@ def test_tune_matches_per_antenna_scan(case):
     kernel read every tuned position."""
     params, layout, users, cfg = case
     want, passed = grid_reference.tune_layout_scan(params, layout, users, cfg)
-    with mock.patch.object(placement, "_tuned_layouts", _ScopedTable()), \
-            mock.patch.object(placement, "_channel_terms", _ScopedTable()) as terms:
+    with fresh_tables():
         tuned = _tune_layout(params, layout, users, cfg)
-        stored = terms.lookup(params, users, (tuned.xs, tuned.feed_x), lambda: None)
+        stored = scope_tables(params, users)[1].get((tuned.xs, tuned.feed_x))
     assert [x.hex() for x in tuned.xs] == [x.hex() for x in want.xs]
     assert tuned.feed_x.hex() == want.feed_x.hex()
     # the centre is read as the inner neighbour of a pick next to it, and so
@@ -974,38 +961,44 @@ class TestPickOnCraftedPhases:
 
 
 class TestScopedTable:
-    """The one-scope table on its own, without threads or timing."""
+    """The one scope state and its five tables, without threads or timing."""
 
     USERS = (UserPosition(2.0, 1.0), UserPosition(-2.0, 0.3))
 
-    @staticmethod
-    def _never():
-        raise AssertionError("computed again: the lookup should have hit")
+    @pytest.fixture(autouse=True)
+    def _fresh(self):
+        with fresh_tables():
+            yield
 
     def test_compute_that_changes_scope_keeps_its_entry_out(self, params):
         other = dataclasses.replace(params, side_d=20.0)
-        table = _ScopedTable()
-
-        def compute():
-            # a nested lookup in another scope swaps the state mid-call
-            assert table.lookup(other, self.USERS, "inner", lambda: "other") == "other"
-            return "first"
-
-        assert table.lookup(params, self.USERS, "key", compute) == "first"
-        assert table.lookup(other, self.USERS, "inner", self._never) == "other"
-        assert table.lookup(other, self.USERS, "key", lambda: "fresh") == "fresh"
+        tables = scope_tables(params, self.USERS)
+        # a nested call in another scope swaps the state before the store
+        for n, table in enumerate(scope_tables(other, self.USERS)):
+            table["inner"] = n
+        for table in tables:
+            table["key"] = "first"
+        assert [t["inner"] for t in scope_tables(other, self.USERS)] == [0, 1, 2, 3, 4]
+        assert not any("key" in t for t in scope_tables(other, self.USERS))
+        # the store is lost, not kept for the first scope either
+        assert not any(scope_tables(params, self.USERS))
 
     def test_equal_distinct_arguments_hit(self, params):
-        table = _ScopedTable()
+        tables = scope_tables(params, self.USERS)
         value = object()
-        assert table.lookup(params, self.USERS, "key", lambda: value) is value
+        tables[0]["key"] = value
         copies = (dataclasses.replace(params),
                   tuple(UserPosition(u.x, u.y) for u in self.USERS))
         assert copies[0] is not params and copies[1] is not self.USERS
-        assert table.lookup(*copies, "key", self._never) is value
+        assert scope_tables(*copies)[0]["key"] is value
         # the powers are not part of the scope
         louder = dataclasses.replace(params, pt_dbm=0.0, noise_dbm=-80.0)
-        assert table.lookup(louder, self.USERS, "key", self._never) is value
+        assert scope_tables(louder, self.USERS) is tables
+        # the same params with a fresh tuple of equal users build no scope
+        with mock.patch.object(placement, "_channel_scope", wraps=_channel_scope) as built:
+            assert scope_tables(louder, copies[1]) is tables
+            assert scope_tables(louder, (self.USERS[0], copies[1][1])) is tables
+        assert built.call_count == 0
 
     def test_other_scope_never_returns_stale_entry(self, params):
         others = [
@@ -1017,12 +1010,77 @@ class TestScopedTable:
             (params, (self.USERS[1], self.USERS[0])),
             (params, (self.USERS[0], UserPosition(-2.0, 0.4))),
         ]
-        table = _ScopedTable()
         for p, users in others:
-            table.lookup(params, self.USERS, "key", lambda: "base")
-            assert table.lookup(p, users, "key", lambda: "new") == "new"
+            for table in scope_tables(params, self.USERS):
+                table["key"] = "base"
+            assert not any(scope_tables(p, users))  # all five fresh
         # back in the first scope, its entries are gone, never mixed in
-        assert table.lookup(params, self.USERS, "key", lambda: "again") == "again"
+        assert not any(scope_tables(params, self.USERS))
+
+
+class TestSchemesShareOneScope:
+    """The solver and the fixed-array baselines read one scope state."""
+
+    SCHEMES = ("pinching", *channel.BASELINE_SCHEMES)
+
+    def test_one_scope_build_per_evaluate_scheme(self, params, qos):
+        scen = sample_scenario(trial_rng(21, 0), params.side_d)
+        per_call = []
+        with fresh_tables(), \
+                mock.patch.object(placement, "_channel_scope", wraps=_channel_scope) as built:
+            for pt in (0.0, 20.0, 40.0):
+                p = dataclasses.replace(params, pt_dbm=pt)
+                for scheme in self.SCHEMES:
+                    before = built.call_count
+                    sim.evaluate_scheme(p, scen, qos, AlgoConfig(), scheme)
+                    per_call.append(built.call_count - before)
+        # each power level's params are a new object, and the baselines at
+        # that level pass a fresh tuple of the same users
+        assert per_call == [1, 0, 0] * 3
+
+    def test_threads_evaluating_schemes(self, params):
+        """Threads running the solver and the baselines on different
+        scenarios at several powers, with a short switch interval, each get
+        the record of a run on fresh tables."""
+        cfg, qos = AlgoConfig(), QosTargets(4.0, 4.0)
+        scens = [sample_scenario(trial_rng(22, t), params.side_d) for t in range(4)]
+        runs = [(dataclasses.replace(params, pt_dbm=pt), scheme)
+                for pt in TestWarmWalks.POWERS for scheme in self.SCHEMES]
+        expected = []
+        for scen in scens:
+            want = []
+            for p, scheme in runs:
+                with fresh_tables():
+                    want.append(repr(sim.evaluate_scheme(p, scen, qos, cfg, scheme)))
+            expected.append(want)
+        errors = []
+        start = threading.Barrier(len(scens))
+
+        def work(scen, want):
+            try:
+                start.wait(timeout=60)
+                for _ in range(10):
+                    for (p, scheme), w in zip(runs[::-1] + runs, want[::-1] + want):
+                        got = repr(sim.evaluate_scheme(p, scen, qos, cfg, scheme))
+                        if got != w:
+                            errors.append((scen, p.pt_dbm, scheme, got, w))
+            except Exception as exc:  # would not reach the test from a thread
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with fresh_tables():
+                threads = [threading.Thread(target=work, args=case)
+                           for case in zip(scens, expected)]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
 
 
 class TestPinnedAntennas:

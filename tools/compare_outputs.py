@@ -15,7 +15,9 @@ directory, which is removed again at the end.  From each tree, with its own
 - ``pinch sweep power`` at ``qos.r1_min=4 qos.r2_min=4``, where bisection
   walks move left and the power levels' walks part ways, once with the
   powers ascending and once descending, so a solve replaying the last
-  power's walk leaves it in either direction: its table and config.json;
+  power's walk leaves it in either direction, and descending again at
+  ``--threads 2``, where pool workers inherit the scope state of the
+  process that forks them: its table and config.json;
 - ``pinch sweep delta`` at ``qos.r1_min=4 qos.r2_min=4``, where each power
   runs every tolerance pair, so each pair's walk is replayed after the other
   pairs' solves: its table and config.json;
@@ -84,10 +86,11 @@ def outputs(tree: Path, seed: int, out: Path) -> dict[str, bytes | str]:
     runs.append(("sweep power qos 4/4", out / "power-qos", ("power.csv", "config.json"),
                  ("sweep", "power", "--out", str(out / "power-qos" / "power.csv"),
                   "--threads", "1", *QOS_SET)))
-    runs.append(("sweep power qos 4/4 descending", out / "power-qos-down",
-                 ("power.csv", "config.json"),
-                 ("sweep", "power", "--out", str(out / "power-qos-down" / "power.csv"),
-                  "--threads", "1", *QOS_SET, *DESCENDING_SET)))
+    for t in (1, 2):
+        runs.append((f"sweep power qos 4/4 descending --threads {t}", out / f"power-qos-down-t{t}",
+                     ("power.csv", "config.json"),
+                     ("sweep", "power", "--out", str(out / f"power-qos-down-t{t}" / "power.csv"),
+                      "--threads", str(t), *QOS_SET, *DESCENDING_SET)))
     runs.append(("sweep delta qos 4/4", out / "delta-qos", ("delta.csv", "config.json"),
                  ("sweep", "delta", "--out", str(out / "delta-qos" / "delta.csv"),
                   "--threads", "1", *QOS_SET)))
