@@ -193,21 +193,24 @@ def phase_turns_and_distances(
     single source of truth for the phase arithmetic used throughout:
     sqrt(((ux - x)**2 + uy**2) + h**2) / lam - |feed_x - x| / (lam / n_eff),
     in that order, in place in full-shape buffers (so a 0-d ``xs`` too is
-    squared as an array, not by a NumPy scalar's pow).
+    squared as an array, not by a NumPy scalar's pow), with each user's ux,
+    uy**2 and h**2 applied to its own row as scalars.
     """
     xs = np.asarray(xs, dtype=float)
     if isinstance(user, UserPosition):
-        ux, uy2, shape = user.x, user.y**2, xs.shape
+        dist = np.empty(xs.shape)
+        rows = ((dist, user),)
     else:
-        # each y squared by Python's ** as above: its pow and NumPy's y*y
-        # differ in the last bit for about one float in a thousand
-        cols = np.array([u.x for u in user] + [u.y**2 for u in user]).reshape(
-            (2, -1) + (1,) * xs.ndim)
-        ux, uy2, shape = cols[0], cols[1], (len(cols[0]),) + xs.shape
-    dist = np.subtract(ux, xs, out=np.empty(shape))
+        dist = np.empty((len(user),) + xs.shape)
+        rows = [(dist[i, ...], u) for i, u in enumerate(user)]
+    for row, u in rows:
+        np.subtract(u.x, xs, out=row)
     np.square(dist, out=dist)
-    dist += uy2
-    dist += params.h**2
+    for row, u in rows:
+        # y squared by Python's **: its pow and NumPy's y*y differ in the
+        # last bit for about one float in a thousand
+        row += u.y**2
+        row += params.h**2
     np.sqrt(dist, out=dist)
     guide = np.subtract(feed_x, xs, out=np.empty(xs.shape))
     np.abs(guide, out=guide)

@@ -175,6 +175,8 @@ def cmd_sweep(cfg: RunConfig, which: str, out_path: str, threads: int) -> int:
         raise ConfigError(f"output directory {out_dir} does not exist")
     if os.path.isdir(out_path):
         raise ConfigError(f"output path {out_path} is a directory")
+    if os.path.basename(out_path) == "config.json":  # _echo_config would overwrite the table
+        raise ConfigError(f"output path {out_path} is the run's config.json")
     result = run_sweeps([which], cfg.system, cfg.qos, cfg.algo, cfg.sweep, cfg.oracle,
                         threads)[0]
     fmt = "json" if out_path.endswith(".json") else "csv"

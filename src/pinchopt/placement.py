@@ -24,7 +24,6 @@ from .channel import (
     gains_from_phases,
     phase_turns_and_distances,
     pinching_gain,
-    spacing_holds,
     wavelength,
 )
 from .noma import (
@@ -180,36 +179,40 @@ def _antenna_cap(params: SystemParams, n: int, side: int) -> float:
     return -half + n * params.delta_min
 
 
-def _candidate_grid(
-    params: SystemParams, cand: np.ndarray, inner_x: float, cap: float
-) -> np.ndarray:
+def _candidate_grid(cand: np.ndarray, inner_x: float, cap: float, threshold: float) -> np.ndarray:
     """The candidates one antenna's pick reads, in outward coordinates
     (side * x, ascending away from the centre antenna): the grid ``cand``
     truncated at the room-preserving region cap ``cap`` (keeping the cap
-    itself as a final candidate), from its first candidate that keeps spacing
-    >= delta_min to the inner neighbour at ``inner_x``.  Empty when the inner
-    neighbour moved past the whole grid."""
+    itself as a final candidate), from its first candidate whose gap to the
+    inner neighbour at ``inner_x`` is at least ``threshold``, the spacing
+    threshold of :func:`_tune_setup`.  Empty when the inner neighbour moved
+    past the whole grid."""
     if cand[-1] > cap + CAP_SLACK:  # the grid ascends, so only its tail can pass the cap
         cand = cand[cand <= cap + CAP_SLACK]
         if cand.size == 0 or cand[-1] < cap - CAP_SLACK:
             cand = np.append(cand, cap)
-    if not spacing_holds(params, cand[0] - inner_x):
+    if not cand[0] - inner_x >= threshold:
         # gaps ascend with the grid, so the valid candidates are its tail
-        spacing_ok = spacing_holds(params, cand - inner_x)
+        spacing_ok = cand - inner_x >= threshold
         cand = cand[int(np.argmax(spacing_ok)):] if spacing_ok.any() else cand[:0]
     return cand
 
 
-def _pick_candidate(turns: np.ndarray, cfg: AlgoConfig, bound: float) -> int:
-    """Index of one antenna's tuned position in its :func:`_candidate_grid`.
+def _pick_round(turns: np.ndarray, segments: list, cfg: AlgoConfig, bound: float) -> list[int]:
+    """Each pick's tuned position in its :func:`_candidate_grid`, as an index,
+    for one fine-tune round.
 
-    ``turns`` holds the composite phases in turns from
-    :func:`phase_turns_and_distances`, one row per user: column 0 at the
-    inner neighbour, then one column per candidate, in outward order.  The
-    first candidate that aligns the composite-phase difference to the inner
-    neighbour within (delta1, delta2) for both users wins; if none does, the
-    one with the smallest tolerance-weighted error is used.  Every candidate
-    already keeps the spacing.
+    ``turns`` holds the round's composite phases in turns from
+    :func:`phase_turns_and_distances`, one row per user, and ``segments``
+    each pick's (first column, grid size) in them: the column at the inner
+    neighbour, then one column per candidate, in outward order.  In each
+    segment the first candidate that aligns the composite-phase difference
+    to its inner neighbour within (delta1, delta2) for both users wins; if
+    none does, the one with the smallest tolerance-weighted error is used.
+    Every candidate already keeps the spacing.  The screen below runs once
+    over the whole row, each segment less its own inner column; every step
+    after it reads one segment's columns alone, so each pick is the one its
+    segment would get on its own.
 
     Every decision reads exact :func:`circular_phase_error` values of the
     phases 2pi * t that :func:`phases_and_distances` returns, t being the
@@ -243,41 +246,52 @@ def _pick_candidate(turns: np.ndarray, cfg: AlgoConfig, bound: float) -> int:
     candidate scores higher; a single such candidate is the answer outright
     (with no hit, so no fit, it is m).  Where the slack is not below both
     tolerances (a zero tolerance, or a bound too large or not finite), the
-    screen cannot narrow the grid, and the rule runs on every candidate.
+    screen cannot narrow a grid, and the rule runs on every candidate.
     """
-    grid, inner = turns[:, 1:], turns[:, :1]
     d1, d2 = cfg.delta1, cfg.delta2
     w1, w2 = max(d1, 1e-300), max(d2, 1e-300)  # guard against a zero tolerance
 
-    def scan(idx):
-        """The rule itself, on the candidates ``idx`` (an index array)."""
-        errs = circular_phase_error(TWO_PI * grid[:, idx], TWO_PI * inner)
+    def scan(first, idx):
+        """The rule itself, on the candidates ``idx`` (an index array) of the
+        segment at column ``first``."""
+        errs = circular_phase_error(TWO_PI * turns[:, first + 1 + idx],
+                                    TWO_PI * turns[:, first:first + 1])
         fits = (errs[0] <= d1) & (errs[1] <= d2)
         if fits.any():
             return int(idx[np.argmax(fits)])
         return int(idx[np.argmin(errs[0] / w1 + errs[1] / w2)])  # tolerance-weighted fallback
 
     slack = SCREEN_SLACK * (1.0 + bound)
-    if not slack < min(d1, d2) / TWO_PI:  # NaN too: the screen cannot narrow the grid
-        return scan(np.arange(grid.shape[1]))
-    off = grid - inner
-    off -= np.rint(off)
-    off = np.abs(off, out=off)
-    hits = (off[0] <= d1 / TWO_PI + slack) & (off[1] <= d2 / TWO_PI + slack)
-    first = int(hits.argmax())
-    if hits[first]:  # the usual first fit; it misses only within the slack of an edge
-        (t1, k1), (t2, k2) = turns.take((0, first + 1), axis=1).tolist()
-        if _turn_error(t1, k1) <= d1 and _turn_error(t2, k2) <= d2:
-            return first
-    score = off[0] * (TWO_PI / w1) + off[1] * (TWO_PI / w2)
-    m = int(score.argmin())
-    near = score <= score[m] + 2.0 * slack * (TWO_PI / w1 + TWO_PI / w2)
-    if hits[first]:  # a later hit may still fit
-        near |= hits
-    elif np.count_nonzero(near) == 1:  # no fit, and m alone is near
-        return m
-    idx = np.flatnonzero(near)
-    return int(idx[0]) if idx.size == 1 else scan(idx)  # one holds no choice
+    if not slack < min(d1, d2) / TWO_PI:  # NaN too: the screen cannot narrow a grid
+        return [scan(first, np.arange(size)) for first, size in segments]
+    screen = np.empty_like(turns)
+    for first, size in segments:
+        part = turns[:, first:first + 1 + size]
+        np.subtract(part, part[:, :1], out=screen[:, first:first + 1 + size])
+    screen -= np.rint(screen)
+    np.abs(screen, out=screen)
+    hits = (screen[0] <= d1 / TWO_PI + slack) & (screen[1] <= d2 / TWO_PI + slack)
+    picks = []
+    for first, size in segments:
+        hit = hits[first + 1:first + 1 + size]
+        j = int(hit.argmax())
+        # the usual first fit; it misses only within the slack of an edge
+        if hit[j] and (_turn_error(turns.item(0, first), turns.item(0, first + 1 + j)) <= d1
+                       and _turn_error(turns.item(1, first), turns.item(1, first + 1 + j)) <= d2):
+            picks.append(j)
+            continue
+        off = screen[:, first + 1:first + 1 + size]
+        score = off[0] * (TWO_PI / w1) + off[1] * (TWO_PI / w2)
+        m = int(score.argmin())
+        near = score <= score[m] + 2.0 * slack * (TWO_PI / w1 + TWO_PI / w2)
+        if hit[j]:  # a later hit may still fit
+            near |= hit
+        elif np.count_nonzero(near) == 1:  # no fit, and m alone is near
+            picks.append(m)
+            continue
+        idx = np.flatnonzero(near)
+        picks.append(int(idx[0]) if idx.size == 1 else scan(first, idx))  # one holds no choice
+    return picks
 
 
 def _turns_bound(params: SystemParams, setup: tuple, feed_x: float, reach: float) -> float:
@@ -288,7 +302,7 @@ def _turns_bound(params: SystemParams, setup: tuple, feed_x: float, reach: float
     operands at least as large (|u.x| summed over the users plus reach,
     u.y**2 summed, |feed_x| + reach): rounding is monotone, and the kernel's
     t = fl(p - g) of p, g >= 0 has |t| <= max(p, g) <= fl(p + g)."""
-    lam, x_sum, y2_sum, guide_lam = setup[2:]
+    lam, x_sum, y2_sum, guide_lam = setup[2:6]
     x = x_sum + reach
     far = math.sqrt(x * x + y2_sum + params.h**2)
     return far / lam + (abs(feed_x) + reach) / guide_lam
@@ -296,15 +310,26 @@ def _turns_bound(params: SystemParams, setup: tuple, feed_x: float, reach: float
 
 def _tune_setup(params: SystemParams, users: tuple, cfg: AlgoConfig) -> tuple:
     """What the tunes of one scope share for ``cfg``'s step and budget: the
-    outward offset grid and its negation (read-only, as they are shared), and
-    the operands of :func:`_turns_bound` the scope fixes (lam, sum |u.x|, sum
-    u.y**2, lam / n_eff).  An over-cap budget raises before any allocation."""
+    outward offset grid and its negation (read-only, as they are shared); the
+    operands of :func:`_turns_bound` the scope fixes (lam, sum |u.x|, sum
+    u.y**2, lam / n_eff); the centre index; whether the array fits the region
+    (see :func:`center_bounds`); the grid's last offset; the spacing
+    threshold delta_min - SPACING_SLACK of ``channel.spacing_holds``; and
+    the rounds, each a tuple of (side, antenna, outward room-preserving cap,
+    signed offsets), the right side first.  An over-cap budget raises before
+    any allocation."""
     step, shifts = cfg.resolved_fine_step(params), cfg.resolved_max_shifts(params)
     offsets = step * np.arange(shifts + 1)
     lam, left = wavelength(params), -offsets
     offsets.flags.writeable = left.flags.writeable = False
+    n_ant, c = params.n_antennas, center_index(params.n_antennas)
+    rounds = tuple(
+        tuple((side, n, side * _antenna_cap(params, n, side), offsets if side > 0 else left)
+              for side, n in ((+1, c + r), (-1, c - r)) if 0 <= n < n_ant)
+        for r in range(1, max(c, n_ant - 1 - c) + 1))
     return (offsets, left, lam, sum(abs(u.x) for u in users), sum(u.y**2 for u in users),
-            lam / params.n_eff)
+            lam / params.n_eff, c, _antenna_cap(params, c, -1) <= _antenna_cap(params, c, +1),
+            float(offsets[-1]), params.delta_min - AntennaLayout.SPACING_SLACK, rounds)
 
 
 def _tune_layout(
@@ -314,17 +339,19 @@ def _tune_layout(
     cfg: AlgoConfig,
 ) -> AntennaLayout:
     """Uncached body of :func:`fine_tune`.  Its :func:`_tune_setup` is built
-    once per scope, in the tuned-layout table under the raw step and budget.
+    once per scope, in the tuned-layout table under the raw step and budget,
+    and the tune walks the set-up's rounds.
 
     Round r tunes antennas c + r and c - r (c the centre antenna), each on
     its own :func:`_candidate_grid`, led by its inner neighbour.  Both grids
     go through one :func:`phase_turns_and_distances` call in real
-    coordinates, with the users and the feed as given.  The picks decide in
-    outward coordinates, side * x, on their own segments of that call: a
-    left grid in real coordinates is the exact negation of its outward grid,
-    and the composite phases are bit-equal under negating every position,
-    the users' x and the feed, as rounding is symmetric.  So each side's
-    pick is what a right side alone would pick on the mirror image.
+    coordinates, with the users and the feed as given, and one
+    :func:`_pick_round` call.  The picks decide in outward coordinates,
+    side * x, on their own segments of that call: a left grid in real
+    coordinates is the exact negation of its outward grid, and the composite
+    phases are bit-equal under negating every position, the users' x and
+    the feed, as rounding is symmetric.  So each side's pick is what a right
+    side alone would pick on the mirror image.
 
     A grid that :func:`_candidate_grid` would leave whole (checked at its
     ends) goes into the row once, as x plus the signed offsets: fl(x - o) =
@@ -341,59 +368,53 @@ def _tune_layout(
     setup = tuned_table.get((cfg.fine_step, cfg.max_fine_shifts))
     if setup is None:
         setup = tuned_table[cfg.fine_step, cfg.max_fine_shifts] = _tune_setup(params, users, cfg)
-    offsets, left, last = setup[0], setup[1], float(setup[0][-1])
-    n_ant = params.n_antennas
-    c = center_index(n_ant)
+    offsets, (c, fits, last, threshold, rounds) = setup[0], setup[6:]
     xs = list(layout.xs)
-    # If the array fits the region (see center_bounds), so does every cap, and
-    # every position a call reads is the centre or past it on its side, at most
-    # CAP_SLACK outside the region; max keeps a NaN centre NaN.
-    fits = _antenna_cap(params, c, -1) <= _antenna_cap(params, c, +1)
+    # If the array fits the region, so does every cap, and every position a
+    # call reads is the centre or past it on its side, at most CAP_SLACK
+    # outside the region; max keeps a NaN centre NaN.
     reach = max(abs(xs[c]), params.side_d / 2.0) + CAP_SLACK if fits else math.inf
     bound = _turns_bound(params, setup, layout.feed_x, reach)
     calls = []  # each round's kernel output, side by side
-    column = [None] * n_ant  # each tuned position's column in those outputs
+    column = [None] * params.n_antennas  # each tuned position's column in those outputs
     base = 0  # columns of the earlier rounds' outputs
-    for r in range(1, max(c, n_ant - 1 - c) + 1):
-        picks, width = [], 0  # picks: (side, antenna, grid size, first column)
+    for entries in rounds:
+        antennas, segments, width = [], [], 0  # each pick's (side, antenna), (first column, size)
         row = np.empty(2 * offsets.size + 2)  # inner neighbours, then grids in real coordinates
-        for side in (+1, -1):
-            n = c + side * r
-            if not 0 <= n < n_ant:
-                continue
-            inner, cap = side * xs[n - side], side * _antenna_cap(params, n, side)
+        for side, n, cap, signed in entries:
+            inner = side * xs[n - side]
             lo, hi = side * xs[n], side * xs[n] + last  # the outward grid's ends
-            if hi <= cap + CAP_SLACK and spacing_holds(params, lo - inner) and not lo <= 0 <= hi:
+            if hi <= cap + CAP_SLACK and lo - inner >= threshold and not lo <= 0 <= hi:
                 size = offsets.size
-                np.add(xs[n], offsets if side > 0 else left, out=row[width + 1:width + 1 + size])
+                np.add(xs[n], signed, out=row[width + 1:width + 1 + size])
             else:
-                cand = _candidate_grid(params, lo + offsets, inner, cap)
+                cand = _candidate_grid(lo + offsets, inner, cap, threshold)
                 if cand.size == 0:  # inner neighbour moved past the whole grid; sit at minimum pitch
                     xs[n] = side * min(inner + params.delta_min, cap)
                     continue
                 size = cand.size
                 np.multiply(cand, side, out=row[width + 1:width + 1 + size])
-            picks.append((side, n, size, width))
+            antennas.append((side, n))
+            segments.append((width, size))
             row[width] = xs[n - side]
             width += size + 1
-        if not picks:
+        if not segments:
             continue
         calls.append(phase_turns_and_distances(params, users, row[:width], layout.feed_x))
-        for side, n, size, first in picks:
-            k = _pick_candidate(calls[-1][0][:, first:first + size + 1], cfg, bound)
-            xs[n] = float(row[first + 1 + k])
+        picks = _pick_round(calls[-1][0], segments, cfg, bound)
+        for (side, n), (first, _), k in zip(antennas, segments, picks):
+            xs[n] = row.item(first + 1 + k)
             if column[n - side] is None:  # the centre, or an antenna at minimum pitch
                 column[n - side] = base + first
             column[n] = base + first + 1 + k
         base += width
     tuned = AntennaLayout(tuple(xs), layout.feed_x)
-    if None not in column:
+    if None not in column and (tuned.xs, tuned.feed_x) not in terms:
         turns, dist = (calls[0] if len(calls) == 1
                        else (np.concatenate(a, axis=1) for a in zip(*calls)))
         gains = gains_from_phases(params, TWO_PI * turns.take(column, axis=1),
                                   dist.take(column, axis=1))
-        if (tuned.xs, tuned.feed_x) not in terms:
-            terms[tuned.xs, tuned.feed_x] = _terms(params, tuned, gains)
+        terms[tuned.xs, tuned.feed_x] = _terms(params, tuned, gains)
     return tuned
 
 

@@ -339,6 +339,16 @@ class TestSweepCommand:
         assert code == 1
         assert "is a directory" in capsys.readouterr().err
 
+    def test_config_json_out_path_exits_one(self, tmp_path, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the sweep ran before the output path was checked")
+
+        monkeypatch.setattr("pinchopt.cli.run_sweeps", unreachable)
+        code = main(["sweep", "oracle", "--out", str(tmp_path / "config.json"), *SMALL_SWEEP])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: output path")
+        assert not (tmp_path / "config.json").exists()
+
     def test_oracle_sweep_completes_quickly(self, tmp_path):
         out = tmp_path / "oracle.csv"
         start = time.perf_counter()

@@ -286,7 +286,7 @@ class TestTunedLayoutReuse:
             assert len(built) == 3 and built[2] == (other, *built[0][1:])
             assert tuned == _tune_layout(params, layouts[0], other, cfg)
             lam = wavelength(params)
-            assert scope_tables(params, other)[0][None, None][2:] == (
+            assert scope_tables(params, other)[0][None, None][2:6] == (
                 lam, abs(other[0].x) + abs(other[1].x), other[0].y**2 + other[1].y**2,
                 lam / params.n_eff)
             # a budget over its cap is refused on every call, and leaves no entry
@@ -700,6 +700,44 @@ PICK_SIZES = st.sampled_from((1, 2, 3, 1001)) | st.integers(min_value=1, max_val
 PICK_SHIFTS = st.sampled_from((0.0,)) | st.floats(min_value=-0.1, max_value=1.05)
 
 
+def _pick_scene(draw):
+    """The geometry, the users and the feed of a pick, as :func:`pick_cases`
+    draws them."""
+    side_d = draw(PICK_SIDES)
+    params = SystemParams(fc=draw(PICK_FC), n_eff=draw(PICK_N_EFF), h=draw(PICK_H),
+                          side_d=side_d)
+    users = tuple(UserPosition(side_d * (draw(PICK_PLACES) - 0.5),
+                               side_d * (draw(PICK_PLACES) - 0.5)) for _ in range(2))
+    feed_x = side_d * (draw(st.sampled_from((0, 1))) - 0.5)
+    return params, users, feed_x
+
+
+def _pick_grid(draw, params):
+    """One pick's candidate grid, inner neighbour and cap, as :func:`pick_cases`
+    draws them."""
+    inner_x = params.side_d * (draw(PICK_PLACES) - 0.5)
+    step = wavelength(params) / 100.0
+    size = draw(PICK_SIZES)
+    cand = inner_x + params.delta_min + step * (np.arange(size) - draw(PICK_SHIFTS) * (size - 1))
+    # the cap truncates the grid unless it lies past the last candidate
+    cap = float(cand[0]) - step + draw(UNIT) * (float(cand[-1] - cand[0]) + 2.0 * step)
+    cap = draw(st.sampled_from((cap, float(cand[-1]), float(cand[-1]) + 1.0)))
+    return cand, inner_x, cap
+
+
+def _pick_config(draw, params, users, feed_x, cand, inner_x):
+    """The tolerances of a pick, as :func:`pick_cases` draws them."""
+    delta1, delta2 = draw(TOLERANCES), draw(TOLERANCES)
+    edge = draw(st.sampled_from((None, 0, 1)))
+    if edge is not None:
+        k = int(draw(PICK_PLACES) * (cand.size - 1))  # the first candidate too
+        phases = phases_and_distances(params, users[edge], np.array([inner_x, cand[k]]), feed_x)[0]
+        err = float(circular_phase_error(phases[1], phases[0]))
+        err = draw(st.sampled_from((err, math.nextafter(err, 0.0))))
+        delta1, delta2 = (err, delta2) if edge == 0 else (delta1, err)
+    return AlgoConfig(delta1=delta1, delta2=delta2)
+
+
 @st.composite
 def pick_cases(draw):
     """Arguments of one fine-tune pick: the geometry, the users, the feed
@@ -709,28 +747,9 @@ def pick_cases(draw):
     inner neighbour may sit on the region's corners, where the phases and
     their bound are largest.  A tolerance may sit exactly on, or just
     inside, one candidate's exact phase error."""
-    side_d = draw(PICK_SIDES)
-    params = SystemParams(fc=draw(PICK_FC), n_eff=draw(PICK_N_EFF), h=draw(PICK_H),
-                          side_d=side_d)
-    users = tuple(UserPosition(side_d * (draw(PICK_PLACES) - 0.5),
-                               side_d * (draw(PICK_PLACES) - 0.5)) for _ in range(2))
-    feed_x = side_d * (draw(st.sampled_from((0, 1))) - 0.5)
-    inner_x = side_d * (draw(PICK_PLACES) - 0.5)
-    step = wavelength(params) / 100.0
-    size = draw(PICK_SIZES)
-    cand = inner_x + params.delta_min + step * (np.arange(size) - draw(PICK_SHIFTS) * (size - 1))
-    # the cap truncates the grid unless it lies past the last candidate
-    cap = float(cand[0]) - step + draw(UNIT) * (float(cand[-1] - cand[0]) + 2.0 * step)
-    cap = draw(st.sampled_from((cap, float(cand[-1]), float(cand[-1]) + 1.0)))
-    delta1, delta2 = draw(TOLERANCES), draw(TOLERANCES)
-    edge = draw(st.sampled_from((None, 0, 1)))
-    if edge is not None:
-        k = int(draw(PICK_PLACES) * (size - 1))  # the first candidate too
-        phases = phases_and_distances(params, users[edge], np.array([inner_x, cand[k]]), feed_x)[0]
-        err = float(circular_phase_error(phases[1], phases[0]))
-        err = draw(st.sampled_from((err, math.nextafter(err, 0.0))))
-        delta1, delta2 = (err, delta2) if edge == 0 else (delta1, err)
-    cfg = AlgoConfig(delta1=delta1, delta2=delta2)
+    params, users, feed_x = _pick_scene(draw)
+    cand, inner_x, cap = _pick_grid(draw, params)
+    cfg = _pick_config(draw, params, users, feed_x, cand, inner_x)
     return params, users, cfg, feed_x, cand, inner_x, cap
 
 
@@ -739,14 +758,15 @@ def screened_pick(params, users, cfg, feed_x, cand, inner_x, cap) -> float:
     coordinates: its trimmed grid, one kernel call led by the inner
     neighbour, and the screened pick on that call's turns, with their bound
     at the largest |x| the call reads (the grid ascends)."""
-    grid = placement._candidate_grid(params, cand, inner_x, cap)
+    grid = placement._candidate_grid(cand, inner_x, cap,
+                                     params.delta_min - AntennaLayout.SPACING_SLACK)
     if grid.size == 0:
         return min(inner_x + params.delta_min, cap)
     xs = np.concatenate(([inner_x], grid))
     turns = phase_turns_and_distances(params, users, xs, feed_x)[0]
     bound = _turns_bound(params, _tune_setup(params, users, cfg), feed_x,
                          float(np.abs(xs[[0, 1, -1]]).max()))
-    return float(grid[placement._pick_candidate(turns, cfg, bound)])
+    return float(grid[placement._pick_round(turns, [(0, grid.size)], cfg, bound)[0]])
 
 
 @given(pick_cases())
@@ -754,6 +774,74 @@ def screened_pick(params, users, cfg, feed_x, cand, inner_x, cap) -> float:
 def test_pick_matches_full_scan(case):
     """The screened pick returns exactly what the full exact scan returns."""
     assert screened_pick(*case) == grid_reference.pick_candidate_scan(*case)
+
+
+# where a round's phases turn NaN, in one case of four: a whole segment, a
+# segment's inner neighbour, or one of its candidates (by its place in it)
+POISON = st.one_of(st.none(), st.none(), st.none(),
+                   st.tuples(st.sampled_from((0, 1)), st.sampled_from(("all", "inner")) | UNIT))
+
+
+@st.composite
+def round_cases(draw):
+    """Arguments of one fine-tune round of two picks: the geometry, the users,
+    the feed and the tolerances of :func:`pick_cases`, and each pick's own
+    inner neighbour, candidate grid and cap.  So the two grids are cut at
+    their own caps and spacings, mostly to different sizes, and follow
+    distinct inner neighbours, as in the rounds after the first at N >= 5.
+    A tolerance may sit on an exact error in either grid.  ``poison`` names
+    where the round's phases turn NaN (see ``POISON``)."""
+    params, users, feed_x = _pick_scene(draw)
+    grids = [_pick_grid(draw, params) for _ in range(2)]
+    cand, inner_x, _ = grids[draw(st.sampled_from((0, 1)))]
+    cfg = _pick_config(draw, params, users, feed_x, cand, inner_x)
+    return params, users, cfg, feed_x, grids, draw(POISON)
+
+
+@given(round_cases())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_round_pick_matches_each_segment_alone(case):
+    """Each pick of a round of two, screened over the whole row, is what the
+    full exact scan gives on its own segment alone.  A round with a NaN
+    phase has a NaN bound (no bound covers it), so its picks take the full
+    scan, and the NaN segment leaves the finite one's pick alone."""
+    params, users, cfg, feed_x, grids, poison = case
+    threshold = params.delta_min - AntennaLayout.SPACING_SLACK
+    trimmed = [placement._candidate_grid(cand, inner_x, cap, threshold)
+               for cand, inner_x, cap in grids]
+    assume(all(grid.size for grid in trimmed))  # a grid the inner neighbour passed has no pick
+    xs = np.concatenate([np.concatenate(([inner_x], grid))
+                         for (_, inner_x, _), grid in zip(grids, trimmed)])
+    segments = [(0, trimmed[0].size), (trimmed[0].size + 1, trimmed[1].size)]
+    turns = phase_turns_and_distances(params, users, xs, feed_x)[0]
+    bound = _turns_bound(params, _tune_setup(params, users, cfg), feed_x,
+                         float(np.abs(xs).max()))
+    bad = {}  # segment -> its NaN columns, counted from its inner neighbour
+    if poison is not None:
+        seg, where = poison
+        size = segments[seg][1]
+        bad[seg] = (slice(None) if where == "all" else 0 if where == "inner"
+                    else 1 + int(where * (size - 1)))
+        first = segments[seg][0]
+        turns[:, first:first + 1 + size][:, bad[seg]] = np.nan
+        bound = math.nan
+    picks = placement._pick_round(turns, segments, cfg, bound)
+    kernel = channel.phase_turns_and_distances
+    for seg, ((cand, inner_x, cap), grid, k) in enumerate(zip(grids, trimmed, picks)):
+        # the scan reads its capped grid, the trimmed one's candidates last
+        skip = grid_reference.capped(cand, cap).size - grid.size
+
+        def poisoned(params, user, xs, feed_x, seg=seg):
+            turns, dist = kernel(params, user, xs, feed_x)
+            cols = bad[seg]
+            turns[cols if not isinstance(cols, int) or cols == 0 else skip + cols] = np.nan
+            return turns, dist
+
+        with mock.patch.object(channel, "phase_turns_and_distances",
+                               poisoned if seg in bad else kernel):
+            want = grid_reference.pick_candidate_scan(params, users, cfg, feed_x, cand,
+                                                      inner_x, cap)
+        assert float(grid[k]) == want
 
 
 # the budget in fine steps: two candidates, a few, or the default 10 wavelengths
@@ -924,7 +1012,8 @@ class TestPickOnCraftedPhases:
         # the bound at the row's largest phase: NaN when a phase is
         bound = float(np.abs(row).max())
         with mock.patch.object(np, "flatnonzero", wraps=np.flatnonzero) as kept:
-            pick = float(cand[placement._pick_candidate(np.stack([row, row]), cfg, bound)])
+            pick = float(cand[placement._pick_round(np.stack([row, row]), [(0, len(diffs))],
+                                                    cfg, bound)[0]])
         if narrowed is not None:
             assert kept.called == narrowed
 

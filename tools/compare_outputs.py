@@ -21,6 +21,11 @@ directory, which is removed again at the end.  From each tree, with its own
 - ``pinch sweep delta`` at ``qos.r1_min=4 qos.r2_min=4``, where each power
   runs every tolerance pair, so each pair's walk is replayed after the other
   pairs' solves: its table and config.json;
+- ``pinch sweep delta`` at ``system.n_antennas=5`` and 4 trials, at the
+  default D and at ``sweep.d_values=[0.06]`` (grids cut at their caps, so
+  the two picks of a round have grids of different sizes): the only sweeps
+  that tune a second round, where each side follows its own inner
+  neighbour; their tables and config.json;
 - ``pinch solve`` at the defaults, at ``system.n_antennas`` 1, 2, 4 and 5
   (N = 3 tunes one antenna per side, so these cover the single antenna and
   the rounds of a longer chain), at ``algo.delta2=0`` (a zero tolerance
@@ -56,6 +61,7 @@ POWER_SET = ("--set", 'sweep.schemes=["pinching","conventional-uniform",'
              '"conventional-mrt","exhaustive"]', "--set", "sweep.trials=4")
 QOS_SET = ("--set", "qos.r1_min=4", "--set", "qos.r2_min=4")
 DESCENDING_SET = ("--set", "sweep.pt_dbm_values=[40,35,30,25,20,15,10,5,0]")
+N5_SET = ("--set", "system.n_antennas=5", "--set", "sweep.trials=4")
 SOLVE_SETS = ((), *(("--set", f"system.n_antennas={n}") for n in (1, 2, 4, 5)),
               ("--set", "algo.delta2=0"),
               ("--set", "algo.delta1=0.01", "--set", "algo.delta2=0.01"),
@@ -94,6 +100,12 @@ def outputs(tree: Path, seed: int, out: Path) -> dict[str, bytes | str]:
     runs.append(("sweep delta qos 4/4", out / "delta-qos", ("delta.csv", "config.json"),
                  ("sweep", "delta", "--out", str(out / "delta-qos" / "delta.csv"),
                   "--threads", "1", *QOS_SET)))
+    for label, sets in (("sweep delta N=5", ()),
+                        ("sweep delta N=5 D=0.06", ("--set", "sweep.d_values=[0.06]"))):
+        directory = out / label.replace(" ", "-")
+        runs.append((label, directory, ("delta.csv", "config.json"),
+                     ("sweep", "delta", "--out", str(directory / "delta.csv"), "--threads", "1",
+                      *N5_SET, *sets)))
     for label, directory, files, args in runs:
         directory.mkdir(parents=True)
         proc = pinch(tree, *args, "--seed", str(seed))
