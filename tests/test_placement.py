@@ -819,26 +819,26 @@ def test_round_pick_matches_each_segment_alone(case):
     bad = {}  # segment -> its NaN columns, counted from its inner neighbour
     if poison is not None:
         seg, where = poison
-        size = segments[seg][1]
+        first, size = segments[seg]
         bad[seg] = (slice(None) if where == "all" else 0 if where == "inner"
                     else 1 + int(where * (size - 1)))
-        first = segments[seg][0]
         turns[:, first:first + 1 + size][:, bad[seg]] = np.nan
         bound = math.nan
     picks = placement._pick_round(turns, segments, cfg, bound)
     kernel = channel.phase_turns_and_distances
     for seg, ((cand, inner_x, cap), grid, k) in enumerate(zip(grids, trimmed, picks)):
-        # the scan reads its capped grid, the trimmed one's candidates last
-        skip = grid_reference.capped(cand, cap).size - grid.size
+        cols = bad.get(seg)
+        if isinstance(cols, int) and cols > 0:
+            # a candidate: the scan reads the capped grid, the trimmed one its tail
+            cols += grid_reference.capped(cand, cap).size - grid.size
 
-        def poisoned(params, user, xs, feed_x, seg=seg):
+        def poisoned(params, user, xs, feed_x):
             turns, dist = kernel(params, user, xs, feed_x)
-            cols = bad[seg]
-            turns[cols if not isinstance(cols, int) or cols == 0 else skip + cols] = np.nan
+            if cols is not None:
+                turns[cols] = np.nan
             return turns, dist
 
-        with mock.patch.object(channel, "phase_turns_and_distances",
-                               poisoned if seg in bad else kernel):
+        with mock.patch.object(channel, "phase_turns_and_distances", poisoned):
             want = grid_reference.pick_candidate_scan(params, users, cfg, feed_x, cand,
                                                       inner_x, cap)
         assert float(grid[k]) == want
