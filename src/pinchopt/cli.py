@@ -209,15 +209,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, sweeps: bool = True) -> None:
     p.add_argument("--config", metavar="PATH", default=None,
                    help="JSON configuration file (defaults apply when omitted)")
     p.add_argument("--seed", type=int, default=None, help="override sweep.seed")
     p.add_argument("--set", metavar="KEY=VALUE", action="append", default=[],
                    dest="overrides", help="override a config key (repeatable)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker processes for sweeps; 0 = one per CPU, never "
-                        "more than CPUs or tasks (default: 1)")
+    if sweeps:
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker processes for sweeps; 0 = one per CPU, never "
+                            "more than CPUs or tasks (default: 1)")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -225,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_solve = sub.add_parser("solve", help="optimise one scenario and print JSON")
-    _add_common(p_solve)
+    _add_common(p_solve, sweeps=False)
 
     p_sweep = sub.add_parser("sweep", help="run one experiment sweep to a table")
     p_sweep.add_argument("which", choices=tuple(SWEEPS))
@@ -244,9 +245,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = load_config(args.config, args.overrides, args.seed)
-        threads = check_number("--threads", args.threads, 0, integer=True)
         if args.command == "solve":
             return cmd_solve(cfg)
+        threads = check_number("--threads", args.threads, 0, integer=True)
         if args.command == "sweep":
             return cmd_sweep(cfg, args.which, args.out, threads)
         return cmd_figures(cfg, args.out_dir, threads)

@@ -11,8 +11,7 @@ turns the per-antenna contributions from incoherent into coherent.
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -309,9 +308,9 @@ def _turns_bound(params: SystemParams, setup: tuple, feed_x: float, reach: float
 
 
 def _tune_setup(params: SystemParams, users: tuple, cfg: AlgoConfig) -> tuple:
-    """What the tunes of one scope share for ``cfg``'s step and budget: the
-    outward offset grid and its negation (read-only, as they are shared); the
-    operands of :func:`_turns_bound` the scope fixes (lam, sum |u.x|, sum
+    """What the tunes of one scenario share for ``cfg``'s step and budget:
+    the outward offset grid and its negation (read-only, as they are shared);
+    the operands of :func:`_turns_bound` the scenario fixes (lam, sum |u.x|, sum
     u.y**2, lam / n_eff); the centre index; whether the array fits the region
     (see :func:`center_bounds`); the grid's last offset; the spacing
     threshold delta_min - SPACING_SLACK of ``channel.spacing_holds``; and
@@ -337,10 +336,11 @@ def _tune_layout(
     layout: AntennaLayout,
     users: tuple[UserPosition, UserPosition],
     cfg: AlgoConfig,
+    tables: tuple,
 ) -> AntennaLayout:
     """Uncached body of :func:`fine_tune`.  Its :func:`_tune_setup` is built
-    once per scope, in the tuned-layout table under the raw step and budget,
-    and the tune walks the set-up's rounds.
+    once per :func:`new_tables`, in the tuned-layout table under the raw step
+    and budget, and the tune walks the set-up's rounds.
 
     Round r tunes antennas c + r and c - r (c the centre antenna), each on
     its own :func:`_candidate_grid`, led by its inner neighbour.  Both grids
@@ -364,7 +364,7 @@ def _tune_layout(
     position no call read (a single antenna, or an outermost antenna at
     minimum pitch past its grid) leaves that to :func:`evaluate_placement`.
     """
-    tuned_table, terms = scope_tables(params, users)[:2]
+    tuned_table, terms = tables[:2]
     setup = tuned_table.get((cfg.fine_step, cfg.max_fine_shifts))
     if setup is None:
         setup = tuned_table[cfg.fine_step, cfg.max_fine_shifts] = _tune_setup(params, users, cfg)
@@ -418,46 +418,13 @@ def _tune_layout(
     return tuned
 
 
-# every SystemParams field but the two powers, which enter only via snr_scale
-_power_free_fields = operator.attrgetter(*(
-    f.name for f in fields(SystemParams) if f.name not in ("pt_dbm", "noise_dbm")
-))
-
-
-def _channel_scope(params: SystemParams, users: tuple[UserPosition, UserPosition]) -> tuple:
-    """Everything besides the layout and the tolerances that a layout's
-    tuning, its |g|^2 at unit rho and its spacing verdict depend on."""
-    return _power_free_fields(params), tuple((u.x, u.y) for u in users)
-
-
-_scope: tuple = (None, None, None, None)  # (params, users, scope, tables)
-
-
-def scope_tables(params: SystemParams, users: tuple) -> tuple[dict, dict, dict, dict, dict]:
-    """The five tables of the scenario of ``params`` and ``users``, its
-    :func:`_channel_scope`: (input layout, tolerances, step and budget
-    fields) -> tuned layout, and (step and budget fields) -> set-up; layout
-    -> (|g|^2 at unit rho, spacing verdict); bisection centre -> rigid
-    layout; (tolerances, step and budget fields) -> the last walk, see
-    :func:`bisection_solve`; baseline scheme -> both users' |g|^2, for sim.
-
-    The state ``_scope`` is read once per call and replaced whole.  The
-    scope is rebuilt only when ``params`` is another object or ``users``
-    another pair (a fresh tuple of the same users hits), and the tables only
-    when the scope changes, so an entry is never returned in another scope,
-    even to threads solving different scenarios.  A caller may store into a
-    table later; once another scope has taken over, that store is lost,
-    which only repeats work.  Sweeps run each scenario's tasks back to back,
-    so the tables hold at most the layouts one scenario's solves visit
-    (tolerance pairs times power levels times ``iteration_bound``) plus one
-    per reference search."""
-    global _scope
-    state = _scope
-    if params is not state[0] or users != state[1]:
-        scope = _channel_scope(params, users)
-        tables = state[3] if scope == state[2] else ({}, {}, {}, {}, {})
-        state = _scope = (params, users, scope, tables)
-    return state[3]
+def new_tables() -> tuple[dict, dict, dict, dict, dict]:
+    """Empty tables for one scenario's solves: tuned layouts and tune set-ups,
+    channel terms, rigid layouts, last walks and baseline gains.  Calls may
+    share them only if they pass the same users and the same SystemParams
+    but for ``pt_dbm`` and ``noise_dbm``; nothing checks this.  sim makes one
+    set per drop; ``tables=None`` means fresh ones for that call."""
+    return {}, {}, {}, {}, {}
 
 
 def fine_tune(
@@ -465,6 +432,7 @@ def fine_tune(
     layout: AntennaLayout,
     users: tuple[UserPosition, UserPosition],
     cfg: AlgoConfig,
+    tables: tuple | None = None,
 ) -> AntennaLayout:
     """Align off-centre antennas' composite phases with their inner neighbour.
 
@@ -472,15 +440,15 @@ def fine_tune(
     it shifts left, tuned after its inner neighbour, so the two sides do not
     depend on each other; the centre antenna never moves.  The returned
     layout always satisfies the spacing and region invariants.  It does not
-    depend on the transmit or noise power, so a layout already tuned for the
-    same geometry, users and tolerances is returned again without retuning.
+    depend on the transmit or noise power, so a layout already tuned in
+    ``tables`` for the same tolerances is returned again without retuning.
     """
-    # the scope fixes the wavelength, so the two fields fix the step and budget
+    tables = tables or new_tables()
+    # the tables fix the wavelength, so the two fields fix the step and budget
     key = (layout.xs, layout.feed_x, cfg.delta1, cfg.delta2, cfg.fine_step, cfg.max_fine_shifts)
-    tuned = scope_tables(params, users)[0]
-    value = tuned.get(key)
+    value = tables[0].get(key)
     if value is None:
-        value = tuned[key] = _tune_layout(params, layout, users, cfg)
+        value = tables[0][key] = _tune_layout(params, layout, users, cfg, tables)
     return value
 
 
@@ -520,9 +488,10 @@ def _terms(params: SystemParams, layout: AntennaLayout, gains: np.ndarray) -> tu
     return gain_snr(1.0, gains).tolist(), layout.spacing_ok(params)
 
 
-def _layout_terms(params: SystemParams, layout: AntennaLayout, users: tuple) -> tuple:
+def _layout_terms(params: SystemParams, layout: AntennaLayout, users: tuple,
+                  tables: tuple) -> tuple:
     """The channel-term table's entry for ``layout``, computed on a miss."""
-    terms = scope_tables(params, users)[1]
+    terms = tables[1]
     value = terms.get((layout.xs, layout.feed_x))
     if value is None:
         value = terms[layout.xs, layout.feed_x] = _terms(
@@ -535,26 +504,28 @@ def evaluate_placement(
     layout: AntennaLayout,
     users: tuple[UserPosition, UserPosition],
     qos: QosTargets,
+    tables: tuple | None = None,
 ) -> tuple[PowerSplit, RateReport, FeasibilityReport, Alpha2Result]:
     """Optimal power split, rates and constraint verdicts for one layout.
 
     |g|^2 and the spacing verdict do not depend on the powers, so a layout
-    seen before in the same scope costs only the closed-form step; rho times
+    seen before in ``tables`` costs only the closed-form step; rho times
     ``gain_snr`` at unit rho is bit-equal, as its last operation is that product.
     """
-    (g1_sq, g2_sq), spacing = _layout_terms(params, layout, users)
+    (g1_sq, g2_sq), spacing = _layout_terms(params, layout, users, tables or new_tables())
     rho = snr_scale(params)
     return evaluate_snrs(rho * g1_sq, rho * g2_sq, qos, spacing)
 
 
-def _replay(params: SystemParams, users: tuple, walk: list, qos: QosTargets) -> list:
+def _replay(params: SystemParams, users: tuple, walk: list, qos: QosTargets,
+            tables: tuple) -> list:
     """(sum rate, qos_ok, overall) of each iterate of ``walk``, a walk-table
     entry, at ``params``' powers, from one :func:`evaluate_snrs_batch` call:
     what :func:`evaluate_placement` gives the iterate's layout, bit for bit.
     The first replay of a walk gathers its layouts' channel terms into
     the entry, as arrays of |g1|^2, |g2|^2 at unit rho and spacing verdicts."""
     if walk[2] is None:
-        terms = [_layout_terms(params, layout, users) for layout in walk[1]]
+        terms = [_layout_terms(params, layout, users, tables) for layout in walk[1]]
         walk[2] = (np.array([g for g, _ in terms]).T.copy(),
                    np.array([spacing for _, spacing in terms]))
     gains, spacing = walk[2]
@@ -568,6 +539,7 @@ def bisection_solve(
     users: tuple[UserPosition, UserPosition],
     qos: QosTargets,
     cfg: AlgoConfig,
+    tables: tuple | None = None,
 ) -> PlacementSolution:
     """Bisection placement search between the users' x-coordinates.
 
@@ -579,31 +551,32 @@ def bisection_solve(
     returned; if none is feasible the last iterate comes back with zero
     rates and feasible_found False.
 
-    The tuned layouts do not depend on the powers, so solves of one scope
-    at other powers walk the same centres until a rate verdict parts them.
-    The walk table keeps, per tolerances, step and budget, the scope's last
-    walk as ``[centres, layouts, terms]``: each iterate's clamped centre and
-    tuned layout, as plain lists, and ``terms``, None until a later solve
+    The tuned layouts do not depend on the powers, so solves on the same
+    ``tables`` at other powers walk the same centres until a rate verdict
+    parts them.  The walk table keeps, per tolerances, step and budget, the
+    last walk as ``[centres, layouts, terms]``: each iterate's clamped centre
+    and tuned layout, as plain lists, and ``terms``, None until a later solve
     reuses the walk and then the layouts' |g1|^2, |g2|^2 at unit rho and
     spacing verdicts as arrays.  A solve that finds a walk evaluates all its
     iterates at its own power in one batch (:func:`_replay`), and while each
     of its iterates so far sits at the recorded centre, takes the iterate's
     sum rate and verdicts from its row: the same centre gives the same rigid
     and tuned layout, and the batch chain equals :func:`evaluate_placement`'s
-    scalar one bit for bit.  From the first other centre on, each iterate
-    runs :func:`evaluate_placement`, and the walk is recorded in place of
-    the last.  A returned iterate read from a row is evaluated once more, so
-    the solution is built from :func:`evaluate_placement`'s own records.
+    scalar one bit for bit.  From the first other centre on, each iterate runs
+    :func:`evaluate_placement`, and the walk is recorded in place of the last.
+    A returned iterate read from a row is evaluated once more, so the solution
+    is built from :func:`evaluate_placement`'s own records.
     """
     check_users(params, users)
     feed_x = feed_point(params)
     lo_bound, hi_bound = center_bounds(params)
 
     offsets = _pitch_offsets(params)
-    rigids, walks = scope_tables(params, users)[2:4]
+    tables = tables or new_tables()
+    rigids, walks = tables[2:4]
     key = (cfg.delta1, cfg.delta2, cfg.fine_step, cfg.max_fine_shifts)
     walk = walks.get(key) or [[], [], None]
-    rows = _replay(params, users, walk, qos) if walk[0] else ()
+    rows = _replay(params, users, walk, qos, tables) if walk[0] else ()
     replayed = 0  # leading iterates read from rows
     centres, layouts = [], []  # the iterates after those
 
@@ -619,13 +592,13 @@ def bisection_solve(
         rigid = rigids.get(center)
         if rigid is None:
             rigid = rigids[center] = AntennaLayout(tuple(center + o for o in offsets), feed_x)
-        layout = fine_tune(params, rigid, users, cfg)
+        layout = fine_tune(params, rigid, users, cfg, tables)
         if replayed == iterations - 1 < len(rows) and walk[0][replayed] == center:
             rate, qos_ok, overall = rows[replayed]
             replayed += 1
             last = (layout, None)
         else:
-            evaluated = evaluate_placement(params, layout, users, qos)
+            evaluated = evaluate_placement(params, layout, users, qos, tables)
             rate, report = evaluated[1].sum_rate, evaluated[2]
             qos_ok, overall = report.qos_ok, report.overall
             last = (layout, evaluated)
@@ -646,7 +619,7 @@ def bisection_solve(
         walks[key] = [walk[0][:replayed] + centres, walk[1][:replayed] + layouts, None]
     layout, evaluated = best or last
     if evaluated is None:
-        evaluated = evaluate_placement(params, layout, users, qos)
+        evaluated = evaluate_placement(params, layout, users, qos, tables)
     return placement_solution(params, (layout, *evaluated), iterations, best is not None)
 
 

@@ -30,7 +30,7 @@ from .channel import (
 )
 from .noma import ZERO_RATES, QosTargets, evaluate_snrs, snr_scale
 from .oracle import OracleConfig, exhaustive_placement, grid_points
-from .placement import AlgoConfig, bisection_solve, center_bounds, scope_tables
+from .placement import AlgoConfig, bisection_solve, center_bounds, new_tables
 
 SCHEMES = ("pinching", *BASELINE_SCHEMES, "exhaustive")
 
@@ -140,9 +140,8 @@ def sample_scenario(rng: np.random.Generator, side_d: float, seed_id: int = 0) -
     raise SamplingError("could not draw a non-degenerate scenario in 100 attempts")
 
 
-def _conventional_record(params, users, qos, scheme) -> tuple:
+def _conventional_record(params, users, qos, scheme, gains) -> tuple:
     # both users' |g|^2 enter no power, so the scenario's power levels share them
-    gains = scope_tables(params, users)[4]
     g_sq = gains.get(scheme)
     if g_sq is None:
         g_sq = gains[scheme] = conventional_effective_gain(params, users, scheme)
@@ -167,20 +166,22 @@ def evaluate_scheme(
     cfg: AlgoConfig,
     scheme: str,
     oracle_cfg: OracleConfig = OracleConfig(),
+    tables: tuple | None = None,
 ) -> TrialRecord:
-    """Run one scheme on one scenario and summarise the outcome.
+    """Run one scheme on one scenario, on ``tables`` (see
+    ``placement.new_tables``), and summarise the outcome.
 
     The waveguide schemes keep the scenario's strong/weak labelling (a
     wrong ordering after optimisation counts as infeasible); the fixed
     antenna baselines relabel users up front so the stronger effective
     channel is user 2, recording the swap.
     """
-    users = (scenario.user1, scenario.user2)
+    users, tables = (scenario.user1, scenario.user2), tables or new_tables()
     iterations = 0
     if scheme in BASELINE_SCHEMES:
-        rates, split, feasible, swapped = _conventional_record(params, users, qos, scheme)
+        rates, split, feasible, swapped = _conventional_record(params, users, qos, scheme, tables[4])
     elif scheme in ("pinching", "exhaustive"):
-        sol = (bisection_solve(params, users, qos, cfg) if scheme == "pinching"
+        sol = (bisection_solve(params, users, qos, cfg, tables) if scheme == "pinching"
                else exhaustive_placement(params, users, qos, oracle_cfg))
         rates, split, feasible, swapped = sol.rates, sol.split, sol.feasible_found, False
         iterations = sol.iterations
@@ -198,7 +199,9 @@ def worker_count(threads: int, cpus: int, n_tasks: int) -> int:
 
 
 def _run_group(jobs):
-    return [(i, evaluate_scheme(*task)) for i, task in jobs]
+    """The records of one drop's numbered tasks, which share one set of tables."""
+    tables = new_tables()
+    return [(i, evaluate_scheme(*task, tables)) for i, task in jobs]
 
 
 def _check_tasks(plans) -> None:
@@ -206,21 +209,22 @@ def _check_tasks(plans) -> None:
     not fit the region, for the solver and the reference search, and a search
     grid over its cap on the worst case, the whole region (the grid is clipped
     to it).  Each distinct task configuration is checked once, in task order."""
-    configs = dict.fromkeys((t[0], t[4], t[5:]) for _, rows, _ in plans
+    configs = dict.fromkeys((t[0], t[4], t[5]) for _, rows, _ in plans
                             for _, _, ts in rows for t in ts)
-    for params, scheme, tail in configs:  # tail: (oracle_cfg,) on an exhaustive task
+    for params, scheme, oracle_cfg in configs:
         if scheme in ("pinching", "exhaustive"):
             center_bounds(params)
         if scheme == "exhaustive":
-            grid_points(params.side_d, tail[0].resolved_step(params))
+            grid_points(params.side_d, oracle_cfg.resolved_step(params))
 
 
 def _run_plans(plans, threads: int) -> list[SweepResult]:
     """Run sweeps' ``(header, rows, stat)`` plans as one task list.  A row is
     ``(key, cells, tasks)``, its table row ``cells + stat(records[key])``, and
     ``records[key]`` the records of every row with that key, in task order.
-    Each scenario's tasks, from whichever sweep, run back to back as one chunk
-    (in one worker when pooled), so the solver's tables serve all of them."""
+    A task is ``evaluate_scheme``'s arguments up to ``oracle_cfg``.  Each
+    drop's tasks, from whichever sweep, run back to back as one chunk (in
+    one worker when pooled) on one set of tables."""
     groups: dict = {}  # (side_d, trial) -> numbered tasks (params, scenario, ...)
     for i, task in enumerate(t for _, rows, _ in plans for _, _, ts in rows for t in ts):
         groups.setdefault((task[0].side_d, task[1].seed_id), []).append((i, task))
@@ -274,7 +278,7 @@ def _delta_plan(params, qos, cfg, sweep, oracle_cfg, drops):
         for d1, d2 in sweep.delta_pairs:
             c = replace(cfg, delta1=d1, delta2=d2)
             rows.append(((pt, d1, d2), (float(pt), float(d1), float(d2)),
-                         [(p, scen, qos, c, "pinching") for scen in drops(d)]))
+                         [(p, scen, qos, c, "pinching", oracle_cfg) for scen in drops(d)]))
     header = ("pt_dbm", "delta1_rad", "delta2_rad", "mean_sum_rate_bpshz")
     return header, rows, lambda recs: (mean(r.sum_rate for r in recs),)
 
@@ -293,7 +297,7 @@ def _oracle_plan(params, qos, cfg, sweep, oracle_cfg, drops):
     """
     p = replace(params, pt_dbm=sweep.pt_dbm_values[0], side_d=sweep.d_values[0])
     rows = [(scen.seed_id, (scen.seed_id,),
-             [(p, scen, qos, cfg, "pinching"), (p, scen, qos, cfg, "exhaustive", oracle_cfg)])
+             [(p, scen, qos, cfg, scheme, oracle_cfg) for scheme in ("pinching", "exhaustive")])
             for scen in drops(p.side_d)]
     return ("trial", "sum_rate_algo", "sum_rate_oracle", "rel_gap"), rows, _oracle_stat
 

@@ -452,6 +452,12 @@ class TestUsageErrors:
     def test_missing_required_out_exits_one(self, capsys):
         assert main(["sweep", "power"]) == 1
 
+    def test_solve_threads_exit_one(self, capsys):
+        # only the sweeps run worker processes
+        assert main(["solve", "--threads", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --threads 2" in err
+
     @pytest.mark.parametrize("flag", [["--threads", "-3"], ["--threads=-3"]],
                              ids=["--threads", "--threads="])
     def test_negative_threads_exit_one(self, tmp_path, capsys, flag):

@@ -1,6 +1,6 @@
 """Every top-level function and class in pinchopt is run by the package, so
-a helper only tests call lives with the tests.  Stdlib only, like
-test_imports.py."""
+a helper only tests call lives with the tests, and no function rebinds a
+module or enclosing name.  Stdlib only, like test_imports.py."""
 import ast
 from pathlib import Path
 
@@ -51,3 +51,24 @@ def test_the_check_sees_an_unreferenced_definition():
         "b": ast.parse("import a\n\ndef main():\n    return a.K()\n"),
     }
     assert _unreferenced(modules, {("b", "main")}) == ["a.f", "a.g"]
+
+
+def _rebinding(modules: dict[str, ast.Module]) -> list[str]:
+    """``module:line`` of each ``global`` or ``nonlocal`` statement: state that
+    outlives a call belongs to its caller."""
+    return [f"{module}:{node.lineno}" for module, tree in modules.items()
+            for node in ast.walk(tree) if isinstance(node, (ast.Global, ast.Nonlocal))]
+
+
+def test_no_module_state():
+    modules = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert _rebinding(modules) == []
+
+
+def test_the_check_sees_global_and_nonlocal():
+    modules = {
+        "a": ast.parse("_state = None\n\ndef f():\n    global _state\n    _state = 1\n"),
+        "b": ast.parse("def g():\n    n = 0\n\n    def h():\n        nonlocal n\n"
+                       "        n += 1\n    return h\n\ndef k():\n    return {}\n"),
+    }
+    assert _rebinding(modules) == ["a:4", "b:5"]

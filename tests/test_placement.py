@@ -35,12 +35,11 @@ from pinchopt.channel import (
     phases_and_distances,
 )
 from pinchopt.noma import evaluate_snrs, gain_snr
-from pinchopt.oracle import batch_solution_metrics
+from pinchopt.oracle import OracleConfig, batch_solution_metrics
 from pinchopt import channel, placement, sim
 from pinchopt.placement import (
     MAX_FINE_SHIFTS,
     SCREEN_SLACK,
-    _channel_scope,
     _tune_layout,
     _tune_setup,
     _turns_bound,
@@ -48,8 +47,8 @@ from pinchopt.placement import (
     _antenna_cap,
     center_bounds,
     center_index,
+    new_tables,
     pinned_antennas,
-    scope_tables,
 )
 from pinchopt.sim import sample_scenario, trial_rng
 
@@ -231,14 +230,8 @@ class TestFineTune:
                     k += 1
 
 
-def fresh_tables():
-    """The scope state replaced by an empty one, so every table starts empty
-    and the state before comes back on exit."""
-    return mock.patch.object(placement, "_scope", (None, None, None, None))
-
-
 class TestTunedLayoutReuse:
-    """fine_tune reuses layouts across power levels, never across scopes."""
+    """fine_tune reuses layouts across power levels within one set of tables."""
 
     POWERS = (0.0, 20.0, 40.0)
     PAIRS = ((0.5, 0.02), (0.2, 0.02), (0.5, 100.0))
@@ -272,152 +265,124 @@ class TestTunedLayoutReuse:
             return _tune_setup(p, u, c)
 
         cfg, over = AlgoConfig(), AlgoConfig(fine_step=1e-16)
-        with fresh_tables(), mock.patch.object(placement, "_tune_setup", setup):
+        tables, other_tables = new_tables(), new_tables()
+        with mock.patch.object(placement, "_tune_setup", setup):
             for p in (params, dataclasses.replace(params, pt_dbm=0.0)):
                 for layout in layouts:
                     for delta2 in (0.02, 0.2):
-                        fine_tune(p, layout, users, dataclasses.replace(cfg, delta2=delta2))
+                        fine_tune(p, layout, users, dataclasses.replace(cfg, delta2=delta2),
+                                  tables)
             assert len(built) == 1
-            fine_tune(params, layouts[0], users, AlgoConfig(fine_step=1e-4, max_fine_shifts=50))
+            fine_tune(params, layouts[0], users, AlgoConfig(fine_step=1e-4, max_fine_shifts=50),
+                      tables)
             assert len(built) == 2 and built[1] == (users, 1e-4, 50)
             other = (users[0], UserPosition(users[1].x, users[1].y / 2))
-            tuned = fine_tune(params, layouts[0], other, cfg)
-            # the same step and budget in another scope: built again, with the scope
+            tuned = fine_tune(params, layouts[0], other, cfg, other_tables)
+            # the same step and budget on another scenario's tables: built again
             assert len(built) == 3 and built[2] == (other, *built[0][1:])
-            assert tuned == _tune_layout(params, layouts[0], other, cfg)
+            assert tuned == _tune_layout(params, layouts[0], other, cfg, other_tables)
             lam = wavelength(params)
-            assert scope_tables(params, other)[0][None, None][2:6] == (
+            assert other_tables[0][None, None][2:6] == (
                 lam, abs(other[0].x) + abs(other[1].x), other[0].y**2 + other[1].y**2,
                 lam / params.n_eff)
             # a budget over its cap is refused on every call, and leaves no entry
             for _ in range(2):
                 with pytest.raises(PlacementError, match="fine-tune budget"):
-                    fine_tune(params, layouts[0], other, over)
+                    fine_tune(params, layouts[0], other, over, other_tables)
             assert len(built) == 5
-            assert (over.fine_step, None) not in scope_tables(params, other)[0]
+            assert (over.fine_step, None) not in other_tables[0]
+            # without tables, each call builds its own
+            for _ in range(2):
+                fine_tune(params, layouts[0], users, cfg)
+            assert len(built) == 7
         offsets, left = _tune_setup(params, users,
                                     AlgoConfig(fine_step=1e-4, max_fine_shifts=10))[:2]
         assert not offsets.flags.writeable and np.array_equal(offsets, 1e-4 * np.arange(11))
         assert not left.flags.writeable
         assert np.array_equal(left.view(np.uint64), (-offsets).view(np.uint64))
 
-    def test_scope_covers_every_field_but_power(self, params):
-        users = (UserPosition(2.0, 1.0), UserPosition(-2.0, 0.3))
-        layout = initial_layout(params, 0.0, -params.side_d / 2)
-        channel_base = _channel_scope(params, users)
-
-        def hit(p, u, c):
-            """Whether fine_tune answers (p, u, c) with the entry just made
-            for (params, users, cfg): _tune_layout makes a new object."""
-            first = fine_tune(params, layout, users, cfg)
-            return fine_tune(p, layout, u, c) is first
-
-        # explicit fine-tune steps, so no field reaches the table only
-        # through the wavelength-derived defaults
-        for cfg in (AlgoConfig(), AlgoConfig(fine_step=1e-4, max_fine_shifts=50)):
-            for f in dataclasses.fields(SystemParams):
-                value = getattr(params, f.name)
-                bumped = value + 2 if isinstance(value, int) else value * 1.25
-                other = dataclasses.replace(params, **{f.name: bumped})
-                power = f.name in ("pt_dbm", "noise_dbm")
-                # both tables key on the channel scope; a layout of another
-                # length is never tuned for the same key anyway
-                assert (_channel_scope(other, users) == channel_base) == power, f.name
-                if f.name != "n_antennas":
-                    assert hit(other, users, cfg) == power, f.name
-            for change in ({"delta1": 0.3}, {"delta2": 0.3}, {"fine_step": 2e-4},
-                           {"max_fine_shifts": 70}):
-                assert not hit(params, users, dataclasses.replace(cfg, **change))
-            assert hit(params, users, dataclasses.replace(cfg, epsilon=1e-3))
-            swapped = (users[0], UserPosition(-2.0, 0.4))
-            assert not hit(params, swapped, cfg)
-            assert _channel_scope(params, swapped) != channel_base
-
     def test_reused_across_power_levels(self, params):
         users, layouts = self._cases(11, 1, params)[0]
-        cfg = AlgoConfig()
-        first = fine_tune(params, layouts[0], users, cfg)
-        again = fine_tune(dataclasses.replace(params, pt_dbm=0.0, noise_dbm=-80.0),
-                          layouts[0], users, cfg)
-        assert again is first
+        for cfg in (AlgoConfig(), AlgoConfig(fine_step=1e-4, max_fine_shifts=50)):
+            tables = new_tables()
+            first = fine_tune(params, layouts[0], users, cfg, tables)
+            again = fine_tune(dataclasses.replace(params, pt_dbm=0.0, noise_dbm=-80.0),
+                              layouts[0], users, cfg, tables)
+            assert again is first
+            assert fine_tune(params, layouts[0], users, cfg) is not first  # fresh tables
+            # the key holds every AlgoConfig field a tune reads, and only those
+            for change in ({"delta1": 0.3}, {"delta2": 0.3}, {"fine_step": 2e-4},
+                           {"max_fine_shifts": 70}):
+                other = dataclasses.replace(cfg, **change)
+                assert fine_tune(params, layouts[0], users, other, tables) is not first
+            assert fine_tune(params, layouts[0], users, dataclasses.replace(cfg, epsilon=1e-3),
+                             tables) is first
 
     def test_matches_uncached_over_interleaved_scopes(self, params):
         cases = self._cases(12, 3, params)
+        tables = [new_tables() for _ in cases]
         calls = [
             (dataclasses.replace(params, pt_dbm=pt), users, layout,
-             AlgoConfig(delta1=d1, delta2=d2))
-            for users, layouts in cases
+             AlgoConfig(delta1=d1, delta2=d2), tables[n])
+            for n, (users, layouts) in enumerate(cases)
             for d1, d2 in self.PAIRS
             for pt in self.POWERS
             for layout in layouts
         ]
         order = np.random.default_rng(5).permutation(len(calls))
         qos = QosTargets()
-        # scenario-major runs (table reused) then shuffled calls (table swapped)
-        for p, users, layout, cfg in calls + [calls[i] for i in order]:
-            tuned = fine_tune(p, layout, users, cfg)
-            assert tuned == _tune_layout(p, layout, users, cfg)
+        # scenario-major runs (tables filled) then shuffled calls (tables warm)
+        for p, users, layout, cfg, own in calls + [calls[i] for i in order]:
+            tuned = fine_tune(p, layout, users, cfg, own)
+            assert tuned == _tune_layout(p, layout, users, cfg, new_tables())
             for evaluated in (tuned, layout):
-                assert evaluate_placement(p, evaluated, users, qos) == (
+                assert evaluate_placement(p, evaluated, users, qos, own) == (
                     self._evaluate_uncached(p, evaluated, users, qos)
                 )
 
     def test_threads_on_different_scenarios(self, params):
-        cfg = AlgoConfig()
-        qos = QosTargets()
-        # the same rigid layouts for every scenario, so a table holding
-        # another scenario's entries would answer the lookup
-        layouts = [initial_layout(params, c, -5.0) for c in (-1.0, 0.0, 1.0)]
-        cases = [(users, layouts) for users, _ in self._cases(13, 4, params)]
-        expected = [
-            [_tune_layout(params, layout, users, cfg) for layout in layouts]
-            for users, _ in cases
-        ]
-        powers = [dataclasses.replace(params, pt_dbm=pt) for pt in self.POWERS]
-        # per scenario and power: uncached results for its tuned layouts and
-        # for the rigid ones, which every scenario shares as keys
-        evaluated = [
-            [
-                [self._evaluate_uncached(p, layout, users, qos) for layout in want + layouts]
-                for p in powers
-            ]
-            for (users, _), want in zip(cases, expected)
-        ]
+        """Threads running four drops' chunks (the solver and the baselines
+        at several powers, the powers descending and then ascending), with a
+        short switch interval, each get the records of a serial run of each
+        task on fresh tables."""
+        cfg, qos = AlgoConfig(), QosTargets(4.0, 4.0)
+        powers = [dataclasses.replace(params, pt_dbm=pt) for pt in TestWarmWalks.POWERS]
+        schemes = ("pinching", *channel.BASELINE_SCHEMES)
+        chunks = []
+        for t in range(4):
+            scen = sample_scenario(trial_rng(22, t), params.side_d, t)
+            tasks = [(p, scen, qos, cfg, scheme, OracleConfig())
+                     for p in powers[::-1] + powers for scheme in schemes]
+            chunks.append(list(enumerate(tasks, start=100 * t)))
+        # each task alone, on fresh tables
+        expected = [repr([(i, sim.evaluate_scheme(*task)) for i, task in chunk])
+                    for chunk in chunks]
         errors = []
-        start = threading.Barrier(len(cases))
+        start = threading.Barrier(len(chunks))
 
-        def work(users, layouts, want, want_eval):
+        def work(chunk, want):
             try:
                 start.wait(timeout=60)
                 for _ in range(20):
-                    for p, want_at_p in zip(powers, want_eval):
-                        for layout, tuned in zip(layouts, want):
-                            got = fine_tune(p, layout, users, cfg)
-                            if got != tuned:
-                                errors.append((users, layout.xs, got.xs, tuned.xs))
-                        for layout, ev in zip(want + layouts, want_at_p):
-                            got_ev = evaluate_placement(p, layout, users, qos)
-                            if got_ev != ev:
-                                errors.append((users, layout.xs, got_ev, ev))
+                    got = repr(sim._run_group(chunk))
+                    if got != want:
+                        errors.append((chunk[0], got, want))
             except Exception as exc:  # would not reach the test from a thread
                 errors.append(exc)
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [
-                threading.Thread(target=work, args=(*case, want, want_eval))
-                for case, want, want_eval in zip(cases, expected, evaluated)
-            ]
+            threads = [threading.Thread(target=work, args=case)
+                       for case in zip(chunks, expected)]
             for th in threads:
                 th.start()
             for th in threads:
-                th.join(timeout=60)
+                th.join(timeout=120)
         finally:
             sys.setswitchinterval(old)
         assert not any(th.is_alive() for th in threads)
         assert errors == []
-
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -440,10 +405,10 @@ class TestTunedLayoutReuse:
             for pt in powers
         ]
         # one scenario's solves back to back, the tables warm from the first
-        warm = [bisection_solve(p, users, qos, cfg) for p, cfg in runs]
+        tables = new_tables()
+        warm = [bisection_solve(p, users, qos, cfg, tables) for p, cfg in runs]
         for (p, cfg), want in zip(runs, warm):
-            with fresh_tables():
-                assert bisection_solve(p, users, qos, cfg) == want
+            assert bisection_solve(p, users, qos, cfg) == want
 
 
 class TestIterateTables:
@@ -455,21 +420,22 @@ class TestIterateTables:
         c = center_index(params.n_antennas)
         seen = []
 
-        def spy(p, layout, u, cfg):
+        def spy(p, layout, u, cfg, tables):
             """Check each iterate's rigid layout is the table's entry for its
             centre, and the rigid array there."""
             centre = layout.xs[c]
-            assert scope_tables(p, u)[2][centre] is layout
+            assert tables[2][centre] is layout
             assert layout == initial_layout(p, centre, -p.side_d / 2)
             seen.append(layout.xs)
-            return fine_tune(p, layout, u, cfg)
+            return fine_tune(p, layout, u, cfg, tables)
 
-        with fresh_tables(), mock.patch.object(placement, "fine_tune", spy):
+        with mock.patch.object(placement, "fine_tune", spy):
             # the first midpoint recurs in the wider region, with another feed
             for side_d in (params.side_d, 2 * params.side_d):
+                tables = new_tables()
                 for pt in TestTunedLayoutReuse.POWERS:
                     p = dataclasses.replace(params, side_d=side_d, pt_dbm=pt)
-                    bisection_solve(p, users, qos, algo_cfg)
+                    bisection_solve(p, users, qos, algo_cfg, tables)
         assert len(set(seen)) < len(seen) / 2  # centres met again
 
     def test_baseline_gain_table_matches_fresh_and_follows_scope(self, params, qos):
@@ -482,20 +448,20 @@ class TestIterateTables:
             return channel.conventional_effective_gain(p, u, scheme)
 
         taller = dataclasses.replace(params, h=4.0)
-        with fresh_tables():  # the warm state, which each fresh run below restores
-            for base in (params, taller):
-                for pt in TestTunedLayoutReuse.POWERS:
-                    p = dataclasses.replace(base, pt_dbm=pt)
-                    for scheme in channel.BASELINE_SCHEMES:
-                        with fresh_tables():
-                            fresh = sim.evaluate_scheme(p, scen, qos, AlgoConfig(), scheme)
-                        with mock.patch.object(sim, "conventional_effective_gain", gains):
-                            assert sim.evaluate_scheme(p, scen, qos, AlgoConfig(), scheme) == fresh
-                        # the table holds a fresh call's gains bit for bit
-                        assert scope_tables(p, users)[4][scheme] == (
-                            channel.conventional_effective_gain(p, users, scheme))
-                # one call per scheme and scope: the powers share it, h does not
-                assert calls == list(channel.BASELINE_SCHEMES) * (1 + (base is taller))
+        for base in (params, taller):
+            tables = new_tables()
+            for pt in TestTunedLayoutReuse.POWERS:
+                p = dataclasses.replace(base, pt_dbm=pt)
+                for scheme in channel.BASELINE_SCHEMES:
+                    fresh = sim.evaluate_scheme(p, scen, qos, AlgoConfig(), scheme)
+                    with mock.patch.object(sim, "conventional_effective_gain", gains):
+                        assert sim.evaluate_scheme(p, scen, qos, AlgoConfig(), scheme,
+                                                   tables=tables) == fresh
+                    # the table holds a fresh call's gains bit for bit
+                    assert tables[4][scheme] == (
+                        channel.conventional_effective_gain(p, users, scheme))
+            # one call per scheme and set of tables: the powers share it
+            assert calls == list(channel.BASELINE_SCHEMES) * (1 + (base is taller))
 
     def test_records_refuse_assignment(self, params, qos, algo_cfg):
         users, _ = TestTunedLayoutReuse._cases(17, 1, params)[0]
@@ -510,7 +476,7 @@ class TestIterateTables:
 
 
 class TestWarmWalks:
-    """A solve that replays its scope's last walk returns the same solution,
+    """A solve that replays its tables' last walk returns the same solution,
     bit for bit, as one that starts from nothing."""
 
     POWERS = (0.0, 10.0, 20.0, 30.0, 40.0)
@@ -531,11 +497,10 @@ class TestWarmWalks:
                 for pt in self.ORDERS[order]
                 for d1, d2 in TestTunedLayoutReuse.PAIRS
                 for eps in (1e-3, 1e-5)]
-        with fresh_tables():
-            warm = [bisection_solve(p, users, qos, cfg) for p, cfg in runs]
+        tables = new_tables()
+        warm = [bisection_solve(p, users, qos, cfg, tables) for p, cfg in runs]
         for (p, cfg), got in zip(runs, warm):
-            with fresh_tables():
-                assert repr(got) == repr(bisection_solve(p, users, qos, cfg))
+            assert repr(got) == repr(bisection_solve(p, users, qos, cfg))
 
     @pytest.mark.parametrize("qos, feasible", [(QosTargets(), True),
                                                (QosTargets(60.0, 60.0), False)])
@@ -548,35 +513,34 @@ class TestWarmWalks:
         users, cfg = (scen.user1, scen.user2), AlgoConfig()
         evaluated, tuned = [], []
 
-        def evaluate(p, layout, u, q):
+        def evaluate(p, layout, u, q, tables):
             evaluated.append(layout)
-            return evaluate_placement(p, layout, u, q)
+            return evaluate_placement(p, layout, u, q, tables)
 
-        def tune(p, layout, u, c):
+        def tune(p, layout, u, c, tables):
             tuned.append(layout)
-            return fine_tune(p, layout, u, c)
+            return fine_tune(p, layout, u, c, tables)
 
         later = dataclasses.replace(params, pt_dbm=params.pt_dbm + 7.0)
         key = (cfg.delta1, cfg.delta2, cfg.fine_step, cfg.max_fine_shifts)
-        with fresh_tables():
-            first = bisection_solve(params, users, qos, cfg)
-            walk = scope_tables(params, users)[3][key]
-            assert walk[2] is None  # a cold solve gathers no terms
-            with mock.patch.object(placement, "evaluate_placement", evaluate), \
-                    mock.patch.object(placement, "fine_tune", tune):
-                got = bisection_solve(later, users, qos, cfg)
-            assert scope_tables(params, users)[3][key] is walk
-            # the replay kept its layouts' terms in the entry, bit for bit
-            gains, spacing = walk[2]
-            for n, layout in enumerate(walk[1]):
-                (g1, g2), ok = placement._layout_terms(params, layout, users)
-                assert gains[:, n].tolist() == [g1, g2] and spacing[n] == ok
+        tables = new_tables()
+        first = bisection_solve(params, users, qos, cfg, tables)
+        walk = tables[3][key]
+        assert walk[2] is None  # a cold solve gathers no terms
+        with mock.patch.object(placement, "evaluate_placement", evaluate), \
+                mock.patch.object(placement, "fine_tune", tune):
+            got = bisection_solve(later, users, qos, cfg, tables)
+        assert tables[3][key] is walk
+        # the replay kept its layouts' terms in the entry, bit for bit
+        gains, spacing = walk[2]
+        for n, layout in enumerate(walk[1]):
+            (g1, g2), ok = placement._layout_terms(params, layout, users, tables)
+            assert gains[:, n].tolist() == [g1, g2] and spacing[n] == ok
         assert got.iterations == first.iterations > 1
         assert evaluated == [got.layout]
         assert len(tuned) == got.iterations
         assert got.feasible_found is feasible
-        with fresh_tables():
-            assert repr(got) == repr(bisection_solve(later, users, qos, cfg))
+        assert repr(got) == repr(bisection_solve(later, users, qos, cfg))
 
     def test_walk_recorded_where_it_parts(self, params):
         """At QoS 4/4 the walks of low and high power part ways; each solve
@@ -587,12 +551,11 @@ class TestWarmWalks:
         for t in range(6):
             scen = sample_scenario(trial_rng(19, t), params.side_d)
             users = (scen.user1, scen.user2)
-            walks = []
-            with fresh_tables():
-                for pt in (0.0, 40.0, 0.0):
-                    p = dataclasses.replace(params, pt_dbm=pt)
-                    bisection_solve(p, users, qos, cfg)
-                    walks.append(scope_tables(p, users)[3][key])
+            walks, tables = [], new_tables()
+            for pt in (0.0, 40.0, 0.0):
+                p = dataclasses.replace(params, pt_dbm=pt)
+                bisection_solve(p, users, qos, cfg, tables)
+                walks.append(tables[3][key])
             low, high, again = walks
             assert again[0] == low[0] and len(low[0]) == len(high[0])
             head = next((i for i, (a, b) in enumerate(zip(low[0], high[0])) if a != b),
@@ -601,46 +564,6 @@ class TestWarmWalks:
             for field_low, field_high in zip(low[:2], high[:2]):  # centres, layouts
                 assert field_low[:head] == field_high[:head]
         assert parted > 0
-
-    def test_threads_replaying_walks(self, params):
-        """Threads solving different scenarios at several powers, with a
-        short switch interval, each get the fresh solution."""
-        cfg, qos = AlgoConfig(), QosTargets(4.0, 4.0)
-        cases = [(scen.user1, scen.user2) for scen in
-                 (sample_scenario(trial_rng(20, t), params.side_d) for t in range(4))]
-        powers = [dataclasses.replace(params, pt_dbm=pt) for pt in self.POWERS]
-        expected = []
-        for users in cases:
-            with fresh_tables():
-                expected.append([repr(bisection_solve(p, users, qos, cfg)) for p in powers])
-        errors = []
-        start = threading.Barrier(len(cases))
-
-        def work(users, want):
-            try:
-                start.wait(timeout=60)
-                for _ in range(10):
-                    for p, w in zip(powers[::-1] + powers, want[::-1] + want):
-                        got = repr(bisection_solve(p, users, qos, cfg))
-                        if got != w:
-                            errors.append((users, p.pt_dbm, got, w))
-            except Exception as exc:  # would not reach the test from a thread
-                errors.append(exc)
-
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with fresh_tables():
-                threads = [threading.Thread(target=work, args=case)
-                           for case in zip(cases, expected)]
-                for th in threads:
-                    th.start()
-                for th in threads:
-                    th.join(timeout=120)
-        finally:
-            sys.setswitchinterval(old)
-        assert not any(th.is_alive() for th in threads)
-        assert errors == []
 
 
 coords = st.floats(min_value=-5.0, max_value=5.0)
@@ -925,9 +848,9 @@ def test_tune_matches_per_antenna_scan(case):
     kernel read every tuned position."""
     params, layout, users, cfg = case
     want, passed = grid_reference.tune_layout_scan(params, layout, users, cfg)
-    with fresh_tables():
-        tuned = _tune_layout(params, layout, users, cfg)
-        stored = scope_tables(params, users)[1].get((tuned.xs, tuned.feed_x))
+    tables = new_tables()
+    tuned = _tune_layout(params, layout, users, cfg, tables)
+    stored = tables[1].get((tuned.xs, tuned.feed_x))
     assert [x.hex() for x in tuned.xs] == [x.hex() for x in want.xs]
     assert tuned.feed_x.hex() == want.feed_x.hex()
     # the centre is read as the inner neighbour of a pick next to it, and so
@@ -974,7 +897,7 @@ def test_turns_bound_covers_every_kernel_call(case):
 
     with mock.patch.object(placement, "_turns_bound", bound), \
             mock.patch.object(placement, "phase_turns_and_distances", kernel):
-        _tune_layout(params, layout, users, cfg)
+        _tune_layout(params, layout, users, cfg, new_tables())
     assert len(bounds) == 1
     assert all(m <= bounds[0] for m in maxima)
 
@@ -1047,129 +970,6 @@ class TestPickOnCraftedPhases:
     def test_nan_phases_take_the_full_scan(self):
         pick, scan = self.picks(np.array([0.05, np.nan, 0.03]), AlgoConfig())
         assert pick == scan == 1.01
-
-
-class TestScopedTable:
-    """The one scope state and its five tables, without threads or timing."""
-
-    USERS = (UserPosition(2.0, 1.0), UserPosition(-2.0, 0.3))
-
-    @pytest.fixture(autouse=True)
-    def _fresh(self):
-        with fresh_tables():
-            yield
-
-    def test_compute_that_changes_scope_keeps_its_entry_out(self, params):
-        other = dataclasses.replace(params, side_d=20.0)
-        tables = scope_tables(params, self.USERS)
-        # a nested call in another scope swaps the state before the store
-        for n, table in enumerate(scope_tables(other, self.USERS)):
-            table["inner"] = n
-        for table in tables:
-            table["key"] = "first"
-        assert [t["inner"] for t in scope_tables(other, self.USERS)] == [0, 1, 2, 3, 4]
-        assert not any("key" in t for t in scope_tables(other, self.USERS))
-        # the store is lost, not kept for the first scope either
-        assert not any(scope_tables(params, self.USERS))
-
-    def test_equal_distinct_arguments_hit(self, params):
-        tables = scope_tables(params, self.USERS)
-        value = object()
-        tables[0]["key"] = value
-        copies = (dataclasses.replace(params),
-                  tuple(UserPosition(u.x, u.y) for u in self.USERS))
-        assert copies[0] is not params and copies[1] is not self.USERS
-        assert scope_tables(*copies)[0]["key"] is value
-        # the powers are not part of the scope
-        louder = dataclasses.replace(params, pt_dbm=0.0, noise_dbm=-80.0)
-        assert scope_tables(louder, self.USERS) is tables
-        # the same params with a fresh tuple of equal users build no scope
-        with mock.patch.object(placement, "_channel_scope", wraps=_channel_scope) as built:
-            assert scope_tables(louder, copies[1]) is tables
-            assert scope_tables(louder, (self.USERS[0], copies[1][1])) is tables
-        assert built.call_count == 0
-
-    def test_other_scope_never_returns_stale_entry(self, params):
-        others = [
-            (dataclasses.replace(params, **{name: value}), self.USERS)
-            for name, value in (("fc", 30e9), ("n_eff", 1.5), ("h", 2.0),
-                                ("side_d", 20.0), ("n_antennas", 5),
-                                ("delta_min", 0.01))
-        ] + [
-            (params, (self.USERS[1], self.USERS[0])),
-            (params, (self.USERS[0], UserPosition(-2.0, 0.4))),
-        ]
-        for p, users in others:
-            for table in scope_tables(params, self.USERS):
-                table["key"] = "base"
-            assert not any(scope_tables(p, users))  # all five fresh
-        # back in the first scope, its entries are gone, never mixed in
-        assert not any(scope_tables(params, self.USERS))
-
-
-class TestSchemesShareOneScope:
-    """The solver and the fixed-array baselines read one scope state."""
-
-    SCHEMES = ("pinching", *channel.BASELINE_SCHEMES)
-
-    def test_one_scope_build_per_evaluate_scheme(self, params, qos):
-        scen = sample_scenario(trial_rng(21, 0), params.side_d)
-        per_call = []
-        with fresh_tables(), \
-                mock.patch.object(placement, "_channel_scope", wraps=_channel_scope) as built:
-            for pt in (0.0, 20.0, 40.0):
-                p = dataclasses.replace(params, pt_dbm=pt)
-                for scheme in self.SCHEMES:
-                    before = built.call_count
-                    sim.evaluate_scheme(p, scen, qos, AlgoConfig(), scheme)
-                    per_call.append(built.call_count - before)
-        # each power level's params are a new object, and the baselines at
-        # that level pass a fresh tuple of the same users
-        assert per_call == [1, 0, 0] * 3
-
-    def test_threads_evaluating_schemes(self, params):
-        """Threads running the solver and the baselines on different
-        scenarios at several powers, with a short switch interval, each get
-        the record of a run on fresh tables."""
-        cfg, qos = AlgoConfig(), QosTargets(4.0, 4.0)
-        scens = [sample_scenario(trial_rng(22, t), params.side_d) for t in range(4)]
-        runs = [(dataclasses.replace(params, pt_dbm=pt), scheme)
-                for pt in TestWarmWalks.POWERS for scheme in self.SCHEMES]
-        expected = []
-        for scen in scens:
-            want = []
-            for p, scheme in runs:
-                with fresh_tables():
-                    want.append(repr(sim.evaluate_scheme(p, scen, qos, cfg, scheme)))
-            expected.append(want)
-        errors = []
-        start = threading.Barrier(len(scens))
-
-        def work(scen, want):
-            try:
-                start.wait(timeout=60)
-                for _ in range(10):
-                    for (p, scheme), w in zip(runs[::-1] + runs, want[::-1] + want):
-                        got = repr(sim.evaluate_scheme(p, scen, qos, cfg, scheme))
-                        if got != w:
-                            errors.append((scen, p.pt_dbm, scheme, got, w))
-            except Exception as exc:  # would not reach the test from a thread
-                errors.append(exc)
-
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with fresh_tables():
-                threads = [threading.Thread(target=work, args=case)
-                           for case in zip(scens, expected)]
-                for th in threads:
-                    th.start()
-                for th in threads:
-                    th.join(timeout=120)
-        finally:
-            sys.setswitchinterval(old)
-        assert not any(th.is_alive() for th in threads)
-        assert errors == []
 
 
 class TestPinnedAntennas:

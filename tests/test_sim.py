@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from pinchopt import (
     trial_rng,
     write_table,
 )
-from pinchopt import sim
+from pinchopt import placement, sim
 from pinchopt.oracle import OracleSizeError
 from pinchopt.placement import PlacementError
 from pinchopt.sim import SCHEMES, SWEEPS, worker_count
@@ -260,6 +261,44 @@ class TestRunSweeps:
         together = run_sweeps(FIGURES, SystemParams(), QosTargets(), AlgoConfig(), spec)
         assert sorted(drawn) == [(d, t) for d in spec.d_values for t in range(spec.trials)]
         assert [r.table for r in together] == [r.table for r in alone]
+
+
+class TestChunks:
+    """Each chunk that _run_plans forms is one drop, so its tasks may share
+    one set of placement.new_tables."""
+
+    @pytest.mark.parametrize("names, spec", [
+        (FIGURES, SweepSpec(trials=3)),
+        (["power"], SweepSpec(pt_dbm_values=(0.0, 40.0), d_values=(10.0, 20.0), trials=3,
+                              schemes=SCHEMES)),
+    ], ids=["figures", "power-all-schemes"])
+    def test_one_scenario_and_one_set_of_tables_per_chunk(self, monkeypatch, names, spec):
+        chunks, made, fresh = [], [], []
+        run_group, new_tables = sim._run_group, placement.new_tables
+
+        def group(jobs):
+            chunks.append(jobs)
+            return run_group(jobs)
+
+        def counted(calls):
+            def tables():
+                calls.append(len(chunks))
+                return new_tables()
+            return tables
+
+        monkeypatch.setattr(sim, "_run_group", group)
+        monkeypatch.setattr(sim, "new_tables", counted(made))
+        monkeypatch.setattr(placement, "new_tables", counted(fresh))
+        run_sweeps(names, SystemParams(), QosTargets(), AlgoConfig(), spec)
+        assert len(chunks) == len(spec.d_values) * spec.trials
+        for jobs in chunks:
+            tasks = [task for _, task in jobs]
+            assert len({id(task[1]) for task in tasks}) == 1
+            assert len({replace(task[0], pt_dbm=0.0, noise_dbm=0.0) for task in tasks}) == 1
+        assert made == list(range(1, len(chunks) + 1))  # once per chunk, as it starts
+        # within a chunk only the reference search's final evaluation takes
+        # fresh tables
+        assert len(fresh) == sum(task[4] == "exhaustive" for jobs in chunks for _, task in jobs)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -11,13 +11,15 @@ directory, which is removed again at the end.  From each tree, with its own
   fig3.csv, fig4.csv and config.json are compared byte for byte;
 - ``pinch sweep oracle`` at D = 30 m and 0 dBm: its table and config.json;
 - ``pinch sweep power`` over every scheme (``pinching``, both fixed-array
-  baselines and ``exhaustive``) at 4 trials: its table and config.json;
+  baselines and ``exhaustive``) at 4 trials, at ``--threads 1`` and ``2``:
+  its table and config.json;
 - ``pinch sweep power`` at ``qos.r1_min=4 qos.r2_min=4``, where bisection
   walks move left and the power levels' walks part ways, once with the
   powers ascending and once descending, so a solve replaying the last
   power's walk leaves it in either direction, and descending again at
-  ``--threads 2``, where pool workers inherit the scope state of the
-  process that forks them: its table and config.json;
+  ``--threads 2``: its table and config.json.  The ``--threads 2`` runs
+  make each drop's tables (tuned layouts, walks, baseline gains) inside a
+  pool worker, not in the process that forks it;
 - ``pinch sweep delta`` at ``qos.r1_min=4 qos.r2_min=4``, where each power
   runs every tolerance pair, so each pair's walk is replayed after the other
   pairs' solves: its table and config.json;
@@ -86,9 +88,11 @@ def outputs(tree: Path, seed: int, out: Path) -> dict[str, bytes | str]:
     runs.append(("sweep oracle", out / "oracle", ("oracle.csv", "config.json"),
                  ("sweep", "oracle", "--out", str(out / "oracle" / "oracle.csv"),
                   "--threads", "1", *ORACLE_SET)))
-    runs.append(("sweep power", out / "power", ("power.csv", "config.json"),
-                 ("sweep", "power", "--out", str(out / "power" / "power.csv"),
-                  "--threads", "1", *POWER_SET)))
+    for t in (1, 2):
+        runs.append((f"sweep power --threads {t}", out / f"power-t{t}",
+                     ("power.csv", "config.json"),
+                     ("sweep", "power", "--out", str(out / f"power-t{t}" / "power.csv"),
+                      "--threads", str(t), *POWER_SET)))
     runs.append(("sweep power qos 4/4", out / "power-qos", ("power.csv", "config.json"),
                  ("sweep", "power", "--out", str(out / "power-qos" / "power.csv"),
                   "--threads", "1", *QOS_SET)))
