@@ -62,6 +62,34 @@ def composite_phases(params, layout, user):
     return phases_and_distances(params, user, np.asarray(layout.xs), layout.feed_x)[0]
 
 
+def run_threads(work, cases):
+    """Run ``work(*case, errors)`` for each case on its own thread, started
+    together at a 1 us switch interval, and return what they appended to
+    ``errors`` (an exception raised in a thread lands there too)."""
+    errors = []
+    start = threading.Barrier(len(cases))
+
+    def guarded(*case):
+        try:
+            start.wait(timeout=60)
+            work(*case, errors)
+        except Exception as exc:  # would not reach the test from a thread
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=guarded, args=case) for case in cases]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    return errors
+
+
 class TestCircularPhaseError:
     def test_identical_phases(self):
         assert circular_phase_error(1.234, 1.234) == 0.0
@@ -357,32 +385,14 @@ class TestTunedLayoutReuse:
         # each task alone, on fresh tables
         expected = [repr([(i, sim.evaluate_scheme(*task)) for i, task in chunk])
                     for chunk in chunks]
-        errors = []
-        start = threading.Barrier(len(chunks))
 
-        def work(chunk, want):
-            try:
-                start.wait(timeout=60)
-                for _ in range(20):
-                    got = repr(sim._run_group(chunk))
-                    if got != want:
-                        errors.append((chunk[0], got, want))
-            except Exception as exc:  # would not reach the test from a thread
-                errors.append(exc)
+        def work(chunk, want, errors):
+            for _ in range(20):
+                got = repr(sim._run_group(chunk))
+                if got != want:
+                    errors.append((chunk[0], got, want))
 
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=case)
-                       for case in zip(chunks, expected)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=120)
-        finally:
-            sys.setswitchinterval(old)
-        assert not any(th.is_alive() for th in threads)
-        assert errors == []
+        assert run_threads(work, list(zip(chunks, expected))) == []
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -564,6 +574,27 @@ class TestWarmWalks:
             for field_low, field_high in zip(low[:2], high[:2]):  # centres, layouts
                 assert field_low[:head] == field_high[:head]
         assert parted > 0
+
+    def test_threads_replaying_walks(self, params):
+        """Threads solving different scenarios at several powers, each on
+        its own scenario's tables, with a short switch interval, each get
+        the fresh solution."""
+        cfg, qos = AlgoConfig(), QosTargets(4.0, 4.0)
+        cases = [(scen.user1, scen.user2) for scen in
+                 (sample_scenario(trial_rng(20, t), params.side_d) for t in range(4))]
+        powers = [dataclasses.replace(params, pt_dbm=pt) for pt in self.POWERS]
+        expected = [[repr(bisection_solve(p, users, qos, cfg)) for p in powers]
+                    for users in cases]
+
+        def work(users, want, errors):
+            tables = new_tables()
+            for _ in range(10):
+                for p, w in zip(powers[::-1] + powers, want[::-1] + want):
+                    got = repr(bisection_solve(p, users, qos, cfg, tables))
+                    if got != w:
+                        errors.append((users, p.pt_dbm, got, w))
+
+        assert run_threads(work, list(zip(cases, expected))) == []
 
 
 coords = st.floats(min_value=-5.0, max_value=5.0)
@@ -970,6 +1001,35 @@ class TestPickOnCraftedPhases:
     def test_nan_phases_take_the_full_scan(self):
         pick, scan = self.picks(np.array([0.05, np.nan, 0.03]), AlgoConfig())
         assert pick == scan == 1.01
+
+
+class TestSchemesShareOneScope:
+    """The solver and the fixed-array baselines share one scenario's tables."""
+
+    SCHEMES = ("pinching", *channel.BASELINE_SCHEMES)
+
+    def test_threads_evaluating_schemes(self, params):
+        """Threads running the solver and the baselines on different
+        scenarios at several powers, each on its own scenario's tables, with
+        a short switch interval, each get the record of a run on fresh
+        tables."""
+        cfg, qos = AlgoConfig(), QosTargets(4.0, 4.0)
+        scens = [sample_scenario(trial_rng(22, t), params.side_d) for t in range(4)]
+        runs = [(dataclasses.replace(params, pt_dbm=pt), scheme)
+                for pt in TestWarmWalks.POWERS for scheme in self.SCHEMES]
+        expected = [[repr(sim.evaluate_scheme(p, scen, qos, cfg, scheme)) for p, scheme in runs]
+                    for scen in scens]
+
+        def work(scen, want, errors):
+            tables = new_tables()
+            for _ in range(10):
+                for (p, scheme), w in zip(runs[::-1] + runs, want[::-1] + want):
+                    got = repr(sim.evaluate_scheme(p, scen, qos, cfg, scheme,
+                                                   OracleConfig(), tables))
+                    if got != w:
+                        errors.append((scen, p.pt_dbm, scheme, got, w))
+
+        assert run_threads(work, list(zip(scens, expected))) == []
 
 
 class TestPinnedAntennas:
