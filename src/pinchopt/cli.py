@@ -158,9 +158,11 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0 if sol.feasible_found else 2
 
 
-def _check_out_dir(out_dir: str) -> None:
-    """Refuse, before any run, a directory to write whose nearest existing
-    ancestor (itself included) is not a directory."""
+def _check_out_dir(out: str, out_dir: str) -> None:
+    """Refuse, before any run, an empty ``--out`` and a directory to write
+    whose nearest existing ancestor (itself included) is not a directory."""
+    if not out:
+        raise ConfigError("--out must not be empty")
     path = out_dir
     while path and not os.path.exists(path):  # "" is the working directory
         path = os.path.dirname(path)
@@ -170,7 +172,7 @@ def _check_out_dir(out_dir: str) -> None:
 
 def cmd_sweep(cfg: RunConfig, which: str, out_path: str, threads: int) -> int:
     out_dir = os.path.dirname(out_path) or "."
-    _check_out_dir(out_dir)  # these checks run before the sweep
+    _check_out_dir(out_path, out_dir)  # these checks run before the sweep
     if not os.path.isdir(out_dir):
         raise ConfigError(f"output directory {out_dir} does not exist")
     if os.path.isdir(out_path):
@@ -190,7 +192,7 @@ def cmd_sweep(cfg: RunConfig, which: str, out_path: str, threads: int) -> int:
 
 
 def cmd_figures(cfg: RunConfig, out_dir: str, threads: int) -> int:
-    _check_out_dir(out_dir)  # before the run
+    _check_out_dir(out_dir, out_dir)  # before the run
     results = run_sweeps(["power", "delta", "oracle"], cfg.system, cfg.qos, cfg.algo,
                          cfg.sweep, cfg.oracle, threads)
     os.makedirs(out_dir, exist_ok=True)  # only once every sweep has run

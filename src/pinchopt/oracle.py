@@ -32,6 +32,7 @@ from .placement import (
     _pitch_offsets,
     center_bounds,
     center_index,
+    check_users,
     evaluate_placement,
     feed_point,
     placement_solution,
@@ -107,8 +108,6 @@ def _grid(params: SystemParams, users, cfg: OracleConfig) -> np.ndarray:
     half = params.side_d / 2.0
     lo = max(min(users[0].x, users[1].x) - cfg.search_window, -half)
     hi = min(max(users[0].x, users[1].x) + cfg.search_window, half)
-    if hi < lo:
-        lo = hi = min(max(lo, -half), half)
     return lo + step * np.arange(grid_points(hi - lo, step))
 
 
@@ -233,7 +232,9 @@ def exhaustive_placement(
 
     Deterministic: identical inputs always yield identical output, with
     ties broken lexicographically on (sum rate, first antenna coordinate).
+    Users outside the region or at one x raise PlacementError, as in the solver.
     """
+    check_users(params, users)
     feed_x = feed_point(params)
     if cfg.strategy == "full-grid":
         return _full_grid_search(params, users, qos, cfg, feed_x)

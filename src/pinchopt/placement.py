@@ -418,13 +418,13 @@ def _tune_layout(
     return tuned
 
 
-def new_tables() -> tuple[dict, dict, dict, dict, dict]:
+def new_tables() -> tuple[dict, dict, dict, dict]:
     """Empty tables for one scenario's solves: tuned layouts and tune set-ups,
-    channel terms, rigid layouts, last walks and baseline gains.  Calls may
-    share them only if they pass the same users and the same SystemParams
-    but for ``pt_dbm`` and ``noise_dbm``; nothing checks this.  sim makes one
-    set per drop; ``tables=None`` means fresh ones for that call."""
-    return {}, {}, {}, {}, {}
+    channel terms, rigid layouts and last walks.  Calls may share them only
+    if they pass the same users and the same SystemParams but for ``pt_dbm``
+    and ``noise_dbm``; nothing checks this.  sim makes one set per drop;
+    ``tables=None`` means fresh ones for that call."""
+    return {}, {}, {}, {}
 
 
 def fine_tune(

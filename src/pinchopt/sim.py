@@ -140,12 +140,8 @@ def sample_scenario(rng: np.random.Generator, side_d: float, seed_id: int = 0) -
     raise SamplingError("could not draw a non-degenerate scenario in 100 attempts")
 
 
-def _conventional_record(params, users, qos, scheme, gains) -> tuple:
-    # both users' |g|^2 enter no power, so the scenario's power levels share them
-    g_sq = gains.get(scheme)
-    if g_sq is None:
-        g_sq = gains[scheme] = conventional_effective_gain(params, users, scheme)
-    g1_sq, g2_sq = g_sq
+def _conventional_record(params, users, qos, scheme) -> tuple:
+    g1_sq, g2_sq = conventional_effective_gain(params, users, scheme)
     # relabel up front so user 2 keeps the stronger effective channel;
     # the rate targets follow the weak/strong role, not the identity
     swapped = g2_sq < g1_sq
@@ -168,18 +164,18 @@ def evaluate_scheme(
     oracle_cfg: OracleConfig = OracleConfig(),
     tables: tuple | None = None,
 ) -> TrialRecord:
-    """Run one scheme on one scenario, on ``tables`` (see
-    ``placement.new_tables``), and summarise the outcome.
+    """Run one scheme on one scenario and summarise the outcome; the solver
+    runs on ``tables`` (see ``placement.new_tables``).
 
     The waveguide schemes keep the scenario's strong/weak labelling (a
     wrong ordering after optimisation counts as infeasible); the fixed
     antenna baselines relabel users up front so the stronger effective
     channel is user 2, recording the swap.
     """
-    users, tables = (scenario.user1, scenario.user2), tables or new_tables()
+    users = (scenario.user1, scenario.user2)
     iterations = 0
     if scheme in BASELINE_SCHEMES:
-        rates, split, feasible, swapped = _conventional_record(params, users, qos, scheme, tables[4])
+        rates, split, feasible, swapped = _conventional_record(params, users, qos, scheme)
     elif scheme in ("pinching", "exhaustive"):
         sol = (bisection_solve(params, users, qos, cfg, tables) if scheme == "pinching"
                else exhaustive_placement(params, users, qos, oracle_cfg))

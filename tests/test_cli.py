@@ -1,13 +1,16 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import os
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pinchopt
-from pinchopt import sim
+from pinchopt import AntennaLayout, sim
 from pinchopt.cli import ConfigError, build_config, load_config, main
 from pinchopt.oracle import OracleSizeError
 from pinchopt.sim import SamplingError, run_sweeps
@@ -438,6 +441,16 @@ class TestFiguresCommand:
             assert f"output path {afile} is not a directory" in capsys.readouterr().err
         assert afile.read_text() == ""
 
+    @pytest.mark.parametrize("command", [["figures"], ["sweep", "power"]],
+                             ids=["figures", "sweep"])
+    def test_empty_out_exits_one(self, monkeypatch, capsys, command):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the sweeps ran before the output path was checked")
+
+        monkeypatch.setattr("pinchopt.cli.run_sweeps", unreachable)
+        assert main([*command, "--out", "", *SMALL_SWEEP]) == 1
+        assert capsys.readouterr().err == "error: --out must not be empty\n"
+
     def test_zero_trials_errors_before_writing(self, tmp_path, capsys):
         out = tmp_path / "figs"
         code = main(["figures", "--out", str(out), "--set", "sweep.trials=0"])
@@ -466,3 +479,50 @@ class TestUsageErrors:
         assert main(args) == 1
         assert "--threads must be >= 0, got -3" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
+
+
+# every number field a solve reads or checks, and each scenario coordinate
+FUZZ_FIELDS = (
+    *(f"system.{f.name}" for f in dataclasses.fields(pinchopt.SystemParams)),
+    *(f"algo.{f.name}" for f in dataclasses.fields(pinchopt.AlgoConfig)),
+    *(f"qos.{f.name}" for f in dataclasses.fields(pinchopt.QosTargets)),
+    "oracle.position_step", "oracle.search_window",
+    "sweep.trials", "sweep.seed", "sweep.pt_dbm_values", "sweep.d_values",
+    *(f"scenario.{u}.{c}" for u in ("user1", "user2") for c in ("x", "y")),
+)
+# extremes: the largest floats, subnormals, a signed zero, an integer beyond
+# any float, and values of the wrong JSON type
+FUZZ_VALUES = (1e308, -1e308, 5e-324, -5e-324, 2.225e-308, -0.0, 10**400,
+               "x", None, True, False)
+
+
+def _strict_json(text: str):
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestExitCodeContract:
+    @given(st.dictionaries(st.sampled_from(FUZZ_FIELDS), st.sampled_from(FUZZ_VALUES),
+                           min_size=1, max_size=3))
+    @settings(max_examples=2000, deadline=None, derandomize=True)
+    def test_solve_on_extreme_fields(self, fields):
+        """``pinch solve`` with one to three fields set to extremes exits 0, 1
+        or 2 without a traceback; a solution is strict JSON, and a feasible
+        layout is valid under the configuration it was solved on."""
+        overrides = [SCENARIO_SET] if any(k.startswith("scenario.") for k in fields) else []
+        for key, value in fields.items():
+            value = [value] if key in ("sweep.pt_dbm_values", "sweep.d_values") else value
+            overrides.append(f"{key}={json.dumps(value)}")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["solve", *(a for o in overrides for a in ("--set", o))])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert out.getvalue() == ""
+            return
+        doc = _strict_json(out.getvalue())
+        if code == 0:
+            system = load_config(None, overrides, None).system
+            AntennaLayout(tuple(doc["antenna_xs"]), doc["feed_x"]).validate(system)

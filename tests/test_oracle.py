@@ -9,6 +9,7 @@ from pinchopt import (
     AntennaLayout,
     OracleConfig,
     OracleSizeError,
+    PlacementError,
     PowerSplit,
     QosTargets,
     SystemParams,
@@ -25,6 +26,7 @@ from pinchopt import (
     wavelength,
 )
 from pinchopt.oracle import _grid, _winner, batch_solution_metrics
+from pinchopt.placement import _pitch_offsets, center_bounds
 from pinchopt.sim import evaluate_scheme
 
 from grid_reference import grid_alpha2, sum_rate_objective
@@ -142,6 +144,36 @@ class TestTwoStage:
             assert best >= rates[0] - 1e-9
             assert orc.feasible_found
 
+    @pytest.mark.parametrize("side", [1, -1], ids=["right", "left"])
+    def test_no_centre_in_bounds_takes_the_nearest_bound(self, qos, side):
+        # with 1 m spacing the centre stays within 4 m of the middle, while
+        # the users' window is [4.3, 5] m: the one centre is the bound itself
+        p = SystemParams(delta_min=1.0)
+        users = (UserPosition(side * 4.9, 2.0), UserPosition(side * 4.8, 0.5))
+        sol = exhaustive_placement(p, users, qos, OracleConfig(search_window=0.5))
+        assert sol.feasible_found
+        # the centre never moves in stage 2, and the edge antenna has no room
+        assert sol.layout.xs[1] == center_bounds(p)[side > 0] == side * 4.0
+        assert sol.layout.xs[1 + side] == side * 5.0
+
+    def test_infeasible_stage_one_returns_best_rigid_row(self, params):
+        # no rigid array meets a 50 bit/s/Hz target: the reference search
+        # reports the highest-rate centre's rigid array, infeasible, unrefined
+        qos = QosTargets(50.0, 50.0)
+        users = (UserPosition(2.0, 1.0), UserPosition(-2.0, 0.3))
+        cfg = OracleConfig()
+        sol = exhaustive_placement(params, users, qos, cfg)
+        lo_c, hi_c = center_bounds(params)
+        centers = _grid(params, users, cfg)
+        centers = centers[(centers >= lo_c) & (centers <= hi_c)]
+        rows = centers[:, None] + np.array(_pitch_offsets(params))[None, :]
+        rates, feasible, _ = batch_solution_metrics(params, rows, -params.side_d / 2,
+                                                    users, qos)
+        assert not feasible.any() and np.sum(rates == rates.max()) == 1
+        assert sol.layout.xs == tuple(rows[np.argmax(rates)])
+        assert not sol.feasible_found and sol.rates.sum_rate == 0.0
+        assert sol.iterations == 0
+
     def test_never_worse_than_rigid_centre_sweep(self, params, qos):
         # stage 2 refinement starts from the stage-1 winner and keeps the
         # best feasible snapshot, so it cannot lose to the rigid sweep
@@ -201,6 +233,13 @@ class TestFullGrid:
         with pytest.raises(OracleSizeError):
             exhaustive_placement(params, users, qos, cfg)
 
+    def test_window_without_room_refused(self, params, qos):
+        # a grid of three 1.07 mm steps holds no two points half a wavelength apart
+        users = (UserPosition(0.001, 2.0), UserPosition(0.0, 0.5))
+        cfg = OracleConfig(strategy="full-grid", search_window=0.001)
+        with pytest.raises(PlacementError, match="^search window too small for the antenna array$"):
+            exhaustive_placement(params, users, qos, cfg)
+
     def test_deterministic(self, qos):
         p = SystemParams(n_antennas=2)
         users = (UserPosition(0.15, 2.0), UserPosition(-0.15, 0.5))
@@ -216,6 +255,24 @@ def test_feed_point_is_region_left_edge(qos, strategy):
     users = (UserPosition(0.15, 2.0), UserPosition(-0.15, 0.5))
     cfg = OracleConfig(strategy=strategy, search_window=0.01)
     assert exhaustive_placement(p, users, qos, cfg).layout.feed_x == -p.side_d / 2
+
+
+@pytest.mark.parametrize("users, message", [
+    ((UserPosition(float("nan"), 2.0), UserPosition(1.0, 0.5)), "user1.x must be finite, got nan"),
+    ((UserPosition(1.0, 2.0), UserPosition(1.0, float("nan"))), "user2.y must be finite, got nan"),
+    ((UserPosition(7.0, 2.0), UserPosition(6.5, 0.5)), "user1.x must be in [-5.0, 5.0], got 7.0"),
+    ((UserPosition(1.0, 2.0), UserPosition(-6.0, 0.5)), "user2.x must be in [-5.0, 5.0], got -6.0"),
+    ((UserPosition(1.0, 2.0), UserPosition(1.0, 0.5)),
+     "degenerate scenario: users share the same x-coordinate"),
+], ids=["nan-x", "nan-y", "outside", "outside-user2", "shared-x"])
+def test_both_solvers_refuse_the_same_users(params, qos, users, message):
+    solvers = [lambda: bisection_solve(params, users, qos, AlgoConfig())]
+    solvers += [lambda s=s: exhaustive_placement(params, users, qos, OracleConfig(strategy=s))
+                for s in ("full-grid", "two-stage")]
+    for solve in solvers:
+        with pytest.raises(PlacementError) as exc:
+            solve()
+        assert str(exc.value) == message
 
 
 class TestOracleConfig:

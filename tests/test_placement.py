@@ -422,8 +422,8 @@ class TestTunedLayoutReuse:
 
 
 class TestIterateTables:
-    """The rigid layouts and the baseline gains that sweeps keep per scenario,
-    and the tuple records an iterate builds."""
+    """The rigid layouts that sweeps keep per scenario, and the tuple records
+    an iterate builds."""
 
     def test_rigid_layout_table_equals_initial_layout(self, params, qos, algo_cfg):
         users, _ = TestTunedLayoutReuse._cases(15, 1, params)[0]
@@ -447,31 +447,6 @@ class TestIterateTables:
                     p = dataclasses.replace(params, side_d=side_d, pt_dbm=pt)
                     bisection_solve(p, users, qos, algo_cfg, tables)
         assert len(set(seen)) < len(seen) / 2  # centres met again
-
-    def test_baseline_gain_table_matches_fresh_and_follows_scope(self, params, qos):
-        scen = sample_scenario(trial_rng(16, 0), params.side_d)
-        users = (scen.user1, scen.user2)
-        calls = []
-
-        def gains(p, u, scheme):
-            calls.append(scheme)
-            return channel.conventional_effective_gain(p, u, scheme)
-
-        taller = dataclasses.replace(params, h=4.0)
-        for base in (params, taller):
-            tables = new_tables()
-            for pt in TestTunedLayoutReuse.POWERS:
-                p = dataclasses.replace(base, pt_dbm=pt)
-                for scheme in channel.BASELINE_SCHEMES:
-                    fresh = sim.evaluate_scheme(p, scen, qos, AlgoConfig(), scheme)
-                    with mock.patch.object(sim, "conventional_effective_gain", gains):
-                        assert sim.evaluate_scheme(p, scen, qos, AlgoConfig(), scheme,
-                                                   tables=tables) == fresh
-                    # the table holds a fresh call's gains bit for bit
-                    assert tables[4][scheme] == (
-                        channel.conventional_effective_gain(p, users, scheme))
-            # one call per scheme and set of tables: the powers share it
-            assert calls == list(channel.BASELINE_SCHEMES) * (1 + (base is taller))
 
     def test_records_refuse_assignment(self, params, qos, algo_cfg):
         users, _ = TestTunedLayoutReuse._cases(17, 1, params)[0]
@@ -1004,7 +979,8 @@ class TestPickOnCraftedPhases:
 
 
 class TestSchemesShareOneScope:
-    """The solver and the fixed-array baselines share one scenario's tables."""
+    """``sim.evaluate_scheme`` passes one scenario's tables to the solver;
+    the fixed-array baselines, interleaved with it, read none."""
 
     SCHEMES = ("pinching", *channel.BASELINE_SCHEMES)
 

@@ -13,12 +13,15 @@ directory, which is removed again at the end.  From each tree, with its own
 - ``pinch sweep power`` over every scheme (``pinching``, both fixed-array
   baselines and ``exhaustive``) at 4 trials, at ``--threads 1`` and ``2``:
   its table and config.json;
+- ``pinch sweep power`` of ``pinching`` and ``exhaustive`` with
+  ``oracle.strategy="full-grid"`` at D = 0.05 m and 4 trials, the only run
+  that enumerates the full grid: its table and config.json;
 - ``pinch sweep power`` at ``qos.r1_min=4 qos.r2_min=4``, where bisection
   walks move left and the power levels' walks part ways, once with the
   powers ascending and once descending, so a solve replaying the last
   power's walk leaves it in either direction, and descending again at
   ``--threads 2``: its table and config.json.  The ``--threads 2`` runs
-  make each drop's tables (tuned layouts, walks, baseline gains) inside a
+  make each drop's tables (tuned layouts, channel terms, walks) inside a
   pool worker, not in the process that forks it;
 - ``pinch sweep delta`` at ``qos.r1_min=4 qos.r2_min=4``, where each power
   runs every tolerance pair, so each pair's walk is replayed after the other
@@ -63,6 +66,9 @@ POWER_SET = ("--set", 'sweep.schemes=["pinching","conventional-uniform",'
              '"conventional-mrt","exhaustive"]', "--set", "sweep.trials=4")
 QOS_SET = ("--set", "qos.r1_min=4", "--set", "qos.r2_min=4")
 DESCENDING_SET = ("--set", "sweep.pt_dbm_values=[40,35,30,25,20,15,10,5,0]")
+FULL_GRID_SET = ("--set", 'sweep.schemes=["pinching","exhaustive"]',
+                 "--set", 'oracle.strategy="full-grid"', "--set", "sweep.d_values=[0.05]",
+                 "--set", "sweep.trials=4")
 N5_SET = ("--set", "system.n_antennas=5", "--set", "sweep.trials=4")
 SOLVE_SETS = ((), *(("--set", f"system.n_antennas={n}") for n in (1, 2, 4, 5)),
               ("--set", "algo.delta2=0"),
@@ -93,6 +99,9 @@ def outputs(tree: Path, seed: int, out: Path) -> dict[str, bytes | str]:
                      ("power.csv", "config.json"),
                      ("sweep", "power", "--out", str(out / f"power-t{t}" / "power.csv"),
                       "--threads", str(t), *POWER_SET)))
+    runs.append(("sweep power full-grid", out / "power-full-grid", ("power.csv", "config.json"),
+                 ("sweep", "power", "--out", str(out / "power-full-grid" / "power.csv"),
+                  "--threads", "1", *FULL_GRID_SET)))
     runs.append(("sweep power qos 4/4", out / "power-qos", ("power.csv", "config.json"),
                  ("sweep", "power", "--out", str(out / "power-qos" / "power.csv"),
                   "--threads", "1", *QOS_SET)))
