@@ -31,7 +31,6 @@ from .placement import (
     PlacementError,
     PlacementSolution,
     bisection_solve,
-    circular_phase_error,
     evaluate_placement,
     fine_tune,
     initial_layout,

@@ -41,9 +41,6 @@ from .noma import (
 TWO_PI = 2.0 * math.pi
 MAX_FINE_SHIFTS = 10**6  # candidates per antenna; 1000x the default budget
 CAP_SLACK = 1e-15  # a candidate this close to its region cap counts as on it
-# the fine-tune screen's error per turn of composite phase: over 80 times its
-# rounding bound of 6 * 2**-53, which leaves room for rounding the bounds
-SCREEN_SLACK = 2.0**-44
 
 
 class PlacementError(ValueError):
@@ -101,19 +98,6 @@ class PlacementSolution:
     feasible_found: bool
     alpha_clamped: str = "none"
     pinned_antennas: tuple[int, ...] = ()
-
-
-def circular_phase_error(a, b):
-    """Distance between two phases on the circle, in [0, pi], any shape."""
-    m = np.fmod(np.abs(a - b), TWO_PI)  # equals % on non-negative operands
-    return np.minimum(m, TWO_PI - m)
-
-
-def _turn_error(t0: float, t: float) -> float:
-    """:func:`circular_phase_error` of the phases 2pi * t and 2pi * t0, on
-    Python floats: the same correctly rounded operations, so the same bits."""
-    m = math.fmod(abs(TWO_PI * t - TWO_PI * t0), TWO_PI)
-    return min(m, TWO_PI - m)
 
 
 def feed_point(params: SystemParams) -> float:
@@ -197,138 +181,63 @@ def _candidate_grid(cand: np.ndarray, inner_x: float, cap: float, threshold: flo
     return cand
 
 
-def _pick_round(turns: np.ndarray, segments: list, cfg: AlgoConfig, bound: float) -> list[int]:
+def _pick_round(turns: np.ndarray, segments: list, cfg: AlgoConfig) -> list[int]:
     """Each pick's tuned position in its :func:`_candidate_grid`, as an index,
     for one fine-tune round.
 
     ``turns`` holds the round's composite phases in turns from
     :func:`phase_turns_and_distances`, one row per user, and ``segments``
     each pick's (first column, grid size) in them: the column at the inner
-    neighbour, then one column per candidate, in outward order.  In each
-    segment the first candidate that aligns the composite-phase difference
-    to its inner neighbour within (delta1, delta2) for both users wins; if
-    none does, the one with the smallest tolerance-weighted error is used.
-    Every candidate already keeps the spacing.  The screen below runs once
-    over the whole row, each segment less its own inner column; every step
-    after it reads one segment's columns alone, so each pick is the one its
+    neighbour, then one column per candidate, in outward order.  Every
+    candidate already keeps the spacing.  For each user, a candidate's error
+    is the distance in turns from q = t_k - t_0, its composite-phase
+    difference to the inner neighbour, to the nearest whole turn:
+    |q - rint(q)|, exact once q is rounded.  In each segment the first
+    candidate whose errors are within delta1 / 2pi and delta2 / 2pi wins;
+    if none is, the first argmin of e1 / w1 + e2 / w2 does, w being those
+    tolerances guarded against zero.  The errors are taken once over the
+    whole row, each segment less its own inner column, and every step after
+    that reads one segment's columns alone, so each pick is the one its
     segment would get on its own.
-
-    Every decision reads exact :func:`circular_phase_error` values of the
-    phases 2pi * t that :func:`phases_and_distances` returns, t being the
-    composite phases in turns, and only at the few candidates a cheap screen
-    leaves (at its first hit, on Python floats by :func:`_turn_error`).
-    For each user, the screen reads the difference in turns q = t_k - t_0
-    to the inner neighbour's t_0, and s = |q - rint(q)| (the subtraction is
-    exact).  The exact error e is the exact distance from d = fl(2pi t_k) -
-    fl(2pi t_0), itself rounded, to a multiple of 2pi: fmod is exact, and
-    so is 2pi - m whenever it is the smaller.  So s and e / 2pi are the
-    distances of q and of d / 2pi to the nearest integer, and differ by at
-    most |q - d / 2pi|.  With u = 2**-53 and T = ``bound``, at or above
-    every |t| of the row (a tune takes it once, from :func:`_turns_bound`),
-    each product and difference rounds with a relative error below u, so
-    |q - d / 2pi| <= u (|t_k| + |t_0|) + 2u |t_k - t_0| (to first order),
-    at most 6u * T.  ``slack`` bounds that gap, with a wide margin for
-    rounding the thresholds and scores.  The screen then keeps the answer:
-
-    - First fit.  A fit (e1 <= delta1 and e2 <= delta2) has
-      s <= delta / 2pi + slack for both users, so every fit is a hit.  The
-      first hit is checked exactly; it fails only within the slack of a
-      tolerance edge.
-    - Fallback.  With w the zero-guarded tolerances, the screened score
-      S = sum 2pi s / w is within E = slack * sum 2pi / w of the exact
-      score.  The first exact argmin j and the screened argmin m thus give
-      S_j <= score_j + E <= score_m + E <= S_m + 2E, so j is near:
-      S_j <= min S + 2E.
-
-    Run on the hits and the near candidates, the rule therefore returns the
-    first fit if there is one, and j otherwise, since every earlier
-    candidate scores higher; a single such candidate is the answer outright
-    (with no hit, so no fit, it is m).  Where the slack is not below both
-    tolerances (a zero tolerance, or a bound too large or not finite), the
-    screen cannot narrow a grid, and the rule runs on every candidate.
     """
-    d1, d2 = cfg.delta1, cfg.delta2
-    w1, w2 = max(d1, 1e-300), max(d2, 1e-300)  # guard against a zero tolerance
-
-    def scan(first, idx):
-        """The rule itself, on the candidates ``idx`` (an index array) of the
-        segment at column ``first``."""
-        errs = circular_phase_error(TWO_PI * turns[:, first + 1 + idx],
-                                    TWO_PI * turns[:, first:first + 1])
-        fits = (errs[0] <= d1) & (errs[1] <= d2)
-        if fits.any():
-            return int(idx[np.argmax(fits)])
-        return int(idx[np.argmin(errs[0] / w1 + errs[1] / w2)])  # tolerance-weighted fallback
-
-    slack = SCREEN_SLACK * (1.0 + bound)
-    if not slack < min(d1, d2) / TWO_PI:  # NaN too: the screen cannot narrow a grid
-        return [scan(first, np.arange(size)) for first, size in segments]
-    screen = np.empty_like(turns)
+    tol1, tol2 = cfg.delta1 / TWO_PI, cfg.delta2 / TWO_PI
+    w1, w2 = max(tol1, 1e-300), max(tol2, 1e-300)  # guard against a zero tolerance
+    errs = np.empty_like(turns)
     for first, size in segments:
         part = turns[:, first:first + 1 + size]
-        np.subtract(part, part[:, :1], out=screen[:, first:first + 1 + size])
-    screen -= np.rint(screen)
-    np.abs(screen, out=screen)
-    hits = (screen[0] <= d1 / TWO_PI + slack) & (screen[1] <= d2 / TWO_PI + slack)
+        np.subtract(part, part[:, :1], out=errs[:, first:first + 1 + size])
+    errs -= np.rint(errs)
+    np.abs(errs, out=errs)
+    fits = (errs[0] <= tol1) & (errs[1] <= tol2)
     picks = []
     for first, size in segments:
-        hit = hits[first + 1:first + 1 + size]
-        j = int(hit.argmax())
-        # the usual first fit; it misses only within the slack of an edge
-        if hit[j] and (_turn_error(turns.item(0, first), turns.item(0, first + 1 + j)) <= d1
-                       and _turn_error(turns.item(1, first), turns.item(1, first + 1 + j)) <= d2):
-            picks.append(j)
-            continue
-        off = screen[:, first + 1:first + 1 + size]
-        score = off[0] * (TWO_PI / w1) + off[1] * (TWO_PI / w2)
-        m = int(score.argmin())
-        near = score <= score[m] + 2.0 * slack * (TWO_PI / w1 + TWO_PI / w2)
-        if hit[j]:  # a later hit may still fit
-            near |= hit
-        elif np.count_nonzero(near) == 1:  # no fit, and m alone is near
-            picks.append(m)
-            continue
-        idx = np.flatnonzero(near)
-        picks.append(int(idx[0]) if idx.size == 1 else scan(first, idx))  # one holds no choice
+        fit = fits[first + 1:first + 1 + size]
+        j = int(fit.argmax())
+        if not fit[j]:  # no fit: the tolerance-weighted fallback
+            off = errs[:, first + 1:first + 1 + size]
+            j = int((off[0] / w1 + off[1] / w2).argmin())
+        picks.append(j)
     return picks
 
 
-def _turns_bound(params: SystemParams, setup: tuple, feed_x: float, reach: float) -> float:
-    """An upper bound on |t| over the composite phases t, in turns, that
-    :func:`phase_turns_and_distances` returns for the users of ``setup`` (a
-    :func:`_tune_setup`) and ``feed_x`` at any positions |x| <= ``reach``;
-    NaN or infinite if an input is.  It repeats the kernel's operations on
-    operands at least as large (|u.x| summed over the users plus reach,
-    u.y**2 summed, |feed_x| + reach): rounding is monotone, and the kernel's
-    t = fl(p - g) of p, g >= 0 has |t| <= max(p, g) <= fl(p + g)."""
-    lam, x_sum, y2_sum, guide_lam = setup[2:6]
-    x = x_sum + reach
-    far = math.sqrt(x * x + y2_sum + params.h**2)
-    return far / lam + (abs(feed_x) + reach) / guide_lam
-
-
-def _tune_setup(params: SystemParams, users: tuple, cfg: AlgoConfig) -> tuple:
+def _tune_setup(params: SystemParams, cfg: AlgoConfig) -> tuple:
     """What the tunes of one scenario share for ``cfg``'s step and budget:
     the outward offset grid and its negation (read-only, as they are shared);
-    the operands of :func:`_turns_bound` the scenario fixes (lam, sum |u.x|, sum
-    u.y**2, lam / n_eff); the centre index; whether the array fits the region
-    (see :func:`center_bounds`); the grid's last offset; the spacing
-    threshold delta_min - SPACING_SLACK of ``channel.spacing_holds``; and
-    the rounds, each a tuple of (side, antenna, outward room-preserving cap,
-    signed offsets), the right side first.  An over-cap budget raises before
-    any allocation."""
+    the grid's last offset; the spacing threshold delta_min - SPACING_SLACK
+    of ``channel.spacing_holds``; and the rounds, each a tuple of (side,
+    antenna, outward room-preserving cap, signed offsets), the right side
+    first.  An over-cap budget raises before any allocation."""
     step, shifts = cfg.resolved_fine_step(params), cfg.resolved_max_shifts(params)
     offsets = step * np.arange(shifts + 1)
-    lam, left = wavelength(params), -offsets
+    left = -offsets
     offsets.flags.writeable = left.flags.writeable = False
     n_ant, c = params.n_antennas, center_index(params.n_antennas)
     rounds = tuple(
         tuple((side, n, side * _antenna_cap(params, n, side), offsets if side > 0 else left)
               for side, n in ((+1, c + r), (-1, c - r)) if 0 <= n < n_ant)
         for r in range(1, max(c, n_ant - 1 - c) + 1))
-    return (offsets, left, lam, sum(abs(u.x) for u in users), sum(u.y**2 for u in users),
-            lam / params.n_eff, c, _antenna_cap(params, c, -1) <= _antenna_cap(params, c, +1),
-            float(offsets[-1]), params.delta_min - AntennaLayout.SPACING_SLACK, rounds)
+    return (offsets, left, float(offsets[-1]),
+            params.delta_min - AntennaLayout.SPACING_SLACK, rounds)
 
 
 def _tune_layout(
@@ -367,14 +276,9 @@ def _tune_layout(
     tuned_table, terms = tables[:2]
     setup = tuned_table.get((cfg.fine_step, cfg.max_fine_shifts))
     if setup is None:
-        setup = tuned_table[cfg.fine_step, cfg.max_fine_shifts] = _tune_setup(params, users, cfg)
-    offsets, (c, fits, last, threshold, rounds) = setup[0], setup[6:]
+        setup = tuned_table[cfg.fine_step, cfg.max_fine_shifts] = _tune_setup(params, cfg)
+    offsets, _, last, threshold, rounds = setup
     xs = list(layout.xs)
-    # If the array fits the region, so does every cap, and every position a
-    # call reads is the centre or past it on its side, at most CAP_SLACK
-    # outside the region; max keeps a NaN centre NaN.
-    reach = max(abs(xs[c]), params.side_d / 2.0) + CAP_SLACK if fits else math.inf
-    bound = _turns_bound(params, setup, layout.feed_x, reach)
     calls = []  # each round's kernel output, side by side
     column = [None] * params.n_antennas  # each tuned position's column in those outputs
     base = 0  # columns of the earlier rounds' outputs
@@ -401,7 +305,7 @@ def _tune_layout(
         if not segments:
             continue
         calls.append(phase_turns_and_distances(params, users, row[:width], layout.feed_x))
-        picks = _pick_round(calls[-1][0], segments, cfg, bound)
+        picks = _pick_round(calls[-1][0], segments, cfg)
         for (side, n), (first, _), k in zip(antennas, segments, picks):
             xs[n] = row.item(first + 1 + k)
             if column[n - side] is None:  # the centre, or an antenna at minimum pitch

@@ -1,15 +1,16 @@
 """References the tests compare the package against: the sum-rate
 objective f(alpha2) (criteria 1 and 3), its grid search (criterion 2), the
-composite-phase kernel as one out-of-place expression, and the fine-tune
-pick as a full scan of exact phase errors, antenna by antenna."""
+composite-phase kernel as one out-of-place expression, the distance of two
+phases on the circle in radians, and the fine-tune pick as a scan of every
+candidate, one at a time on Python floats, in turns, antenna by antenna."""
 import math
 
 import numpy as np
 
-from pinchopt import AntennaLayout, QosTargets, UserPosition
-from pinchopt.channel import phases_and_distances, spacing_holds, wavelength
+from pinchopt import AntennaLayout, QosTargets, UserPosition, channel
+from pinchopt.channel import spacing_holds, wavelength
 from pinchopt.noma import noma_rates, qos_verdicts
-from pinchopt.placement import CAP_SLACK, _antenna_cap, center_index, circular_phase_error
+from pinchopt.placement import CAP_SLACK, TWO_PI, _antenna_cap, center_index
 
 
 def sum_rate_objective(snr_weak, snr_strong, alpha2):
@@ -77,26 +78,45 @@ def capped(cand, cap):
     return cand
 
 
+def circular_phase_error(a, b):
+    """Distance between two phases on the circle, in [0, pi], any shape."""
+    m = np.fmod(np.abs(a - b), TWO_PI)  # equals % on non-negative operands
+    return np.minimum(m, TWO_PI - m)
+
+
+def turn_error(t0: float, t: float) -> float:
+    """Distance in turns from t - t0 to the nearest whole turn, on Python
+    floats: exact once the difference is rounded, and NaN where it is not
+    finite, as |q - rint(q)| is on arrays."""
+    q = t - t0
+    return abs(q - round(q)) if math.isfinite(q) else math.nan
+
+
 def pick_candidate_scan(params, users, cfg, feed_x, cand, inner_x, cap) -> float:
-    """One antenna's fine-tune pick in outward coordinates, by exact phase
-    errors at every candidate: the first candidate that keeps the spacing and
-    both tolerances, else the first valid argmin of the tolerance-weighted
-    error; at minimum pitch (or the cap) when no candidate keeps the spacing."""
+    """One antenna's fine-tune pick in outward coordinates, candidate by
+    candidate: the first one that keeps the spacing and has both users'
+    turn errors within delta / 2pi, else the first valid argmin of the
+    tolerance-weighted error (the first NaN score, if any, as ``np.argmin``
+    takes it); at minimum pitch (or the cap) when no candidate keeps the
+    spacing.  Each user's phases come from one call of
+    ``channel.phase_turns_and_distances``."""
     cand = capped(cand, cap)
     spacing_ok = spacing_holds(params, cand - inner_x)
     if not spacing_ok.any():
         return min(inner_x + params.delta_min, cap)
     xs = np.concatenate(([inner_x], cand))
-    errs = []
-    for u in users:
-        phases = phases_and_distances(params, u, xs, feed_x)[0]
-        errs.append(circular_phase_error(phases[1:], phases[0]))
-    ok = spacing_ok & (errs[0] <= cfg.delta1) & (errs[1] <= cfg.delta2)
-    if ok.any():
-        return float(cand[int(np.argmax(ok))])
-    score = errs[0] / max(cfg.delta1, 1e-300) + errs[1] / max(cfg.delta2, 1e-300)
-    weighted = np.where(spacing_ok, score, np.inf)
-    return float(cand[int(np.argmin(weighted))])
+    t1, t2 = (channel.phase_turns_and_distances(params, u, xs, feed_x)[0].tolist()
+              for u in users)
+    tol1, tol2 = cfg.delta1 / TWO_PI, cfg.delta2 / TWO_PI
+    w1, w2 = max(tol1, 1e-300), max(tol2, 1e-300)
+    valid = [k for k in range(cand.size) if spacing_ok[k]]
+    errs = {k: (turn_error(t1[0], t1[k + 1]), turn_error(t2[0], t2[k + 1])) for k in valid}
+    for k in valid:
+        if errs[k][0] <= tol1 and errs[k][1] <= tol2:
+            return float(cand[k])
+    scores = [(e1 / w1 + e2 / w2, k) for k, (e1, e2) in errs.items()]
+    nan = [k for score, k in scores if math.isnan(score)]
+    return float(cand[nan[0] if nan else min(scores)[1]])
 
 
 def tune_layout_scan(params, layout, users, cfg):

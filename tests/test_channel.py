@@ -325,6 +325,10 @@ class TestLayoutValidation:
         with pytest.raises(LayoutError):
             layout.validate(SystemParams(n_antennas=2))
 
+    def test_wrong_antenna_count(self, params):
+        with pytest.raises(LayoutError, match="expected 3 antennas, got 1"):
+            AntennaLayout(xs=(0.0,), feed_x=-5.0).validate(params)
+
     def test_valid_layout_passes(self, params):
         layout = AntennaLayout(
             xs=(-params.delta_min, 0.0, params.delta_min), feed_x=-5.0

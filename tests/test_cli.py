@@ -52,6 +52,9 @@ class TestConfig:
     def test_override_value_parsing(self):
         cfg = load_config(None, ["sweep.pt_dbm_values=[1,2,3]"], None)
         assert cfg.sweep.pt_dbm_values == (1, 2, 3)
+        # a value that is not JSON is taken as the string it reads
+        cfg = load_config(None, ["oracle.strategy=full-grid"], None)
+        assert cfg.oracle.strategy == "full-grid"
 
     def test_malformed_override(self):
         with pytest.raises(ConfigError, match="key=value"):
@@ -125,6 +128,7 @@ class TestSolveCommand:
         ("algo.fine_step=1e-16", "fine-tune budget"),
         ("oracle.alpha_step=Infinity", "unknown key"),
         ("sweep.schemes=[]", "must be non-empty"),
+        ('sweep.schemes=["beam-hopping"]', "unknown scheme 'beam-hopping'"),
         ("system.n_antennas=3000", "do not fit"),
         *((v, "must be a JSON object") for v in (
             "system=5", "scenario=5", "scenario.user1=5",
@@ -133,6 +137,8 @@ class TestSolveCommand:
         ("sweep.delta_pairs=[5]", "must be [delta1, delta2] pairs"),
         ("sweep.delta_pairs=[[0.5]]", "must be [delta1, delta2] pairs"),
         ("sweep.schemes=\"pinching\"", "schemes must be a list"),
+        # an override below a key that holds a number
+        ("scenario.user1.x.y=1", "cannot override inside non-object key 'x'"),
         ('scenario={"user1":{"x":1e300,"y":1},"user2":{"x":0,"y":0.5}}',
          "user1.x must be in [-5.0, 5.0], got 1e+300"),
         ("qos.r1_min=true", "r1_min must be a number"),
@@ -209,6 +215,16 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert "qos.r9_min" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("{bad", "malformed JSON in "), ("[1]", "must be a JSON object"),
+    ], ids=["malformed", "not-an-object"])
+    def test_bad_config_file_exits_one(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["solve", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and str(path) in err and "Traceback" not in err
 
     def test_seeded_solve_without_scenario(self, capsys):
         code = main(["solve", "--seed", "12"])

@@ -18,7 +18,6 @@ from pinchopt import (
     UserPosition,
     bisection_solve,
     check_feasibility,
-    circular_phase_error,
     evaluate_placement,
     fine_tune,
     initial_layout,
@@ -39,10 +38,8 @@ from pinchopt.oracle import OracleConfig, batch_solution_metrics
 from pinchopt import channel, placement, sim
 from pinchopt.placement import (
     MAX_FINE_SHIFTS,
-    SCREEN_SLACK,
     _tune_layout,
     _tune_setup,
-    _turns_bound,
     CAP_SLACK,
     _antenna_cap,
     center_bounds,
@@ -53,6 +50,7 @@ from pinchopt.placement import (
 from pinchopt.sim import sample_scenario, trial_rng
 
 import grid_reference
+from grid_reference import circular_phase_error
 
 TWO_PI = 2 * math.pi
 
@@ -117,14 +115,6 @@ class TestCircularPhaseError:
         expected = np.minimum(m, TWO_PI - m)
         assert np.array_equal(circular_phase_error(a, b), expected)
         assert circular_phase_error(a[0], b[0]) == expected[0]
-
-    def test_turn_error_on_python_floats_is_bit_equal(self, rng):
-        # phases in turns from 1e-3 to 1e12, the range the config admits
-        size = (2, 20_000)
-        t = rng.uniform(-1.0, 1.0, size=size) * 10.0 ** rng.uniform(-3, 12, size=size)
-        want = circular_phase_error(TWO_PI * t[1], TWO_PI * t[0])
-        got = [placement._turn_error(t0, t1) for t0, t1 in zip(*t.tolist())]
-        assert [g.hex() for g in got] == [float(w).hex() for w in want]
 
 
 class TestInitialLayout:
@@ -288,9 +278,9 @@ class TestTunedLayoutReuse:
         users, layouts = self._cases(14, 1, params)[0]
         built = []
 
-        def setup(p, u, c):
-            built.append((u, c.fine_step, c.max_fine_shifts))
-            return _tune_setup(p, u, c)
+        def setup(p, c):
+            built.append((p, c.fine_step, c.max_fine_shifts))
+            return _tune_setup(p, c)
 
         cfg, over = AlgoConfig(), AlgoConfig(fine_step=1e-16)
         tables, other_tables = new_tables(), new_tables()
@@ -303,16 +293,15 @@ class TestTunedLayoutReuse:
             assert len(built) == 1
             fine_tune(params, layouts[0], users, AlgoConfig(fine_step=1e-4, max_fine_shifts=50),
                       tables)
-            assert len(built) == 2 and built[1] == (users, 1e-4, 50)
+            assert len(built) == 2 and built[1] == (params, 1e-4, 50)
             other = (users[0], UserPosition(users[1].x, users[1].y / 2))
             tuned = fine_tune(params, layouts[0], other, cfg, other_tables)
             # the same step and budget on another scenario's tables: built again
-            assert len(built) == 3 and built[2] == (other, *built[0][1:])
+            assert len(built) == 3 and built[2] == built[0]
             assert tuned == _tune_layout(params, layouts[0], other, cfg, other_tables)
-            lam = wavelength(params)
-            assert other_tables[0][None, None][2:6] == (
-                lam, abs(other[0].x) + abs(other[1].x), other[0].y**2 + other[1].y**2,
-                lam / params.n_eff)
+            setup = other_tables[0][None, None]
+            assert setup[2:4] == (float(setup[0][-1]),
+                                  params.delta_min - AntennaLayout.SPACING_SLACK)
             # a budget over its cap is refused on every call, and leaves no entry
             for _ in range(2):
                 with pytest.raises(PlacementError, match="fine-tune budget"):
@@ -323,8 +312,7 @@ class TestTunedLayoutReuse:
             for _ in range(2):
                 fine_tune(params, layouts[0], users, cfg)
             assert len(built) == 7
-        offsets, left = _tune_setup(params, users,
-                                    AlgoConfig(fine_step=1e-4, max_fine_shifts=10))[:2]
+        offsets, left = _tune_setup(params, AlgoConfig(fine_step=1e-4, max_fine_shifts=10))[:2]
         assert not offsets.flags.writeable and np.array_equal(offsets, 1e-4 * np.arange(11))
         assert not left.flags.writeable
         assert np.array_equal(left.view(np.uint64), (-offsets).view(np.uint64))
@@ -613,13 +601,13 @@ TOLERANCES = st.sampled_from(
 UNIT = st.floats(min_value=0.0, max_value=1.0)
 # a region coordinate in units of the side, its two corners included
 PICK_PLACES = st.sampled_from((0.0, 1.0)) | UNIT
-# up to the config's limits, as the screen's slack grows with the phases' bound
+# up to the config's limits, where the phases in turns are largest
 PICK_SIDES = (st.sampled_from((10.0, 30.0, MAX_SIZE_M))
               | st.floats(min_value=0.05, max_value=MAX_SIZE_M))
 PICK_N_EFF = (st.sampled_from((1.0, 1.4, MAX_N_EFF))
               | st.floats(min_value=1.0, max_value=MAX_N_EFF))
 PICK_H = st.sampled_from((3.0,)) | st.floats(min_value=0.1, max_value=10.0)
-# log-uniform over the whole range: the high end takes the full scan
+# log-uniform over the whole range
 PICK_FC = st.sampled_from((28e9,)) | st.floats(
     min_value=math.log10(FC_RANGE_HZ[0]), max_value=math.log10(FC_RANGE_HZ[1])
 ).map(lambda e: min(max(10.0**e, FC_RANGE_HZ[0]), FC_RANGE_HZ[1]))
@@ -654,15 +642,28 @@ def _pick_grid(draw, params):
     return cand, inner_x, cap
 
 
+def tolerance_at(err):
+    """The largest tolerance delta whose bound in turns, fl(delta / 2pi), is
+    at most ``err``: the one with fl(delta / 2pi) == err where there is one."""
+    delta = err * TWO_PI
+    while delta / TWO_PI > err:
+        delta = math.nextafter(delta, 0.0)
+    while math.nextafter(delta, math.inf) / TWO_PI <= err:
+        delta = math.nextafter(delta, math.inf)
+    return delta
+
+
 def _pick_config(draw, params, users, feed_x, cand, inner_x):
     """The tolerances of a pick, as :func:`pick_cases` draws them."""
     delta1, delta2 = draw(TOLERANCES), draw(TOLERANCES)
     edge = draw(st.sampled_from((None, 0, 1)))
     if edge is not None:
         k = int(draw(PICK_PLACES) * (cand.size - 1))  # the first candidate too
-        phases = phases_and_distances(params, users[edge], np.array([inner_x, cand[k]]), feed_x)[0]
-        err = float(circular_phase_error(phases[1], phases[0]))
-        err = draw(st.sampled_from((err, math.nextafter(err, 0.0))))
+        turns = phase_turns_and_distances(params, users[edge], np.array([inner_x, cand[k]]),
+                                          feed_x)[0]
+        err = grid_reference.turn_error(*turns.tolist())
+        # on the candidate's turn error, as the pick compares it, or one ulp inside
+        err = tolerance_at(draw(st.sampled_from((err, math.nextafter(err, 0.0)))))
         delta1, delta2 = (err, delta2) if edge == 0 else (delta1, err)
     return AlgoConfig(delta1=delta1, delta2=delta2)
 
@@ -673,36 +674,33 @@ def pick_cases(draw):
     side, the inner neighbour (the centre for the first antenna) and the
     candidate grid, which may start inside the inner neighbour's minimum
     pitch, hold 1 to 1001 candidates and run past a cap.  The users and the
-    inner neighbour may sit on the region's corners, where the phases and
-    their bound are largest.  A tolerance may sit exactly on, or just
-    inside, one candidate's exact phase error."""
+    inner neighbour may sit on the region's corners, where the phases are
+    largest.  A tolerance may sit exactly on, or one ulp inside, one
+    candidate's turn error."""
     params, users, feed_x = _pick_scene(draw)
     cand, inner_x, cap = _pick_grid(draw, params)
     cfg = _pick_config(draw, params, users, feed_x, cand, inner_x)
     return params, users, cfg, feed_x, cand, inner_x, cap
 
 
-def screened_pick(params, users, cfg, feed_x, cand, inner_x, cap) -> float:
+def round_pick(params, users, cfg, feed_x, cand, inner_x, cap) -> float:
     """One antenna's step of ``_tune_layout`` on its own, in outward
     coordinates: its trimmed grid, one kernel call led by the inner
-    neighbour, and the screened pick on that call's turns, with their bound
-    at the largest |x| the call reads (the grid ascends)."""
+    neighbour, and the round pick on that call's turns."""
     grid = placement._candidate_grid(cand, inner_x, cap,
                                      params.delta_min - AntennaLayout.SPACING_SLACK)
     if grid.size == 0:
         return min(inner_x + params.delta_min, cap)
     xs = np.concatenate(([inner_x], grid))
     turns = phase_turns_and_distances(params, users, xs, feed_x)[0]
-    bound = _turns_bound(params, _tune_setup(params, users, cfg), feed_x,
-                         float(np.abs(xs[[0, 1, -1]]).max()))
-    return float(grid[placement._pick_round(turns, [(0, grid.size)], cfg, bound)[0]])
+    return float(grid[placement._pick_round(turns, [(0, grid.size)], cfg)[0]])
 
 
 @given(pick_cases())
 @settings(max_examples=800, deadline=None, derandomize=True)
 def test_pick_matches_full_scan(case):
-    """The screened pick returns exactly what the full exact scan returns."""
-    assert screened_pick(*case) == grid_reference.pick_candidate_scan(*case)
+    """The round pick returns exactly what the per-candidate scan returns."""
+    assert round_pick(*case) == grid_reference.pick_candidate_scan(*case)
 
 
 # where a round's phases turn NaN, in one case of four: a whole segment, a
@@ -730,10 +728,10 @@ def round_cases(draw):
 @given(round_cases())
 @settings(max_examples=400, deadline=None, derandomize=True)
 def test_round_pick_matches_each_segment_alone(case):
-    """Each pick of a round of two, screened over the whole row, is what the
-    full exact scan gives on its own segment alone.  A round with a NaN
-    phase has a NaN bound (no bound covers it), so its picks take the full
-    scan, and the NaN segment leaves the finite one's pick alone."""
+    """Each pick of a round of two, its errors taken over the whole row, is
+    what the per-candidate scan gives on its own segment alone.  A NaN
+    phase makes NaN errors, which neither fit nor score below the first
+    NaN score, and the NaN segment leaves the finite one's pick alone."""
     params, users, cfg, feed_x, grids, poison = case
     threshold = params.delta_min - AntennaLayout.SPACING_SLACK
     trimmed = [placement._candidate_grid(cand, inner_x, cap, threshold)
@@ -743,8 +741,6 @@ def test_round_pick_matches_each_segment_alone(case):
                          for (_, inner_x, _), grid in zip(grids, trimmed)])
     segments = [(0, trimmed[0].size), (trimmed[0].size + 1, trimmed[1].size)]
     turns = phase_turns_and_distances(params, users, xs, feed_x)[0]
-    bound = _turns_bound(params, _tune_setup(params, users, cfg), feed_x,
-                         float(np.abs(xs).max()))
     bad = {}  # segment -> its NaN columns, counted from its inner neighbour
     if poison is not None:
         seg, where = poison
@@ -752,8 +748,7 @@ def test_round_pick_matches_each_segment_alone(case):
         bad[seg] = (slice(None) if where == "all" else 0 if where == "inner"
                     else 1 + int(where * (size - 1)))
         turns[:, first:first + 1 + size][:, bad[seg]] = np.nan
-        bound = math.nan
-    picks = placement._pick_round(turns, segments, cfg, bound)
+    picks = placement._pick_round(turns, segments, cfg)
     kernel = channel.phase_turns_and_distances
     for seg, ((cand, inner_x, cap), grid, k) in enumerate(zip(grids, trimmed, picks)):
         cols = bad.get(seg)
@@ -848,7 +843,7 @@ def boundary_case(last_past=None, gap_short=None):
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_tune_matches_per_antenna_scan(case):
     """Tuning both chains round by round through one kernel call gives the
-    layout of the per-antenna full scan in the one-chain-at-a-time order,
+    layout of the per-antenna scan in the one-chain-at-a-time order,
     bit for bit, and the channel terms it stores for that layout are
     bit-equal to evaluate_placement's own; it stores them whenever the
     kernel read every tuned position."""
@@ -872,110 +867,57 @@ def test_tune_matches_per_antenna_scan(case):
         assert stored[1] is tuned.spacing_ok(params)
 
 
-# the users below the middle and the array at the far end from the feed,
-# where the guided phase outgrows the free-space one
-@example((SystemParams(), initial_layout(SystemParams(), center_bounds(SystemParams())[1], -5.0),
-          (UserPosition(0.0, 0.0), UserPosition(0.1, 0.0)), AlgoConfig()))
-# an array too long for its region: its caps, and the antennas pinned on
-# them, lie far past the region's other edge
-@example((SystemParams(side_d=0.02, n_antennas=101, delta_min=0.01, h=0.1),
-          AntennaLayout(tuple((n - 50) * 0.01 for n in range(101)), 0.01),
-          (UserPosition(0.01, 0.0), UserPosition(0.005, 0.0)), AlgoConfig()))
-# a centre far outside the region, which the left antenna's grid follows
-@example((SystemParams(), AntennaLayout((49.99, 50.0, 50.01), -5.0),
-          (UserPosition(0.0, 0.0), UserPosition(0.1, 0.0)), AlgoConfig()))
-@given(tune_cases())
-@settings(max_examples=300, deadline=None, derandomize=True)
-def test_turns_bound_covers_every_kernel_call(case):
-    """The one bound on |t| that a tune takes is at or above every phase,
-    in turns, of every kernel call the tune makes."""
-    params, layout, users, cfg = case
-    bounds, maxima = [], []
-
-    def bound(*args):
-        bounds.append(_turns_bound(*args))
-        return bounds[-1]
-
-    def kernel(*args):
-        turns, dist = phase_turns_and_distances(*args)
-        maxima.append(float(np.abs(turns).max()))
-        return turns, dist
-
-    with mock.patch.object(placement, "_turns_bound", bound), \
-            mock.patch.object(placement, "phase_turns_and_distances", kernel):
-        _tune_layout(params, layout, users, cfg, new_tables())
-    assert len(bounds) == 1
-    assert all(m <= bounds[0] for m in maxima)
-
-
-@pytest.mark.parametrize("side_d", sim.SweepSpec().d_values)
-@pytest.mark.parametrize("delta1, delta2", sim.SweepSpec().delta_pairs)
-def test_turns_bound_keeps_the_screen_at_the_defaults(side_d, delta1, delta2):
-    """At each shipped region size and tolerance pair, the slack from the
-    bound stays below both tolerances in turns even with the users and the
-    feed on the region's corners, where the bound is largest, so every pick
-    there is screened."""
-    params = SystemParams(side_d=side_d)
-    half = side_d / 2.0
-    users = (UserPosition(half, half), UserPosition(-half, -half))
-    bound = _turns_bound(params, _tune_setup(params, users, AlgoConfig()),
-                         placement.feed_point(params), half + CAP_SLACK)
-    assert SCREEN_SLACK * (1.0 + bound) < min(delta1, delta2) / TWO_PI
-
-
 class TestPickOnCraftedPhases:
     """The pick on composite phases that drawn geometry seldom produces."""
 
-    # two phases, of about 1e7 turns, whose exact errors (both near 0.1 rad)
-    # order one way and whose errors screened in turns the other
-    NEAR_TIE = (12701269.015915494, 44943633.01591549)
-
     @staticmethod
-    def picks(diffs, cfg, narrowed=None):
-        """The pick on composite phases, in turns, of ``diffs`` for both users
-        (the inner neighbour's being 0), and the full scan on candidates with
-        those phases.  ``narrowed`` says whether the pick should index the
-        candidates its screen kept (by np.flatnonzero)."""
+    def picks(diffs, cfg):
+        """The round pick on composite phases, in turns, of ``diffs`` for
+        both users (the inner neighbour's being 0), and the per-candidate
+        scan on candidates with those phases."""
         row = np.concatenate(([0.0], diffs))
         cand = 1.0 + 0.01 * np.arange(len(diffs))
-        # the bound at the row's largest phase: NaN when a phase is
-        bound = float(np.abs(row).max())
-        with mock.patch.object(np, "flatnonzero", wraps=np.flatnonzero) as kept:
-            pick = float(cand[placement._pick_round(np.stack([row, row]), [(0, len(diffs))],
-                                                    cfg, bound)[0]])
-        if narrowed is not None:
-            assert kept.called == narrowed
+        pick = float(cand[placement._pick_round(np.stack([row, row]), [(0, len(diffs))], cfg)[0]])
 
         def turns(params, user, xs, feed_x):
             return row, None
 
         args = (SystemParams(), (UserPosition(1.0, 1.0), UserPosition(-1.0, 0.5)), cfg,
                 -5.0, cand, 0.0, 5.0)
-        # the scan reads each user's phases through phases_and_distances
         with mock.patch.object(channel, "phase_turns_and_distances", turns):
             return pick, grid_reference.pick_candidate_scan(*args)
 
-    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
-    def test_fallback_scores_a_misordered_near_tie_exactly(self, order):
-        pair = np.array([self.NEAR_TIE[i] for i in order])
-        errs = circular_phase_error(TWO_PI * pair, 0.0)
-        screened = np.abs(pair - np.rint(pair))
-        assert (errs[0] < errs[1]) != (screened[0] < screened[1])
-        cfg = AlgoConfig(delta1=0.01, delta2=0.01)
-        # no hit, and both of the pair near the least screened score
-        pick, scan = self.picks(np.concatenate(([0.2], pair)), cfg, narrowed=True)
-        assert pick == scan != 1.0
-
     def test_single_near_candidate_without_a_hit_is_the_pick(self):
         # every phase difference is over 0.01 rad from a whole turn, and one
-        # screened score is far below the others
-        pick, scan = self.picks(np.array([0.3, 0.1, 0.25]), AlgoConfig(delta1=0.01, delta2=0.01),
-                                narrowed=False)
+        # weighted error is far below the others
+        pick, scan = self.picks(np.array([0.3, 0.1, 0.25]), AlgoConfig(delta1=0.01, delta2=0.01))
         assert pick == scan == 1.01
 
     def test_nan_phases_take_the_full_scan(self):
+        # the NaN candidate does not fit, and the later one does
+        pick, scan = self.picks(np.array([0.05, np.nan, 0.003]), AlgoConfig())
+        assert pick == scan == 1.02
+        # with no fit, np.argmin takes the first NaN score as the least
         pick, scan = self.picks(np.array([0.05, np.nan, 0.03]), AlgoConfig())
         assert pick == scan == 1.01
+
+    def test_exact_tie_takes_the_first(self):
+        # a whole turn apart, and on either side of it, three candidates have
+        # the same error, 0.25 turns, and no candidate fits
+        pick, scan = self.picks(np.array([0.4, 1.25, -0.25, 0.25]),
+                                AlgoConfig(delta1=0.01, delta2=0.01))
+        assert pick == scan == 1.01
+
+    @pytest.mark.parametrize("inside", [False, True])
+    def test_tolerance_on_the_edge(self, inside):
+        # a tolerance whose bound in turns is the candidate's error fits it;
+        # one ulp inside it does not
+        err = 0.1
+        delta = tolerance_at(math.nextafter(err, 0.0) if inside else err)
+        assert (delta / TWO_PI == err) is not inside
+        cfg = AlgoConfig(delta1=delta, delta2=delta)
+        pick, scan = self.picks(np.array([0.4, err, 0.05]), cfg)
+        assert pick == scan == (1.02 if inside else 1.01)
 
 
 class TestSchemesShareOneScope:

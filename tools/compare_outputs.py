@@ -31,10 +31,14 @@ directory, which is removed again at the end.  From each tree, with its own
   the two picks of a round have grids of different sizes): the only sweeps
   that tune a second round, where each side follows its own inner
   neighbour; their tables and config.json;
+- ``pinch sweep delta`` at ``sweep.delta_pairs=[[0,0],[0,100],[3.2,3.2]]``
+  and 10 trials: both tolerances zero (both weights of the fallback take
+  their guard), one of them zero, and both above pi (every candidate
+  fits): its table and config.json;
 - ``pinch solve`` at the defaults, at ``system.n_antennas`` 1, 2, 4 and 5
   (N = 3 tunes one antenna per side, so these cover the single antenna and
-  the rounds of a longer chain), at ``algo.delta2=0`` (a zero tolerance
-  takes the pick's full scan), at ``algo.delta1=0.01 algo.delta2=0.01``
+  the rounds of a longer chain), at ``algo.delta2=0`` (a zero tolerance),
+  at ``algo.delta1=0.01 algo.delta2=0.01``
   (most picks find no fit and take the fallback), and at
   ``system.side_d=0.05``, alone and with ``system.n_antennas=7`` (a grid
   of 10 wavelengths is longer than the region, so every grid meets its
@@ -70,6 +74,8 @@ FULL_GRID_SET = ("--set", 'sweep.schemes=["pinching","exhaustive"]',
                  "--set", 'oracle.strategy="full-grid"', "--set", "sweep.d_values=[0.05]",
                  "--set", "sweep.trials=4")
 N5_SET = ("--set", "system.n_antennas=5", "--set", "sweep.trials=4")
+DEGENERATE_SET = ("--set", "sweep.delta_pairs=[[0,0],[0,100],[3.2,3.2]]",
+                  "--set", "sweep.trials=10")
 SOLVE_SETS = ((), *(("--set", f"system.n_antennas={n}") for n in (1, 2, 4, 5)),
               ("--set", "algo.delta2=0"),
               ("--set", "algo.delta1=0.01", "--set", "algo.delta2=0.01"),
@@ -119,6 +125,10 @@ def outputs(tree: Path, seed: int, out: Path) -> dict[str, bytes | str]:
         runs.append((label, directory, ("delta.csv", "config.json"),
                      ("sweep", "delta", "--out", str(directory / "delta.csv"), "--threads", "1",
                       *N5_SET, *sets)))
+    runs.append(("sweep delta degenerate tolerances", out / "delta-degenerate",
+                 ("delta.csv", "config.json"),
+                 ("sweep", "delta", "--out", str(out / "delta-degenerate" / "delta.csv"),
+                  "--threads", "1", *DEGENERATE_SET)))
     for label, directory, files, args in runs:
         directory.mkdir(parents=True)
         proc = pinch(tree, *args, "--seed", str(seed))
