@@ -230,7 +230,8 @@ def phases_and_distances(
     """Composite phases in radians, and user distances: 2 pi times the
     turns of :func:`phase_turns_and_distances`, whose arguments it takes."""
     turns, dist = phase_turns_and_distances(params, user, xs, feed_x)
-    return 2.0 * np.pi * turns, dist
+    turns *= 2.0 * np.pi  # in place, but for a 0-d xs, whose turns are a NumPy scalar
+    return turns, dist
 
 
 def pinching_gain(
@@ -266,7 +267,9 @@ def gains_from_phases(params: SystemParams, phases: np.ndarray, dist: np.ndarray
     the gains of :func:`pinching_gains_batch`, from its composite phases in
     radians and distances, or from the same values gathered elsewhere."""
     amp = math.sqrt(path_gain_factor(params))
-    return (amp * np.exp(1j * phases) / dist).sum(axis=-1)
+    terms = np.multiply(1j, phases)  # in place from here: a batch's arrays are large
+    np.exp(terms, out=terms)
+    return np.divide(np.multiply(terms, amp, out=terms), dist, out=terms).sum(axis=-1)
 
 
 def conventional_positions(params: SystemParams) -> tuple[float, ...]:

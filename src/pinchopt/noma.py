@@ -205,11 +205,11 @@ def evaluate_snrs_batch(snr_weak: np.ndarray, snr_strong: np.ndarray, qos: QosTa
     ``qos_ok & ordered`` is :attr:`FeasibilityReport.overall` of a layout
     that keeps its spacing (the clamped alpha2 keeps the alpha order
     whenever the rates are numbers); spacing is the caller's to check."""
-    # a zero or subnormal weak SNR divides by zero or overflows, as the scalar
-    # chain does silently; those entries come out clamped
+    # a zero or subnormal weak SNR divides by zero or overflows, as the scalar chain
+    # does silently; fmax sends the 0/0 NaN and the -inf to 0, the 'low' clamp
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         raw = _alpha2_raw(snr_weak, qos)
-    a2 = np.clip(np.where(snr_weak > 0.0, raw, 0.0), 0.0, 0.5)
+    a2 = np.minimum(np.fmax(raw, 0.0), 0.5)
     r1, r2, r21 = noma_rates(snr_weak, snr_strong, 1.0 - a2, a2)
     r1_qos, r2_qos, sic = qos_verdicts(r1, r2, r21, qos)
     return r1 + r2, a2, r1_qos & r2_qos & sic, snr_strong >= snr_weak

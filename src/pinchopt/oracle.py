@@ -84,11 +84,8 @@ def batch_solution_metrics(
     already (the enumerators only generate admissible rows), so feasibility
     here covers the rate targets and the channel-ordering requirement.
     """
-    rho = snr_scale(params)
-    s1, s2 = (
-        gain_snr(rho, pinching_gains_batch(params, xs_layouts, feed_x, u))
-        for u in users
-    )
+    # one kernel call for both users: each user's row is its own call's, bit for bit
+    s1, s2 = gain_snr(snr_scale(params), pinching_gains_batch(params, xs_layouts, feed_x, users))
     rates, alpha2, qos_ok, ordered = evaluate_snrs_batch(s1, s2, qos)
     return rates, qos_ok & ordered, alpha2
 

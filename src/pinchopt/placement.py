@@ -222,11 +222,12 @@ def _pick_round(turns: np.ndarray, segments: list, cfg: AlgoConfig) -> list[int]
 
 def _tune_setup(params: SystemParams, cfg: AlgoConfig) -> tuple:
     """What the tunes of one scenario share for ``cfg``'s step and budget:
-    the outward offset grid and its negation (read-only, as they are shared);
-    the grid's last offset; the spacing threshold delta_min - SPACING_SLACK
-    of ``channel.spacing_holds``; and the rounds, each a tuple of (side,
-    antenna, outward room-preserving cap, signed offsets), the right side
-    first.  An over-cap budget raises before any allocation."""
+    the outward offset grid; the grid's last offset; the spacing threshold
+    delta_min - SPACING_SLACK of ``channel.spacing_holds``; and the rounds,
+    each a tuple of (side, antenna, outward room-preserving cap, signed
+    offsets: the grid, or on the left its negation), the right side first.
+    Both grids are read-only, as they are shared.  An over-cap budget
+    raises before any allocation."""
     step, shifts = cfg.resolved_fine_step(params), cfg.resolved_max_shifts(params)
     offsets = step * np.arange(shifts + 1)
     left = -offsets
@@ -236,8 +237,7 @@ def _tune_setup(params: SystemParams, cfg: AlgoConfig) -> tuple:
         tuple((side, n, side * _antenna_cap(params, n, side), offsets if side > 0 else left)
               for side, n in ((+1, c + r), (-1, c - r)) if 0 <= n < n_ant)
         for r in range(1, max(c, n_ant - 1 - c) + 1))
-    return (offsets, left, float(offsets[-1]),
-            params.delta_min - AntennaLayout.SPACING_SLACK, rounds)
+    return offsets, float(offsets[-1]), params.delta_min - AntennaLayout.SPACING_SLACK, rounds
 
 
 def _tune_layout(
@@ -277,7 +277,7 @@ def _tune_layout(
     setup = tuned_table.get((cfg.fine_step, cfg.max_fine_shifts))
     if setup is None:
         setup = tuned_table[cfg.fine_step, cfg.max_fine_shifts] = _tune_setup(params, cfg)
-    offsets, _, last, threshold, rounds = setup
+    offsets, last, threshold, rounds = setup
     xs = list(layout.xs)
     calls = []  # each round's kernel output, side by side
     column = [None] * params.n_antennas  # each tuned position's column in those outputs
@@ -472,56 +472,55 @@ def bisection_solve(
     is built from :func:`evaluate_placement`'s own records.
     """
     check_users(params, users)
-    feed_x = feed_point(params)
     lo_bound, hi_bound = center_bounds(params)
-
-    offsets = _pitch_offsets(params)
+    epsilon = cfg.epsilon
     tables = tables or new_tables()
     rigids, walks = tables[2:4]
     key = (cfg.delta1, cfg.delta2, cfg.fine_step, cfg.max_fine_shifts)
     walk = walks.get(key) or [[], [], None]
-    rows = _replay(params, users, walk, qos, tables) if walk[0] else ()
-    replayed = 0  # leading iterates read from rows
+    recorded = walk[0]
+    rows = _replay(params, users, walk, qos, tables) if recorded else ()
+    replayed, n_rows = 0, len(rows)  # leading iterates read from rows; rows to read
     centres, layouts = [], []  # the iterates after those
 
-    left = users[1].x
-    right = users[0].x
-    best = last = None  # (layout, evaluate_placement result or None for a row)
-    best_rate = 0.0
-    iterations = 0
-    while iterations == 0 or abs(right - left) > cfg.epsilon:
+    left, right = users[1].x, users[0].x
+    mid = 0.5 * (left + right)
+    best = evaluated = None  # the best layout; the last iterate's evaluation, None for a row
+    best_rate, iterations = 0.0, 0
+    while True:
         iterations += 1
-        mid = 0.5 * (left + right)
-        center = min(max(mid, lo_bound), hi_bound)
+        center = lo_bound if mid < lo_bound else hi_bound if mid > hi_bound else mid
         rigid = rigids.get(center)
         if rigid is None:
-            rigid = rigids[center] = AntennaLayout(tuple(center + o for o in offsets), feed_x)
+            rigid = rigids[center] = AntennaLayout(
+                tuple(center + o for o in _pitch_offsets(params)), feed_point(params))
         layout = fine_tune(params, rigid, users, cfg, tables)
-        if replayed == iterations - 1 < len(rows) and walk[0][replayed] == center:
+        if not centres and replayed < n_rows and recorded[replayed] == center:
             rate, qos_ok, overall = rows[replayed]
             replayed += 1
-            last = (layout, None)
+            evaluated = None
         else:
             evaluated = evaluate_placement(params, layout, users, qos, tables)
             rate, report = evaluated[1].sum_rate, evaluated[2]
             qos_ok, overall = report.qos_ok, report.overall
-            last = (layout, evaluated)
             centres.append(center)
             layouts.append(layout)
         if overall and (best is None or rate > best_rate):
-            best, best_rate = last, rate
+            best, best_evaluated, best_rate = layout, evaluated, rate
         if qos_ok:
             right = mid
         else:
             left = mid
-        if 0.5 * (left + right) in (left, right):
-            # an epsilon below the float spacing of the coordinates: the
-            # next midpoint would round onto an endpoint and never move
+        mid = 0.5 * (left + right)
+        # an epsilon below the float spacing of the coordinates would leave
+        # the next midpoint on an endpoint, where it never moves
+        if not abs(right - left) > epsilon or mid == left or mid == right:
             break
 
     if centres:  # the walk left the recorded one, or there was none
-        walks[key] = [walk[0][:replayed] + centres, walk[1][:replayed] + layouts, None]
-    layout, evaluated = best or last
+        walks[key] = [recorded[:replayed] + centres, walk[1][:replayed] + layouts, None]
+    if best is not None:
+        layout, evaluated = best, best_evaluated
     if evaluated is None:
         evaluated = evaluate_placement(params, layout, users, qos, tables)
     return placement_solution(params, (layout, *evaluated), iterations, best is not None)

@@ -125,13 +125,13 @@ def sample_scenario(rng: np.random.Generator, side_d: float, seed_id: int = 0) -
 
     The draw is rejected and retried (at most 100 times) if the users share
     an x-coordinate or a |y| exactly, so the strong/weak labelling is
-    always unambiguous.
+    always unambiguous.  The coordinates are Python floats, so a solve's
+    scalar steps run as float arithmetic, not as NumPy scalar operations.
     """
     check_number("side_d", side_d, 0, above=True)
     half = side_d / 2.0
     for _ in range(100):
-        pts = rng.uniform(-half, half, size=(2, 2))
-        (x_a, y_a), (x_b, y_b) = pts
+        (x_a, y_a), (x_b, y_b) = rng.uniform(-half, half, size=(2, 2)).tolist()
         if x_a == x_b or abs(y_a) == abs(y_b):
             continue
         if abs(y_b) < abs(y_a):

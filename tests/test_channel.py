@@ -170,6 +170,23 @@ class TestUserSequencePhases:
             assert np.array_equal((2 * math.pi * turns).view(np.uint64), phases.view(np.uint64))
             assert np.array_equal(turn_dist.view(np.uint64), dist.view(np.uint64))
 
+    @pytest.mark.parametrize("shape", [(), (1001,)])
+    def test_numpy_scalar_users_bit_equal_float_users(self, params, shape):
+        """Users built from NumPy float64 values give the bits of users built
+        from the same Python floats, one user or a sequence of them."""
+        xs = np.linspace(-5.0, 5.0, math.prod(shape)).reshape(shape)
+        coords = [(0.7, self.Y_POW_DIFFERS),
+                  *np.random.default_rng(5).uniform(-5.0, 5.0, (40, 2)).tolist()]
+        for (x1, y1), (x2, y2) in zip(coords, coords[1:]):
+            floats = (UserPosition(x1, y1), UserPosition(x2, y2))
+            scalars = tuple(UserPosition(np.float64(u.x), np.float64(u.y)) for u in floats)
+            assert type(scalars[0].y) is np.float64
+            for a, b in ((floats[0], scalars[0]), (floats, scalars)):
+                for g, w in zip(phase_turns_and_distances(params, a, xs, -5.0),
+                                phase_turns_and_distances(params, b, xs, -5.0)):
+                    assert np.array_equal(np.asarray(g).view(np.uint64),
+                                          np.asarray(w).view(np.uint64))
+
     @pytest.mark.parametrize("n", [1, 3, 9, 17, 130])
     def test_gains_bit_equal_one_user_calls(self, params, n):
         users = (UserPosition(0.7, self.Y_POW_DIFFERS), UserPosition(-3.1, 0.4),

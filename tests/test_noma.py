@@ -258,6 +258,10 @@ class TestBatchChain:
     @example((QosTargets(1.0, 0.5), [(2.0**55, 2.0**60), (1.0, 3.0), (0.0, 1.0)]))
     @example((QosTargets(2.0, 0.0), [(3.0, 3.0), (3.0, 2.0), (5e-324, 0.0)]))
     @example((QosTargets(MAX_RATE, MAX_RATE), [(1e300, 1e300), (2.0**MAX_RATE - 1.0, 0.0)]))
+    # raw alpha2 is 0/0 = NaN at r1_min = 0 with a weak SNR of 0
+    @example((QosTargets(0.0, 0.5), [(0.0, 1.0), (0.0, 0.0), (2.0, 1.0)]))
+    # raw alpha2 overflows to -inf at a subnormal weak SNR
+    @example((QosTargets(3.0, 0.5), [(5e-324, 1.0), (1e-320, 0.0), (7.0, 9.0)]))
     @settings(max_examples=400, deadline=None, derandomize=True)
     def test_batch_equals_scalar_bit_for_bit(self, case):
         qos, pairs = case
@@ -275,3 +279,6 @@ class TestBatchChain:
         """The edge draws above do hit the clamp boundaries exactly."""
         assert _alpha2_raw(2.0**55, QosTargets(1.0, 0.0)) == 0.5
         assert _alpha2_raw(2.0**5 - 1.0, QosTargets(5.0, 0.0)) == 0.0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            assert np.isnan(_alpha2_raw(np.array(0.0), QosTargets(0.0, 0.0)))
+            assert (_alpha2_raw(np.array([5e-324, 1e-320]), QosTargets(3.0, 0.0)) == -np.inf).all()

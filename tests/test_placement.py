@@ -300,7 +300,7 @@ class TestTunedLayoutReuse:
             assert len(built) == 3 and built[2] == built[0]
             assert tuned == _tune_layout(params, layouts[0], other, cfg, other_tables)
             setup = other_tables[0][None, None]
-            assert setup[2:4] == (float(setup[0][-1]),
+            assert setup[1:3] == (float(setup[0][-1]),
                                   params.delta_min - AntennaLayout.SPACING_SLACK)
             # a budget over its cap is refused on every call, and leaves no entry
             for _ in range(2):
@@ -312,10 +312,15 @@ class TestTunedLayoutReuse:
             for _ in range(2):
                 fine_tune(params, layouts[0], users, cfg)
             assert len(built) == 7
-        offsets, left = _tune_setup(params, AlgoConfig(fine_step=1e-4, max_fine_shifts=10))[:2]
+        offsets, *_, rounds = _tune_setup(params, AlgoConfig(fine_step=1e-4, max_fine_shifts=10))
         assert not offsets.flags.writeable and np.array_equal(offsets, 1e-4 * np.arange(11))
-        assert not left.flags.writeable
-        assert np.array_equal(left.view(np.uint64), (-offsets).view(np.uint64))
+        # a right entry's signed offsets are the grid, a left one's its negation
+        lefts = [signed for entries in rounds for side, _, _, signed in entries if side < 0]
+        assert lefts and all(signed is offsets for entries in rounds
+                             for side, _, _, signed in entries if side > 0)
+        for left in lefts:
+            assert not left.flags.writeable
+            assert np.array_equal(left.view(np.uint64), (-offsets).view(np.uint64))
 
     def test_reused_across_power_levels(self, params):
         users, layouts = self._cases(11, 1, params)[0]

@@ -47,6 +47,13 @@ class TestSampleScenario:
             assert abs(s.user2.y) < abs(s.user1.y)
             assert s.user1.x != s.user2.x
 
+    def test_coordinates_are_python_floats(self):
+        # a solve's scalar steps then run as float arithmetic, not NumPy's
+        for seed in range(40):
+            for t in range(25):
+                s = sample_scenario(trial_rng(seed, t), 10.0, t)
+                assert all(type(v) is float for u in (s.user1, s.user2) for v in (u.x, u.y))
+
     def test_stays_inside_region(self):
         for t in range(200):
             s = sample_scenario(trial_rng(1, t), 6.0, t)
