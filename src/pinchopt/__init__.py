@@ -1,7 +1,6 @@
 """NOMA-assisted waveguide-antenna placement: solver, reference search and harness."""
 
 from .channel import (
-    SPEED_OF_LIGHT,
     AntennaLayout,
     LayoutError,
     SystemParams,
@@ -34,15 +33,12 @@ from .placement import (
     evaluate_placement,
     fine_tune,
     initial_layout,
-    iteration_bound,
 )
 from .sim import (
     ResultTable,
     SamplingError,
     Scenario,
-    SweepResult,
     SweepSpec,
-    TrialRecord,
     evaluate_scheme,
     run_sweeps,
     sample_scenario,

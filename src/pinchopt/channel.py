@@ -148,10 +148,15 @@ class AntennaLayout:
         return all(spacing_holds(params, b - a) for a, b in zip(self.xs, self.xs[1:]))
 
 
+def spacing_threshold(params: SystemParams) -> float:
+    """The least gap between neighbouring antennas that keeps ``delta_min``
+    up to ``AntennaLayout.SPACING_SLACK``."""
+    return params.delta_min - AntennaLayout.SPACING_SLACK
+
+
 def spacing_holds(params: SystemParams, gap):
-    """Whether a gap between neighbouring antennas, a float or an array of
-    them, keeps ``delta_min`` up to ``AntennaLayout.SPACING_SLACK``."""
-    return gap >= params.delta_min - AntennaLayout.SPACING_SLACK
+    """Whether a gap, a float or an array of them, is at least :func:`spacing_threshold`."""
+    return gap >= spacing_threshold(params)
 
 
 def wavelength(params: SystemParams) -> float:

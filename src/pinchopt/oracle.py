@@ -23,6 +23,7 @@ from .channel import (
     guided_wavelength,
     pinching_gains_batch,
     spacing_holds,
+    spacing_threshold,
     wavelength,
 )
 from .noma import QosTargets, evaluate_snrs_batch, gain_snr, snr_scale
@@ -143,7 +144,7 @@ def _finalize(
 def _full_grid_search(params, users, qos, cfg, feed_x) -> PlacementSolution:
     grid = _grid(params, users, cfg)
     step = cfg.resolved_step(params)
-    gap = max(1, math.ceil((params.delta_min - AntennaLayout.SPACING_SLACK) / step))
+    gap = max(1, math.ceil(spacing_threshold(params) / step))
     n = params.n_antennas
     # tuples with gaps >= gap are the n-subsets of range(slack), the k-th
     # index shifted by k * (gap - 1)

@@ -23,6 +23,7 @@ from .channel import (
     gains_from_phases,
     phase_turns_and_distances,
     pinching_gain,
+    spacing_threshold,
     wavelength,
 )
 from .noma import (
@@ -222,12 +223,11 @@ def _pick_round(turns: np.ndarray, segments: list, cfg: AlgoConfig) -> list[int]
 
 def _tune_setup(params: SystemParams, cfg: AlgoConfig) -> tuple:
     """What the tunes of one scenario share for ``cfg``'s step and budget:
-    the outward offset grid; the grid's last offset; the spacing threshold
-    delta_min - SPACING_SLACK of ``channel.spacing_holds``; and the rounds,
-    each a tuple of (side, antenna, outward room-preserving cap, signed
-    offsets: the grid, or on the left its negation), the right side first.
-    Both grids are read-only, as they are shared.  An over-cap budget
-    raises before any allocation."""
+    the outward offset grid; the grid's last offset; the spacing threshold;
+    and the rounds, each a tuple of (side, antenna, outward room-preserving
+    cap, signed offsets: the grid, or on the left its negation), the right
+    side first.  Both grids are read-only, as they are shared.  An over-cap
+    budget raises before any allocation."""
     step, shifts = cfg.resolved_fine_step(params), cfg.resolved_max_shifts(params)
     offsets = step * np.arange(shifts + 1)
     left = -offsets
@@ -237,7 +237,7 @@ def _tune_setup(params: SystemParams, cfg: AlgoConfig) -> tuple:
         tuple((side, n, side * _antenna_cap(params, n, side), offsets if side > 0 else left)
               for side, n in ((+1, c + r), (-1, c - r)) if 0 <= n < n_ant)
         for r in range(1, max(c, n_ant - 1 - c) + 1))
-    return offsets, float(offsets[-1]), params.delta_min - AntennaLayout.SPACING_SLACK, rounds
+    return offsets, float(offsets[-1]), spacing_threshold(params), rounds
 
 
 def _tune_layout(
@@ -324,10 +324,11 @@ def _tune_layout(
 
 def new_tables() -> tuple[dict, dict, dict, dict]:
     """Empty tables for one scenario's solves: tuned layouts and tune set-ups,
-    channel terms, rigid layouts and last walks.  Calls may share them only
-    if they pass the same users and the same SystemParams but for ``pt_dbm``
-    and ``noise_dbm``; nothing checks this.  sim makes one set per drop;
-    ``tables=None`` means fresh ones for that call."""
+    channel terms, rigid layouts and last walks.  No entry is replaced, so a
+    tuned layout is one object per rigid layout and tolerances.  Calls may
+    share them only if they pass the same users and the same SystemParams
+    but for ``pt_dbm`` and ``noise_dbm``; nothing checks this.  sim makes one
+    set per drop; ``tables=None`` means fresh ones for that call."""
     return {}, {}, {}, {}
 
 
@@ -345,7 +346,7 @@ def fine_tune(
     depend on each other; the centre antenna never moves.  The returned
     layout always satisfies the spacing and region invariants.  It does not
     depend on the transmit or noise power, so a layout already tuned in
-    ``tables`` for the same tolerances is returned again without retuning.
+    ``tables`` for the same tolerances gets back the object tuned before.
     """
     tables = tables or new_tables()
     # the tables fix the wavelength, so the two fields fix the step and budget
@@ -361,10 +362,8 @@ def pinned_antennas(params: SystemParams, layout: AntennaLayout) -> tuple[int, .
     c = center_index(params.n_antennas)
     pinned = []
     for n in range(params.n_antennas):
-        if n == c:
-            continue
         side = +1 if n > c else -1
-        if abs(layout.xs[n] - _antenna_cap(params, n, side)) <= CAP_SLACK:
+        if n != c and abs(layout.xs[n] - _antenna_cap(params, n, side)) <= CAP_SLACK:
             pinned.append(n)
     return tuple(pinned)
 
@@ -423,16 +422,16 @@ def evaluate_placement(
 
 def _replay(params: SystemParams, users: tuple, walk: list, qos: QosTargets,
             tables: tuple) -> list:
-    """(sum rate, qos_ok, overall) of each iterate of ``walk``, a walk-table
+    """(sum rate, qos_ok, overall) of each layout of ``walk``, a walk-table
     entry, at ``params``' powers, from one :func:`evaluate_snrs_batch` call:
-    what :func:`evaluate_placement` gives the iterate's layout, bit for bit.
-    The first replay of a walk gathers its layouts' channel terms into
-    the entry, as arrays of |g1|^2, |g2|^2 at unit rho and spacing verdicts."""
-    if walk[2] is None:
-        terms = [_layout_terms(params, layout, users, tables) for layout in walk[1]]
-        walk[2] = (np.array([g for g, _ in terms]).T.copy(),
+    what :func:`evaluate_placement` gives the layout, bit for bit.  The
+    first replay of a walk gathers its layouts' channel terms into the entry,
+    as arrays of |g1|^2, |g2|^2 at unit rho and spacing verdicts."""
+    if walk[1] is None:
+        terms = [_layout_terms(params, layout, users, tables) for layout in walk[0]]
+        walk[1] = (np.array([g for g, _ in terms]).T.copy(),
                    np.array([spacing for _, spacing in terms]))
-    gains, spacing = walk[2]
+    gains, spacing = walk[1]
     snr = snr_scale(params) * gains
     rates, _, qos_ok, ordered = evaluate_snrs_batch(snr[0], snr[1], qos)
     return list(zip(rates.tolist(), qos_ok.tolist(), (qos_ok & ordered & spacing).tolist()))
@@ -456,20 +455,19 @@ def bisection_solve(
     rates and feasible_found False.
 
     The tuned layouts do not depend on the powers, so solves on the same
-    ``tables`` at other powers walk the same centres until a rate verdict
+    ``tables`` at other powers walk the same layouts until a rate verdict
     parts them.  The walk table keeps, per tolerances, step and budget, the
-    last walk as ``[centres, layouts, terms]``: each iterate's clamped centre
-    and tuned layout, as plain lists, and ``terms``, None until a later solve
-    reuses the walk and then the layouts' |g1|^2, |g2|^2 at unit rho and
-    spacing verdicts as arrays.  A solve that finds a walk evaluates all its
-    iterates at its own power in one batch (:func:`_replay`), and while each
-    of its iterates so far sits at the recorded centre, takes the iterate's
-    sum rate and verdicts from its row: the same centre gives the same rigid
-    and tuned layout, and the batch chain equals :func:`evaluate_placement`'s
-    scalar one bit for bit.  From the first other centre on, each iterate runs
-    :func:`evaluate_placement`, and the walk is recorded in place of the last.
-    A returned iterate read from a row is evaluated once more, so the solution
-    is built from :func:`evaluate_placement`'s own records.
+    last walk as ``[layouts, terms]``: each iterate's tuned layout, and
+    ``terms``, None until a later solve reuses the walk, then the layouts'
+    |g1|^2, |g2|^2 at unit rho and spacing verdicts as arrays.  A solve that
+    finds a walk evaluates its layouts at its own power in one batch
+    (:func:`_replay`), bit for bit as :func:`evaluate_placement` would.
+    While each layout :func:`fine_tune` returns *is* the walk's layout at
+    that iterate, the iterate reads its row; from the first other layout on,
+    iterates run :func:`evaluate_placement`, and the walk is recorded in
+    place of the last.  A returned iterate read from a row is evaluated once
+    more, so the solution is built from :func:`evaluate_placement`'s own
+    records.
     """
     check_users(params, users)
     lo_bound, hi_bound = center_bounds(params)
@@ -477,11 +475,11 @@ def bisection_solve(
     tables = tables or new_tables()
     rigids, walks = tables[2:4]
     key = (cfg.delta1, cfg.delta2, cfg.fine_step, cfg.max_fine_shifts)
-    walk = walks.get(key) or [[], [], None]
+    walk = walks.get(key) or [[], None]
     recorded = walk[0]
     rows = _replay(params, users, walk, qos, tables) if recorded else ()
     replayed, n_rows = 0, len(rows)  # leading iterates read from rows; rows to read
-    centres, layouts = [], []  # the iterates after those
+    layouts = []  # the iterates after those
 
     left, right = users[1].x, users[0].x
     mid = 0.5 * (left + right)
@@ -495,7 +493,7 @@ def bisection_solve(
             rigid = rigids[center] = AntennaLayout(
                 tuple(center + o for o in _pitch_offsets(params)), feed_point(params))
         layout = fine_tune(params, rigid, users, cfg, tables)
-        if not centres and replayed < n_rows and recorded[replayed] == center:
+        if not layouts and replayed < n_rows and recorded[replayed] is layout:
             rate, qos_ok, overall = rows[replayed]
             replayed += 1
             evaluated = None
@@ -503,7 +501,6 @@ def bisection_solve(
             evaluated = evaluate_placement(params, layout, users, qos, tables)
             rate, report = evaluated[1].sum_rate, evaluated[2]
             qos_ok, overall = report.qos_ok, report.overall
-            centres.append(center)
             layouts.append(layout)
         if overall and (best is None or rate > best_rate):
             best, best_evaluated, best_rate = layout, evaluated, rate
@@ -517,8 +514,8 @@ def bisection_solve(
         if not abs(right - left) > epsilon or mid == left or mid == right:
             break
 
-    if centres:  # the walk left the recorded one, or there was none
-        walks[key] = [recorded[:replayed] + centres, walk[1][:replayed] + layouts, None]
+    if layouts:  # the walk left the recorded one, or there was none
+        walks[key] = [recorded[:replayed] + layouts, None]
     if best is not None:
         layout, evaluated = best, best_evaluated
     if evaluated is None:

@@ -22,7 +22,6 @@ from pinchopt import (
     UserPosition,
     bisection_solve,
     exhaustive_placement,
-    iteration_bound,
     optimal_alpha2,
     path_gain_factor,
     pinching_gain,
@@ -33,6 +32,7 @@ from pinchopt import (
 from pinchopt.channel import phases_and_distances
 from pinchopt.cli import main
 from pinchopt.oracle import batch_solution_metrics
+from pinchopt.placement import iteration_bound
 from pinchopt.sim import SweepSpec, sample_scenario, trial_rng
 
 from grid_reference import grid_alpha2, sum_rate_objective

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pinchopt import (
-    SPEED_OF_LIGHT,
     AntennaLayout,
     LayoutError,
     SystemParams,
@@ -22,6 +21,7 @@ from pinchopt.channel import (
     FC_RANGE_HZ,
     MAX_N_EFF,
     MIN_SPACING_M,
+    SPEED_OF_LIGHT,
     check_number,
     conventional_positions,
     phase_turns_and_distances,

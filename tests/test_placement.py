@@ -21,7 +21,6 @@ from pinchopt import (
     evaluate_placement,
     fine_tune,
     initial_layout,
-    iteration_bound,
     pinching_gain,
     snr_scale,
     wavelength,
@@ -44,6 +43,7 @@ from pinchopt.placement import (
     _antenna_cap,
     center_bounds,
     center_index,
+    iteration_bound,
     new_tables,
     pinned_antennas,
 )
@@ -504,14 +504,14 @@ class TestWarmWalks:
         tables = new_tables()
         first = bisection_solve(params, users, qos, cfg, tables)
         walk = tables[3][key]
-        assert walk[2] is None  # a cold solve gathers no terms
+        assert walk[1] is None  # a cold solve gathers no terms
         with mock.patch.object(placement, "evaluate_placement", evaluate), \
                 mock.patch.object(placement, "fine_tune", tune):
             got = bisection_solve(later, users, qos, cfg, tables)
         assert tables[3][key] is walk
         # the replay kept its layouts' terms in the entry, bit for bit
-        gains, spacing = walk[2]
-        for n, layout in enumerate(walk[1]):
+        gains, spacing = walk[1]
+        for n, layout in enumerate(walk[0]):
             (g1, g2), ok = placement._layout_terms(params, layout, users, tables)
             assert gains[:, n].tolist() == [g1, g2] and spacing[n] == ok
         assert got.iterations == first.iterations > 1
@@ -539,9 +539,39 @@ class TestWarmWalks:
             head = next((i for i, (a, b) in enumerate(zip(low[0], high[0])) if a != b),
                         len(low[0]))
             parted += head < len(low[0])
-            for field_low, field_high in zip(low[:2], high[:2]):  # centres, layouts
-                assert field_low[:head] == field_high[:head]
+            # the common head and the walk found again hold the tuned layouts' own objects
+            assert all(a is b for a, b in zip(low[0][:head], high[0]))
+            assert all(a is b for a, b in zip(again[0], low[0]))
         assert parted > 0
+
+    @pytest.mark.parametrize("drop_db, feasible", [(25.0, True), (50.0, False)])
+    def test_walk_meeting_one_centre_again(self, params, qos, drop_db, feasible):
+        """Users within delta_min of the right edge clamp every midpoint to
+        the top of ``center_bounds``, so one walk meets that centre at every
+        iterate.  A solve at a lower power reads each iterate from its row,
+        also where its rate verdicts, and so its midpoints, differ."""
+        edge = params.side_d / 2
+        users = (UserPosition(edge - 0.2 * params.delta_min, 4.0),
+                 UserPosition(edge - 0.6 * params.delta_min, 1.0))
+        cfg = AlgoConfig()
+        key = (cfg.delta1, cfg.delta2, cfg.fine_step, cfg.max_fine_shifts)
+        tables = new_tables()
+        first = bisection_solve(params, users, qos, cfg, tables)
+        walk = tables[3][key][0]
+        assert first.layout.xs[center_index(params.n_antennas)] == center_bounds(params)[1]
+        assert len(walk) == first.iterations > 1 and all(w is walk[0] for w in walk)
+        evaluated = []
+
+        def evaluate(p, layout, u, q, tables):
+            evaluated.append(layout)
+            return evaluate_placement(p, layout, u, q, tables)
+
+        later = dataclasses.replace(params, pt_dbm=params.pt_dbm - drop_db)
+        with mock.patch.object(placement, "evaluate_placement", evaluate):
+            got = bisection_solve(later, users, qos, cfg, tables)
+        assert evaluated == [got.layout] and got.iterations == first.iterations
+        assert first.feasible_found and got.feasible_found is feasible
+        assert repr(got) == repr(bisection_solve(later, users, qos, cfg))
 
     def test_threads_replaying_walks(self, params):
         """Threads solving different scenarios at several powers, each on
