@@ -197,14 +197,15 @@ def evaluate_snrs(
     return split, rates, report, alpha
 
 
-def evaluate_snrs_batch(snr_weak: np.ndarray, snr_strong: np.ndarray, qos: QosTargets):
-    """Sum rate, closed-form alpha2, the rate-target verdict and the channel
-    order at arrays of SNR pairs: :func:`evaluate_snrs` without the clamp
+def evaluate_snrs_batch(snr_weak: np.ndarray, snr_strong: np.ndarray, qos: QosTargets,
+                        spacing: bool | np.ndarray = True):
+    """Sum rate, closed-form alpha2, the rate-target verdict and the overall
+    verdict at arrays of SNR pairs: :func:`evaluate_snrs` without the clamp
     labels, bit for bit, as each step is the same correctly rounded
     operation.  ``qos_ok`` is :attr:`FeasibilityReport.qos_ok` and
-    ``qos_ok & ordered`` is :attr:`FeasibilityReport.overall` of a layout
-    that keeps its spacing (the clamped alpha2 keeps the alpha order
-    whenever the rates are numbers); spacing is the caller's to check."""
+    ``overall`` :attr:`FeasibilityReport.overall` (the clamped alpha2 keeps
+    the alpha order whenever the rates are numbers); ``spacing`` is the
+    layouts' spacing verdict, a bool or an array of them."""
     # a zero or subnormal weak SNR divides by zero or overflows, as the scalar chain
     # does silently; fmax sends the 0/0 NaN and the -inf to 0, the 'low' clamp
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -212,7 +213,8 @@ def evaluate_snrs_batch(snr_weak: np.ndarray, snr_strong: np.ndarray, qos: QosTa
     a2 = np.minimum(np.fmax(raw, 0.0), 0.5)
     r1, r2, r21 = noma_rates(snr_weak, snr_strong, 1.0 - a2, a2)
     r1_qos, r2_qos, sic = qos_verdicts(r1, r2, r21, qos)
-    return r1 + r2, a2, r1_qos & r2_qos & sic, snr_strong >= snr_weak
+    qos_ok = r1_qos & r2_qos & sic
+    return r1 + r2, a2, qos_ok, qos_ok & spacing & (snr_strong >= snr_weak)
 
 
 def check_feasibility(

@@ -83,12 +83,12 @@ def batch_solution_metrics(
 
     Layout rows are assumed to satisfy the spacing and region constraints
     already (the enumerators only generate admissible rows), so feasibility
-    here covers the rate targets and the channel-ordering requirement.
+    is :attr:`FeasibilityReport.overall` of a layout that keeps its spacing.
     """
     # one kernel call for both users: each user's row is its own call's, bit for bit
     s1, s2 = gain_snr(snr_scale(params), pinching_gains_batch(params, xs_layouts, feed_x, users))
-    rates, alpha2, qos_ok, ordered = evaluate_snrs_batch(s1, s2, qos)
-    return rates, qos_ok & ordered, alpha2
+    rates, alpha2, _, feasible = evaluate_snrs_batch(s1, s2, qos)
+    return rates, feasible, alpha2
 
 
 def grid_points(length: float, step: float) -> int:
@@ -134,11 +134,10 @@ def _finalize(
     feed_x: float,
     users,
     qos: QosTargets,
-    feasible: bool,
 ) -> PlacementSolution:
     layout = AntennaLayout(xs=tuple(float(x) for x in xs), feed_x=feed_x)
     evaluated = (layout, *evaluate_placement(params, layout, users, qos))
-    return placement_solution(params, evaluated, 0, feasible)
+    return placement_solution(params, evaluated, 0)
 
 
 def _full_grid_search(params, users, qos, cfg, feed_x) -> PlacementSolution:
@@ -165,8 +164,7 @@ def _full_grid_search(params, users, qos, cfg, feed_x) -> PlacementSolution:
         rates, feasible, _ = batch_solution_metrics(params, xs_rows, feed_x, users, qos)
         best_feasible = _winner(xs_rows, rates, feasible, best_feasible)
         best_any = _winner(xs_rows, rates, np.ones_like(feasible), best_any)
-    found = best_feasible is not None
-    return _finalize(params, (best_feasible or best_any)[2], feed_x, users, qos, found)
+    return _finalize(params, (best_feasible or best_any)[2], feed_x, users, qos)
 
 
 def _two_stage_search(params, users, qos, cfg, feed_x) -> PlacementSolution:
@@ -183,12 +181,13 @@ def _two_stage_search(params, users, qos, cfg, feed_x) -> PlacementSolution:
     stage1 = _winner(xs_rows, rates, feasible)
     if stage1 is None:
         fallback = _winner(xs_rows, rates, np.ones_like(feasible))
-        return _finalize(params, fallback[2], feed_x, users, qos, False)
+        return _finalize(params, fallback[2], feed_x, users, qos)
 
     # stage 2: one coordinate-descent pass over the off-centre antennas,
     # each sweeping +- one guided wavelength around its stage-1 position.
     # Outermost antennas go first so inner ones inherit the freed room;
     # every evaluated row keeps spacing against both current neighbours.
+    # Offset 0 rebuilds the current feasible row, so every antenna has a pick.
     refine_step = wavelength(params) / 100.0
     reach = guided_wavelength(params)
     n_off = int(math.floor(reach / refine_step))
@@ -205,19 +204,15 @@ def _two_stage_search(params, users, qos, cfg, feed_x) -> PlacementSolution:
         if n < params.n_antennas - 1:
             ok &= spacing_holds(params, xs[n + 1] - cand)
         cand = cand[ok]
-        if cand.size == 0:
-            continue
         rows = np.tile(xs, (cand.size, 1))
         rows[:, n] = cand
         rates, feasible, _ = batch_solution_metrics(params, rows, feed_x, users, qos)
         pick = _winner(rows, rates, feasible)
-        if pick is None:
-            continue
         xs = pick[2]
         if pick[0] > best_rate:
             best_rate = pick[0]
             best_xs = xs
-    return _finalize(params, best_xs, feed_x, users, qos, True)
+    return _finalize(params, best_xs, feed_x, users, qos)
 
 
 def exhaustive_placement(

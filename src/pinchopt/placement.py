@@ -225,16 +225,14 @@ def _tune_setup(params: SystemParams, cfg: AlgoConfig) -> tuple:
     """What the tunes of one scenario share for ``cfg``'s step and budget:
     the outward offset grid; the grid's last offset; the spacing threshold;
     and the rounds, each a tuple of (side, antenna, outward room-preserving
-    cap, signed offsets: the grid, or on the left its negation), the right
-    side first.  Both grids are read-only, as they are shared.  An over-cap
-    budget raises before any allocation."""
+    cap), the right side first.  The grid is read-only, as it is shared.  An
+    over-cap budget raises before any allocation."""
     step, shifts = cfg.resolved_fine_step(params), cfg.resolved_max_shifts(params)
     offsets = step * np.arange(shifts + 1)
-    left = -offsets
-    offsets.flags.writeable = left.flags.writeable = False
+    offsets.flags.writeable = False
     n_ant, c = params.n_antennas, center_index(params.n_antennas)
     rounds = tuple(
-        tuple((side, n, side * _antenna_cap(params, n, side), offsets if side > 0 else left)
+        tuple((side, n, side * _antenna_cap(params, n, side))
               for side, n in ((+1, c + r), (-1, c - r)) if 0 <= n < n_ant)
         for r in range(1, max(c, n_ant - 1 - c) + 1))
     return offsets, float(offsets[-1]), spacing_threshold(params), rounds
@@ -263,8 +261,9 @@ def _tune_layout(
     side alone would pick on the mirror image.
 
     A grid that :func:`_candidate_grid` would leave whole (checked at its
-    ends) goes into the row once, as x plus the signed offsets: fl(x - o) =
-    -fl(-x + o) but for the sign of a zero, so a grid reaching 0 does not.
+    ends) goes into the row once, as x plus the offsets on the right and x
+    minus them on the left: fl(x - o) = -fl(-x + o) but for the sign of a
+    zero, so a grid reaching 0 does not.
 
     The same calls hold the turns and distances at every tuned position, as
     a chosen candidate or as an inner neighbour, so |g|^2 at unit rho and the
@@ -285,12 +284,13 @@ def _tune_layout(
     for entries in rounds:
         antennas, segments, width = [], [], 0  # each pick's (side, antenna), (first column, size)
         row = np.empty(2 * offsets.size + 2)  # inner neighbours, then grids in real coordinates
-        for side, n, cap, signed in entries:
+        for side, n, cap in entries:
             inner = side * xs[n - side]
             lo, hi = side * xs[n], side * xs[n] + last  # the outward grid's ends
             if hi <= cap + CAP_SLACK and lo - inner >= threshold and not lo <= 0 <= hi:
                 size = offsets.size
-                np.add(xs[n], signed, out=row[width + 1:width + 1 + size])
+                (np.add if side > 0 else np.subtract)(xs[n], offsets,
+                                                      out=row[width + 1:width + 1 + size])
             else:
                 cand = _candidate_grid(lo + offsets, inner, cap, threshold)
                 if cand.size == 0:  # inner neighbour moved past the whole grid; sit at minimum pitch
@@ -372,15 +372,13 @@ def placement_solution(
     params: SystemParams,
     evaluated: tuple[AntennaLayout, PowerSplit, RateReport, FeasibilityReport, Alpha2Result],
     iterations: int,
-    feasible: bool,
 ) -> PlacementSolution:
     """The solution for a layout and its :func:`evaluate_placement` result;
-    its rates are zero unless ``feasible`` and every constraint holds."""
+    its rates are zero unless every constraint holds."""
     layout, split, rates, report, alpha = evaluated
-    ok = feasible and report.overall
     return PlacementSolution(
-        layout=layout, split=split, rates=rates if ok else ZERO_RATES,
-        feasibility=report, iterations=iterations, feasible_found=ok,
+        layout=layout, split=split, rates=rates if report.overall else ZERO_RATES,
+        feasibility=report, iterations=iterations, feasible_found=report.overall,
         alpha_clamped=alpha.clamped, pinned_antennas=pinned_antennas(params, layout),
     )
 
@@ -433,8 +431,8 @@ def _replay(params: SystemParams, users: tuple, walk: list, qos: QosTargets,
                    np.array([spacing for _, spacing in terms]))
     gains, spacing = walk[1]
     snr = snr_scale(params) * gains
-    rates, _, qos_ok, ordered = evaluate_snrs_batch(snr[0], snr[1], qos)
-    return list(zip(rates.tolist(), qos_ok.tolist(), (qos_ok & ordered & spacing).tolist()))
+    rates, _, qos_ok, overall = evaluate_snrs_batch(snr[0], snr[1], qos, spacing)
+    return list(zip(rates.tolist(), qos_ok.tolist(), overall.tolist()))
 
 
 def bisection_solve(
@@ -520,7 +518,7 @@ def bisection_solve(
         layout, evaluated = best, best_evaluated
     if evaluated is None:
         evaluated = evaluate_placement(params, layout, users, qos, tables)
-    return placement_solution(params, (layout, *evaluated), iterations, best is not None)
+    return placement_solution(params, (layout, *evaluated), iterations)
 
 
 def iteration_bound(params: SystemParams, cfg: AlgoConfig) -> int:

@@ -233,11 +233,12 @@ class TestCheckFeasibility:
 
 @st.composite
 def batch_cases(draw):
-    """Rate targets and SNR pairs at which :func:`evaluate_snrs_batch` must
-    equal :func:`evaluate_snrs`: zero, subnormal and huge SNRs, and weak-user
-    SNRs at which the unclamped alpha2 is exactly 0 (2**r1_min - 1 at an
-    integer target) or exactly 0.5 (at r1_min = 1, any SNR of 2**55 or more,
-    as (s + 1 - 2) / 2s then rounds to s / 2s)."""
+    """Rate targets and SNR pairs, each with a spacing verdict, at which
+    :func:`evaluate_snrs_batch` must equal :func:`evaluate_snrs`: zero,
+    subnormal and huge SNRs, and weak-user SNRs at which the unclamped alpha2
+    is exactly 0 (2**r1_min - 1 at an integer target) or exactly 0.5 (at
+    r1_min = 1, any SNR of 2**55 or more, as (s + 1 - 2) / 2s then rounds to
+    s / 2s)."""
     r1 = draw(st.one_of(st.floats(0.0, MAX_RATE), st.integers(0, 200).map(float)))
     r2 = draw(st.floats(0.0, MAX_RATE))
     gate = 2.0**r1
@@ -245,7 +246,7 @@ def batch_cases(draw):
                       st.floats(0.0, 1e300))
     weak = st.one_of(plain, st.just(gate - 1.0),
                      st.floats(2.0**55, 1e300) if r1 == 1.0 else plain)
-    pairs = draw(st.lists(st.tuples(weak, plain), min_size=1, max_size=40))
+    pairs = draw(st.lists(st.tuples(weak, plain, st.booleans()), min_size=1, max_size=40))
     return QosTargets(r1, r2), pairs
 
 
@@ -255,25 +256,27 @@ def _bits(x) -> str:
 
 class TestBatchChain:
     @given(batch_cases())
-    @example((QosTargets(1.0, 0.5), [(2.0**55, 2.0**60), (1.0, 3.0), (0.0, 1.0)]))
-    @example((QosTargets(2.0, 0.0), [(3.0, 3.0), (3.0, 2.0), (5e-324, 0.0)]))
-    @example((QosTargets(MAX_RATE, MAX_RATE), [(1e300, 1e300), (2.0**MAX_RATE - 1.0, 0.0)]))
+    @example((QosTargets(1.0, 0.5),
+              [(2.0**55, 2.0**60, True), (1.0, 3.0, False), (0.0, 1.0, True)]))
+    @example((QosTargets(2.0, 0.0),
+              [(3.0, 3.0, True), (3.0, 3.0, False), (3.0, 2.0, True), (5e-324, 0.0, False)]))
+    @example((QosTargets(MAX_RATE, MAX_RATE),
+              [(1e300, 1e300, True), (2.0**MAX_RATE - 1.0, 0.0, True)]))
     # raw alpha2 is 0/0 = NaN at r1_min = 0 with a weak SNR of 0
-    @example((QosTargets(0.0, 0.5), [(0.0, 1.0), (0.0, 0.0), (2.0, 1.0)]))
+    @example((QosTargets(0.0, 0.5), [(0.0, 1.0, True), (0.0, 0.0, False), (2.0, 1.0, True)]))
     # raw alpha2 overflows to -inf at a subnormal weak SNR
-    @example((QosTargets(3.0, 0.5), [(5e-324, 1.0), (1e-320, 0.0), (7.0, 9.0)]))
+    @example((QosTargets(3.0, 0.5), [(5e-324, 1.0, True), (1e-320, 0.0, True), (7.0, 9.0, False)]))
     @settings(max_examples=400, deadline=None, derandomize=True)
     def test_batch_equals_scalar_bit_for_bit(self, case):
         qos, pairs = case
-        weak, strong = (np.array(side) for side in zip(*pairs))
-        rates, alpha2, qos_ok, ordered = evaluate_snrs_batch(weak, strong, qos)
-        for i, (s1, s2) in enumerate(pairs):
-            split, report_rates, report, _ = evaluate_snrs(s1, s2, qos)
+        weak, strong, spacing = (np.array(column) for column in zip(*pairs))
+        rates, alpha2, qos_ok, overall = evaluate_snrs_batch(weak, strong, qos, spacing)
+        for i, (s1, s2, spacing_i) in enumerate(pairs):
+            split, report_rates, report, _ = evaluate_snrs(s1, s2, qos, spacing_i)
             assert _bits(rates[i]) == _bits(report_rates.sum_rate)
             assert _bits(alpha2[i]) == _bits(split.alpha2)
             assert bool(qos_ok[i]) is report.qos_ok
-            assert bool(ordered[i]) is report.order_channel
-            assert bool(qos_ok[i] & ordered[i]) is report.overall
+            assert bool(overall[i]) is report.overall
 
     def test_raw_alpha2_edges_are_drawn(self):
         """The edge draws above do hit the clamp boundaries exactly."""

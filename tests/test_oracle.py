@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, reject, settings, strategies as st
 
 from pinchopt import (
     AlgoConfig,
@@ -25,6 +26,7 @@ from pinchopt import (
     trial_rng,
     wavelength,
 )
+from pinchopt.noma import ZERO_RATES
 from pinchopt.oracle import _grid, _winner, batch_solution_metrics
 from pinchopt.placement import _pitch_offsets, center_bounds
 from pinchopt.sim import evaluate_scheme
@@ -32,6 +34,17 @@ from pinchopt.sim import evaluate_scheme
 from grid_reference import grid_alpha2, sum_rate_objective
 
 ALPHA_STEP = 1e-4
+
+
+def rigid_rows(params, users, cfg):
+    """The two-stage search's stage-1 rows: the rigid array at each grid
+    centre that fits the region, or at the clamped midpoint if none does."""
+    lo_c, hi_c = center_bounds(params)
+    centers = _grid(params, users, cfg)
+    centers = centers[(centers >= lo_c) & (centers <= hi_c)]
+    if centers.size == 0:
+        centers = np.array([min(max(0.5 * (users[0].x + users[1].x), lo_c), hi_c)])
+    return centers[:, None] + np.array(_pitch_offsets(params))[None, :]
 
 
 class TestGridAlpha2:
@@ -163,16 +176,39 @@ class TestTwoStage:
         users = (UserPosition(2.0, 1.0), UserPosition(-2.0, 0.3))
         cfg = OracleConfig()
         sol = exhaustive_placement(params, users, qos, cfg)
-        lo_c, hi_c = center_bounds(params)
-        centers = _grid(params, users, cfg)
-        centers = centers[(centers >= lo_c) & (centers <= hi_c)]
-        rows = centers[:, None] + np.array(_pitch_offsets(params))[None, :]
+        rows = rigid_rows(params, users, cfg)
         rates, feasible, _ = batch_solution_metrics(params, rows, -params.side_d / 2,
                                                     users, qos)
         assert not feasible.any() and np.sum(rates == rates.max()) == 1
         assert sol.layout.xs == tuple(rows[np.argmax(rates)])
         assert not sol.feasible_found and sol.rates.sum_rate == 0.0
         assert sol.iterations == 0
+
+    @given(n=st.integers(2, 5), fill=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+           edge=st.sampled_from([-1.0, 1.0]), inset=st.tuples(st.floats(0.0, 0.3),
+                                                              st.floats(0.0, 0.3)),
+           ys=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+           window=st.floats(1e-3, 0.05), r_min=st.floats(0.0, 2.0))
+    @example(n=3, fill=1.0, edge=1.0, inset=(0.0, 0.1), ys=(2.0, 0.3), window=1e-3, r_min=0.5)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_cramped_feasible_stage_one_stays_feasible(self, n, fill, edge, inset, ys, window,
+                                                       r_min):
+        """Near a region edge, at a pitch up to the whole region over N - 1
+        and a small window, a feasible stage-1 row gives a feasible, valid
+        solution: each stage-2 sweep can always rebuild the current row."""
+        params = SystemParams(n_antennas=n, delta_min=fill * 10.0 / (n - 1))
+        users = tuple(UserPosition(edge * (5.0 - d), y) for d, y in zip(inset, ys))
+        assume(users[0].x != users[1].x)
+        qos, cfg = QosTargets(r_min, r_min), OracleConfig(search_window=window)
+        try:
+            rows = rigid_rows(params, users, cfg)
+        except PlacementError:  # the pitch rounds past a region that it fills
+            reject()
+        _, feasible, _ = batch_solution_metrics(params, rows, -params.side_d / 2, users, qos)
+        assume(feasible.any())
+        sol = exhaustive_placement(params, users, qos, cfg)
+        assert sol.feasible_found and sol.feasibility.overall
+        sol.layout.validate(params)
 
     def test_never_worse_than_rigid_centre_sweep(self, params, qos):
         # stage 2 refinement starts from the stage-1 winner and keeps the
@@ -209,6 +245,22 @@ class TestFullGrid:
                            >= p.delta_min - AntennaLayout.SPACING_SLACK, axis=1)]
         rates, feas, _ = batch_solution_metrics(p, rows, -p.side_d / 2, users, qos)
         assert abs(sol.rates.sum_rate - float(rates[feas].max())) <= 1e-12
+
+    def test_no_feasible_row_returns_best_row(self):
+        # no layout meets a 50 bit/s/Hz target: the search reports the row the
+        # winner rule picks among all admissible rows, infeasible
+        p, qos = SystemParams(n_antennas=2), QosTargets(50.0, 50.0)
+        users = (UserPosition(0.15, 2.0), UserPosition(-0.15, 0.5))
+        cfg = OracleConfig(strategy="full-grid", search_window=0.01)
+        sol = exhaustive_placement(p, users, qos, cfg)
+        grid = _grid(p, users, cfg)
+        rows = grid[np.array(list(itertools.combinations(range(grid.size), 2)))]
+        rows = rows[rows[:, 1] - rows[:, 0] >= p.delta_min - AntennaLayout.SPACING_SLACK]
+        rates, feasible, _ = batch_solution_metrics(p, rows, -p.side_d / 2, users, qos)
+        assert not feasible.any()
+        assert sol.layout.xs == tuple(_winner(rows, rates, ~feasible)[2])
+        assert not sol.feasible_found and sol.rates == ZERO_RATES
+        assert sol.iterations == 0
 
     def test_winner_rule(self):
         rows = np.array([[0.0, 1.0], [2.0, 2.0], [2.0, 3.0], [1.0, 4.0]])

@@ -312,15 +312,17 @@ class TestTunedLayoutReuse:
             for _ in range(2):
                 fine_tune(params, layouts[0], users, cfg)
             assert len(built) == 7
-        offsets, *_, rounds = _tune_setup(params, AlgoConfig(fine_step=1e-4, max_fine_shifts=10))
+        offsets = _tune_setup(params, AlgoConfig(fine_step=1e-4, max_fine_shifts=10))[0]
         assert not offsets.flags.writeable and np.array_equal(offsets, 1e-4 * np.arange(11))
-        # a right entry's signed offsets are the grid, a left one's its negation
-        lefts = [signed for entries in rounds for side, _, _, signed in entries if side < 0]
-        assert lefts and all(signed is offsets for entries in rounds
-                             for side, _, _, signed in entries if side > 0)
-        for left in lefts:
-            assert not left.flags.writeable
-            assert np.array_equal(left.view(np.uint64), (-offsets).view(np.uint64))
+        # each entry is (side, antenna, outward cap), the right side first
+        four = dataclasses.replace(params, n_antennas=4)
+        assert _tune_setup(four, AlgoConfig())[3] == (
+            ((+1, 2, _antenna_cap(four, 2, +1)), (-1, 0, -_antenna_cap(four, 0, -1))),
+            ((+1, 3, _antenna_cap(four, 3, +1)),))
+        # a left grid is x minus the offsets: x plus their negation, bit for bit
+        for x in (0.0, -0.0, -1e-4, -3.7):
+            assert np.array_equal(np.subtract(x, offsets).view(np.uint64),
+                                  np.add(x, -offsets).view(np.uint64))
 
     def test_reused_across_power_levels(self, params):
         users, layouts = self._cases(11, 1, params)[0]

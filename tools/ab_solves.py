@@ -10,13 +10,15 @@ packages are loaded into this one interpreter, under the names
 own ``sample_scenario`` from ``trial_rng(seed, drop)``, each side makes one
 cold ``bisection_solve`` on fresh tables at the power sweep's first power,
 then eight warm solves on the same tables at its other powers, as a
-``figures`` drop does.  The side that goes first alternates from drop to
-drop, so a slow spell of the host falls on both.
+``figures`` drop does, and, untimed, one ``exhaustive_placement`` at the
+default ``OracleConfig`` (the two-stage reference search) at the first
+power.  The side that goes first alternates from drop to drop, so a slow
+spell of the host falls on both.
 
 Prints the median microseconds per cold and per warm solve for each side,
-and compares every pair of solutions field by field, floats by their bits.
-Exits 0 when every pair matches, 1 when one differs.  Only the standard
-library and NumPy are used.
+and compares every pair of solutions, the reference searches' included,
+field by field, floats by their bits.  Exits 0 when every pair matches, 1
+when one differs.  Only the standard library and NumPy are used.
 """
 from __future__ import annotations
 
@@ -74,12 +76,13 @@ class Side:
         params = pkg.SystemParams()
         self.levels = [dataclasses.replace(params, pt_dbm=p)
                        for p in pkg.SweepSpec().pt_dbm_values]
-        self.qos, self.cfg = pkg.QosTargets(), pkg.AlgoConfig()
+        self.qos, self.cfg, self.oracle = pkg.QosTargets(), pkg.AlgoConfig(), pkg.OracleConfig()
         self.cold: list[int] = []
         self.warm: list[int] = []
 
     def drop(self, seed: int, t: int) -> list[tuple]:
-        """One drop's cold solve and warm solves, timed; their fields."""
+        """One drop's cold solve and warm solves, timed, then its reference
+        search; their fields."""
         pkg = self.pkg
         scen = pkg.sample_scenario(pkg.trial_rng(seed, t), self.levels[0].side_d, t)
         users, tables = (scen.user1, scen.user2), pkg.placement.new_tables()
@@ -89,7 +92,8 @@ class Side:
             solution = pkg.bisection_solve(params, users, self.qos, self.cfg, tables)
             (self.warm if i else self.cold).append(perf_counter_ns() - start)
             got.append(fields(solution))
-        return got
+        reference = pkg.exhaustive_placement(self.levels[0], users, self.qos, self.oracle)
+        return got + [fields(reference)]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -118,7 +122,8 @@ def main(argv: list[str] | None = None) -> int:
 
     powers = base.pkg.SweepSpec().pt_dbm_values
     print(f"{args.drops} drops at seed {args.seed}: a cold solve at {powers[0]:g} dBm, "
-          f"then {len(powers) - 1} warm solves at {', '.join(f'{p:g}' for p in powers[1:])} dBm")
+          f"then {len(powers) - 1} warm solves at {', '.join(f'{p:g}' for p in powers[1:])} dBm, "
+          f"and an untimed reference search at {powers[0]:g} dBm")
     print(f"{'':12} {'cold us':>10} {'warm us':>10}")
     for label, side in ((f"base {args.base}", base), ("head", head)):
         print(f"{label:12} {statistics.median(side.cold) / 1e3:10.1f} "
