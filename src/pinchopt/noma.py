@@ -205,7 +205,9 @@ def evaluate_snrs_batch(snr_weak: np.ndarray, snr_strong: np.ndarray, qos: QosTa
     operation.  ``qos_ok`` is :attr:`FeasibilityReport.qos_ok` and
     ``overall`` :attr:`FeasibilityReport.overall` (the clamped alpha2 keeps
     the alpha order whenever the rates are numbers); ``spacing`` is the
-    layouts' spacing verdict, a bool or an array of them."""
+    layouts' spacing verdict, a bool or an array of them.  The SNRs may be
+    (L,) arrays of L layouts or (P, L) arrays of them at P powers, with a
+    (L,) ``spacing`` shared by every row; each output has the SNRs' shape."""
     # a zero or subnormal weak SNR divides by zero or overflows, as the scalar chain
     # does silently; fmax sends the 0/0 NaN and the -inf to 0, the 'low' clamp
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

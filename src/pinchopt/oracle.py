@@ -157,10 +157,11 @@ def _full_grid_search(params, users, qos, cfg, feed_x) -> PlacementSolution:
     if total == 0:
         raise PlacementError("search window too small for the antenna array")
     shift = (gap - 1) * np.arange(n)
-    tuples = itertools.combinations(range(slack), n)
+    # the tuples' indices in order, read _CHUNK tuples at a time
+    flat = itertools.chain.from_iterable(itertools.combinations(range(slack), n))
     best_feasible = best_any = None
-    while chunk := list(itertools.islice(tuples, _CHUNK)):
-        xs_rows = grid[np.array(chunk) + shift]
+    while (idx := np.fromiter(itertools.islice(flat, _CHUNK * n), dtype=np.intp)).size:
+        xs_rows = grid[idx.reshape(-1, n) + shift]
         rates, feasible, _ = batch_solution_metrics(params, xs_rows, feed_x, users, qos)
         best_feasible = _winner(xs_rows, rates, feasible, best_feasible)
         best_any = _winner(xs_rows, rates, np.ones_like(feasible), best_any)

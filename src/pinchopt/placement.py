@@ -322,14 +322,17 @@ def _tune_layout(
     return tuned
 
 
-def new_tables() -> tuple[dict, dict, dict, dict]:
+def new_tables(scales=()) -> tuple[dict, dict, dict, dict, frozenset]:
     """Empty tables for one scenario's solves: tuned layouts and tune set-ups,
-    channel terms, rigid layouts and last walks.  No entry is replaced, so a
-    tuned layout is one object per rigid layout and tolerances.  Calls may
-    share them only if they pass the same users and the same SystemParams
-    but for ``pt_dbm`` and ``noise_dbm``; nothing checks this.  sim makes one
-    set per drop; ``tables=None`` means fresh ones for that call."""
-    return {}, {}, {}, {}
+    channel terms, rigid layouts and last walks, then the SNR scales
+    (:func:`snr_scale`) the owner expects to solve at, which a replayed walk
+    evaluates in one batch.  No entry is replaced, so a tuned layout is one
+    object per rigid layout and tolerances.  Calls may share them only if
+    they pass the same users and the same SystemParams but for ``pt_dbm``
+    and ``noise_dbm``; nothing checks this.  sim makes one set per drop,
+    declaring its solves' scales; ``tables=None`` means fresh ones for that
+    call."""
+    return {}, {}, {}, {}, frozenset(scales)
 
 
 def fine_tune(
@@ -421,18 +424,27 @@ def evaluate_placement(
 def _replay(params: SystemParams, users: tuple, walk: list, qos: QosTargets,
             tables: tuple) -> list:
     """(sum rate, qos_ok, overall) of each layout of ``walk``, a walk-table
-    entry, at ``params``' powers, from one :func:`evaluate_snrs_batch` call:
-    what :func:`evaluate_placement` gives the layout, bit for bit.  The
-    first replay of a walk gathers its layouts' channel terms into the entry,
-    as arrays of |g1|^2, |g2|^2 at unit rho and spacing verdicts."""
-    if walk[1] is None:
-        terms = [_layout_terms(params, layout, users, tables) for layout in walk[0]]
-        walk[1] = (np.array([g for g, _ in terms]).T.copy(),
-                   np.array([spacing for _, spacing in terms]))
-    gains, spacing = walk[1]
-    snr = snr_scale(params) * gains
-    rates, _, qos_ok, overall = evaluate_snrs_batch(snr[0], snr[1], qos, spacing)
-    return list(zip(rates.tolist(), qos_ok.tolist(), overall.tolist()))
+    entry, at ``params``' powers: what :func:`evaluate_placement` gives the
+    layout, bit for bit.  The entry's rows keep these lists per (rho, qos).
+    On a miss, one :func:`evaluate_snrs_batch` call on (P, L) arrays makes
+    the rows of this rho and of every scale the tables declare that has
+    none yet; ``np.multiply.outer`` is the same product as ``rho * gains``.
+    The first replay of a walk gathers its layouts' channel terms into the
+    entry, as arrays of |g1|^2, |g2|^2 at unit rho and spacing verdicts."""
+    rho = snr_scale(params)
+    rows = walk[2]
+    if (rho, qos) not in rows:
+        if walk[1] is None:
+            terms = [_layout_terms(params, layout, users, tables) for layout in walk[0]]
+            walk[1] = (np.array([g for g, _ in terms]).T.copy(),
+                       np.array([spacing for _, spacing in terms]))
+        gains, spacing = walk[1]
+        scales = [rho, *(s for s in tables[4] if s != rho and (s, qos) not in rows)]
+        snr = np.multiply.outer(scales, gains)
+        rates, _, qos_ok, overall = evaluate_snrs_batch(snr[:, 0], snr[:, 1], qos, spacing)
+        for scale, *columns in zip(scales, rates.tolist(), qos_ok.tolist(), overall.tolist()):
+            rows[scale, qos] = list(zip(*columns))
+    return rows[rho, qos]
 
 
 def bisection_solve(
@@ -455,11 +467,12 @@ def bisection_solve(
     The tuned layouts do not depend on the powers, so solves on the same
     ``tables`` at other powers walk the same layouts until a rate verdict
     parts them.  The walk table keeps, per tolerances, step and budget, the
-    last walk as ``[layouts, terms]``: each iterate's tuned layout, and
+    last walk as ``[layouts, terms, rows]``: each iterate's tuned layout;
     ``terms``, None until a later solve reuses the walk, then the layouts'
-    |g1|^2, |g2|^2 at unit rho and spacing verdicts as arrays.  A solve that
-    finds a walk evaluates its layouts at its own power in one batch
-    (:func:`_replay`), bit for bit as :func:`evaluate_placement` would.
+    |g1|^2, |g2|^2 at unit rho and spacing verdicts as arrays; and ``rows``,
+    each layout's sum rate and verdicts per (rho, qos).  A solve that finds
+    a walk reads its power's rows, made for every declared power in one
+    batch (:func:`_replay`), bit for bit as :func:`evaluate_placement` would.
     While each layout :func:`fine_tune` returns *is* the walk's layout at
     that iterate, the iterate reads its row; from the first other layout on,
     iterates run :func:`evaluate_placement`, and the walk is recorded in
@@ -473,7 +486,7 @@ def bisection_solve(
     tables = tables or new_tables()
     rigids, walks = tables[2:4]
     key = (cfg.delta1, cfg.delta2, cfg.fine_step, cfg.max_fine_shifts)
-    walk = walks.get(key) or [[], None]
+    walk = walks.get(key) or [[], None, {}]
     recorded = walk[0]
     rows = _replay(params, users, walk, qos, tables) if recorded else ()
     replayed, n_rows = 0, len(rows)  # leading iterates read from rows; rows to read
@@ -513,7 +526,7 @@ def bisection_solve(
             break
 
     if layouts:  # the walk left the recorded one, or there was none
-        walks[key] = [recorded[:replayed] + layouts, None]
+        walks[key] = [recorded[:replayed] + layouts, None, {}]
     if best is not None:
         layout, evaluated = best, best_evaluated
     if evaluated is None:

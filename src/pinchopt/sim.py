@@ -195,8 +195,9 @@ def worker_count(threads: int, cpus: int, n_tasks: int) -> int:
 
 
 def _run_group(jobs):
-    """The records of one drop's numbered tasks, which share one set of tables."""
-    tables = new_tables()
+    """The records of one drop's numbered tasks, which share one set of tables
+    declaring the SNR scales of the drop's solver tasks."""
+    tables = new_tables({snr_scale(task[0]) for _, task in jobs if task[4] == "pinching"})
     return [(i, evaluate_scheme(*task, tables)) for i, task in jobs]
 
 

@@ -278,6 +278,23 @@ class TestBatchChain:
             assert bool(qos_ok[i]) is report.qos_ok
             assert bool(overall[i]) is report.overall
 
+    @given(batch_cases(), st.lists(st.sampled_from((0.0, 5e-324, 1.0)) | st.floats(0.0, 1.0),
+                                   min_size=1, max_size=5))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_rows_equal_one_row_calls_bit_for_bit(self, case, scales):
+        """A (P, L) call, with one (L,) spacing array for every row, equals P
+        one-row calls, bit for bit: the SNR pairs scaled by P factors, as a
+        replayed walk evaluates its layouts at P powers."""
+        qos, pairs = case
+        weak, strong, spacing = (np.array(column) for column in zip(*pairs))
+        weak2, strong2 = np.multiply.outer(scales, weak), np.multiply.outer(scales, strong)
+        got = evaluate_snrs_batch(weak2, strong2, qos, spacing)
+        assert all(a.shape == weak2.shape for a in got)
+        for i in range(len(scales)):
+            want = evaluate_snrs_batch(weak2[i], strong2[i], qos, spacing)
+            for a, b in zip(got, want):
+                assert a[i].dtype == b.dtype and a[i].tobytes() == b.tobytes()
+
     def test_raw_alpha2_edges_are_drawn(self):
         """The edge draws above do hit the clamp boundaries exactly."""
         assert _alpha2_raw(2.0**55, QosTargets(1.0, 0.0)) == 0.5

@@ -32,7 +32,7 @@ from pinchopt.channel import (
     phase_turns_and_distances,
     phases_and_distances,
 )
-from pinchopt.noma import evaluate_snrs, gain_snr
+from pinchopt.noma import evaluate_snrs, evaluate_snrs_batch, gain_snr
 from pinchopt.oracle import OracleConfig, batch_solution_metrics
 from pinchopt import channel, placement, sim
 from pinchopt.placement import (
@@ -482,6 +482,32 @@ class TestWarmWalks:
         for (p, cfg), got in zip(runs, warm):
             assert repr(got) == repr(bisection_solve(p, users, qos, cfg))
 
+    # the powers solved, a subset of POWERS
+    SOLVED = st.permutations(POWERS).flatmap(
+        lambda ps: st.integers(1, len(ps)).map(lambda k: ps[:k]))
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10**6), side_d=st.sampled_from((10.0, 30.0)), solved=SOLVED,
+           declared=st.sets(st.sampled_from(POWERS + (-15.0, 5.0, 35.0))), data=st.data())
+    @example(seed=1, side_d=10.0, solved=POWERS, declared=set(), data=None)
+    @example(seed=2, side_d=30.0, solved=POWERS[:2], declared={*POWERS, 5.0}, data=None)
+    def test_declared_scales_any_set(self, seed, side_d, solved, declared, data):
+        """Tables declaring a subset, a superset or none of the solved powers'
+        scales, with scales never solved, give every solve, in any order, at
+        both QoS targets and two epsilons, the fresh solution."""
+        scen = sample_scenario(trial_rng(seed, 0), side_d)
+        users = (scen.user1, scen.user2)
+        tables = new_tables({snr_scale(SystemParams(side_d=side_d, pt_dbm=pt))
+                             for pt in declared})
+        runs = [(SystemParams(side_d=side_d, pt_dbm=pt), qos, AlgoConfig(epsilon=eps))
+                for pt in solved for qos in (QosTargets(), QosTargets(4.0, 4.0))
+                for eps in (1e-3, 1e-5)]
+        if data is not None:
+            runs = data.draw(st.permutations(runs))
+        for p, qos, cfg in runs:
+            got = bisection_solve(p, users, qos, cfg, tables)
+            assert repr(got) == repr(bisection_solve(p, users, qos, cfg))
+
     @pytest.mark.parametrize("qos, feasible", [(QosTargets(), True),
                                                (QosTargets(60.0, 60.0), False)])
     def test_replayed_solve_evaluates_only_its_answer(self, params, qos, feasible):
@@ -503,10 +529,10 @@ class TestWarmWalks:
 
         later = dataclasses.replace(params, pt_dbm=params.pt_dbm + 7.0)
         key = (cfg.delta1, cfg.delta2, cfg.fine_step, cfg.max_fine_shifts)
-        tables = new_tables()
+        tables = new_tables({snr_scale(params), snr_scale(later)})
         first = bisection_solve(params, users, qos, cfg, tables)
         walk = tables[3][key]
-        assert walk[1] is None  # a cold solve gathers no terms
+        assert walk[1] is None and walk[2] == {}  # a cold solve gathers no terms or rows
         with mock.patch.object(placement, "evaluate_placement", evaluate), \
                 mock.patch.object(placement, "fine_tune", tune):
             got = bisection_solve(later, users, qos, cfg, tables)
@@ -516,11 +542,48 @@ class TestWarmWalks:
         for n, layout in enumerate(walk[0]):
             (g1, g2), ok = placement._layout_terms(params, layout, users, tables)
             assert gains[:, n].tolist() == [g1, g2] and spacing[n] == ok
+        # and the rows of both declared powers, each what evaluate_placement gives
+        assert set(walk[2]) == {(snr_scale(params), qos), (snr_scale(later), qos)}
+        for p in (params, later):
+            for layout, row in zip(walk[0], walk[2][snr_scale(p), qos], strict=True):
+                _, rates, report, _ = evaluate_placement(p, layout, users, qos, tables)
+                assert row == (rates.sum_rate, report.qos_ok, report.overall)
         assert got.iterations == first.iterations > 1
         assert evaluated == [got.layout]
         assert len(tuned) == got.iterations
         assert got.feasible_found is feasible
         assert repr(got) == repr(bisection_solve(later, users, qos, cfg))
+
+    def test_one_batch_per_walk_and_qos(self, params):
+        """A walk's first replay evaluates every declared scale in one
+        evaluate_snrs_batch call on (P, L) arrays, and the later solves at
+        those scales read their rows; a second QoS on the same tables gets
+        its own rows, from one more call."""
+        scen = sample_scenario(trial_rng(18, 0), params.side_d)
+        users, cfg = (scen.user1, scen.user2), AlgoConfig()
+        key = (cfg.delta1, cfg.delta2, cfg.fine_step, cfg.max_fine_shifts)
+        levels = [dataclasses.replace(params, pt_dbm=pt) for pt in self.POWERS]
+        scales = {snr_scale(p) for p in levels}
+        loose, strict = QosTargets(), QosTargets(4.0, 4.0)
+        calls = []
+
+        def batch(weak, strong, qos, spacing):
+            calls.append((weak.shape, qos))
+            return evaluate_snrs_batch(weak, strong, qos, spacing)
+
+        tables = new_tables(scales)
+        with mock.patch.object(placement, "evaluate_snrs_batch", batch):
+            got = [bisection_solve(p, users, loose, cfg, tables) for p in levels]
+            walk = tables[3][key]
+            n = len(walk[0])
+            assert calls == [((len(levels), n), loose)]
+            got.append(bisection_solve(levels[2], users, strict, cfg, tables))
+        assert tables[3][key] is walk  # no solve parted from the cold solve's walk
+        assert calls == [((len(levels), n), loose), ((len(levels), n), strict)]
+        assert set(walk[2]) == {(s, q) for s in scales for q in (loose, strict)}
+        assert walk[2][snr_scale(levels[2]), strict] != walk[2][snr_scale(levels[2]), loose]
+        for p, qos, sol in zip(levels + levels[2:3], [loose] * len(levels) + [strict], got):
+            assert repr(sol) == repr(bisection_solve(p, users, qos, cfg))
 
     def test_walk_recorded_where_it_parts(self, params):
         """At QoS 4/4 the walks of low and high power part ways; each solve

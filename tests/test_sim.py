@@ -23,6 +23,7 @@ from pinchopt import (
     write_table,
 )
 from pinchopt import placement, sim
+from pinchopt.noma import snr_scale
 from pinchopt.oracle import OracleSizeError
 from pinchopt.placement import PlacementError
 from pinchopt.sim import SCHEMES, SWEEPS, worker_count
@@ -288,9 +289,10 @@ class TestChunks:
             return run_group(jobs)
 
         def counted(calls):
-            def tables():
-                calls.append(len(chunks))
-                return new_tables()
+            def tables(*args):
+                made = new_tables(*args)
+                calls.append((len(chunks), made[4]))
+                return made
             return tables
 
         monkeypatch.setattr(sim, "_run_group", group)
@@ -302,7 +304,11 @@ class TestChunks:
             tasks = [task for _, task in jobs]
             assert len({id(task[1]) for task in tasks}) == 1
             assert len({replace(task[0], pt_dbm=0.0, noise_dbm=0.0) for task in tasks}) == 1
-        assert made == list(range(1, len(chunks) + 1))  # once per chunk, as it starts
+        # once per chunk, as it starts, declaring its solver tasks' SNR scales
+        assert [n for n, _ in made] == list(range(1, len(chunks) + 1))
+        for jobs, (_, scales) in zip(chunks, made):
+            assert scales == {snr_scale(task[0]) for _, task in jobs if task[4] == "pinching"}
+            assert len(scales) == len(spec.pt_dbm_values)
         # within a chunk only the reference search's final evaluation takes
         # fresh tables
         assert len(fresh) == sum(task[4] == "exhaustive" for jobs in chunks for _, task in jobs)

@@ -10,7 +10,9 @@ packages are loaded into this one interpreter, under the names
 own ``sample_scenario`` from ``trial_rng(seed, drop)``, each side makes one
 cold ``bisection_solve`` on fresh tables at the power sweep's first power,
 then eight warm solves on the same tables at its other powers, as a
-``figures`` drop does, and, untimed, one ``exhaustive_placement`` at the
+``figures`` drop does: where a tree's ``placement.new_tables`` takes
+``scales``, its tables declare the sweep's SNR scales, as ``sim._run_group``
+declares them.  Then, untimed, one ``exhaustive_placement`` at the
 default ``OracleConfig`` (the two-stage reference search) at the first
 power.  The side that goes first alternates from drop to drop, so a slow
 spell of the host falls on both.
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import importlib.util
+import inspect
 import statistics
 import subprocess
 import sys
@@ -77,6 +80,8 @@ class Side:
         self.levels = [dataclasses.replace(params, pt_dbm=p)
                        for p in pkg.SweepSpec().pt_dbm_values]
         self.qos, self.cfg, self.oracle = pkg.QosTargets(), pkg.AlgoConfig(), pkg.OracleConfig()
+        declares = "scales" in inspect.signature(pkg.placement.new_tables).parameters
+        self.scales = ({pkg.noma.snr_scale(p) for p in self.levels},) if declares else ()
         self.cold: list[int] = []
         self.warm: list[int] = []
 
@@ -85,7 +90,7 @@ class Side:
         search; their fields."""
         pkg = self.pkg
         scen = pkg.sample_scenario(pkg.trial_rng(seed, t), self.levels[0].side_d, t)
-        users, tables = (scen.user1, scen.user2), pkg.placement.new_tables()
+        users, tables = (scen.user1, scen.user2), pkg.placement.new_tables(*self.scales)
         got = []
         for i, params in enumerate(self.levels):
             start = perf_counter_ns()
