@@ -274,7 +274,7 @@ def gains_from_phases(params: SystemParams, phases: np.ndarray, dist: np.ndarray
     amp = math.sqrt(path_gain_factor(params))
     terms = np.multiply(1j, phases)  # in place from here: a batch's arrays are large
     np.exp(terms, out=terms)
-    return np.divide(np.multiply(terms, amp, out=terms), dist, out=terms).sum(axis=-1)
+    return np.add.reduce(np.divide(np.multiply(terms, amp, out=terms), dist, out=terms), axis=-1)
 
 
 def conventional_positions(params: SystemParams) -> tuple[float, ...]:

@@ -107,8 +107,9 @@ def gain_snr(rho, gain):
     """Operating SNR rho * |g|^2 of complex gains ``gain`` (any shape).
 
     |g| is the C library's hypot and its square the C library's pow, which
-    is what ``abs(g) ** 2`` computes on a Python complex; NumPy's own
-    ``abs`` and ``square`` round differently in the last bit.
+    is what ``abs(g) ** 2`` computes on a Python complex: so that is this
+    rule's scalar form at unit rho, as evaluate_snrs is evaluate_snrs_batch's.
+    NumPy's own ``abs`` and ``square`` round differently in the last bit.
     """
     return rho * np.float_power(np.hypot(gain.real, gain.imag), 2.0)
 

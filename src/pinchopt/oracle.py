@@ -109,6 +109,22 @@ def _grid(params: SystemParams, users, cfg: OracleConfig) -> np.ndarray:
     return lo + step * np.arange(grid_points(hi - lo, step))
 
 
+def full_grid_shape(params: SystemParams, users, cfg: OracleConfig) -> tuple:
+    """The full-grid search's positions, minimum index gap and free index
+    count (its layouts are the n-subsets of those indices, the k-th shifted
+    by k * (gap - 1)); OracleSizeError over MAX_GRID_LAYOUTS, PlacementError at 0."""
+    grid = _grid(params, users, cfg)
+    gap = max(1, math.ceil(spacing_threshold(params) / cfg.resolved_step(params)))
+    slack = grid.size - (params.n_antennas - 1) * (gap - 1)
+    total = math.comb(max(slack, 0), params.n_antennas)
+    if total > MAX_GRID_LAYOUTS:
+        raise OracleSizeError(f"full-grid search would enumerate {total} layouts (cap "
+                              f"{MAX_GRID_LAYOUTS}); shrink the window or use two-stage")
+    if total == 0:
+        raise PlacementError("search window too small for the antenna array")
+    return grid, gap, slack
+
+
 def _winner(
     rows: np.ndarray, rates: np.ndarray, mask: np.ndarray, best: tuple | None = None
 ) -> tuple | None:
@@ -141,21 +157,8 @@ def _finalize(
 
 
 def _full_grid_search(params, users, qos, cfg, feed_x) -> PlacementSolution:
-    grid = _grid(params, users, cfg)
-    step = cfg.resolved_step(params)
-    gap = max(1, math.ceil(spacing_threshold(params) / step))
+    grid, gap, slack = full_grid_shape(params, users, cfg)
     n = params.n_antennas
-    # tuples with gaps >= gap are the n-subsets of range(slack), the k-th
-    # index shifted by k * (gap - 1)
-    slack = grid.size - (n - 1) * (gap - 1)
-    total = math.comb(max(slack, 0), n)
-    if total > MAX_GRID_LAYOUTS:
-        raise OracleSizeError(
-            f"full-grid search would enumerate {total} layouts "
-            f"(cap {MAX_GRID_LAYOUTS}); shrink the window or use two-stage"
-        )
-    if total == 0:
-        raise PlacementError("search window too small for the antenna array")
     shift = (gap - 1) * np.arange(n)
     # the tuples' indices in order, read _CHUNK tuples at a time
     flat = itertools.chain.from_iterable(itertools.combinations(range(slack), n))

@@ -35,7 +35,6 @@ from .noma import (
     ZERO_RATES,
     evaluate_snrs,
     evaluate_snrs_batch,
-    gain_snr,
     snr_scale,
 )
 
@@ -318,7 +317,8 @@ def _tune_layout(
                        else (np.concatenate(a, axis=1) for a in zip(*calls)))
         gains = gains_from_phases(params, TWO_PI * turns.take(column, axis=1),
                                   dist.take(column, axis=1))
-        terms[tuned.xs, tuned.feed_x] = _terms(params, tuned, gains)
+        spacing = all(b - a >= threshold for a, b in zip(xs, xs[1:]))  # spacing_ok's rule
+        terms[tuned.xs, tuned.feed_x] = _terms(gains, spacing)
     return tuned
 
 
@@ -386,10 +386,11 @@ def placement_solution(
     )
 
 
-def _terms(params: SystemParams, layout: AntennaLayout, gains: np.ndarray) -> tuple:
-    """What the channel-term table keeps for ``layout``: both users' |g|^2 at
-    unit rho, from their complex ``gains``, and the spacing verdict."""
-    return gain_snr(1.0, gains).tolist(), layout.spacing_ok(params)
+def _terms(gains: np.ndarray, spacing: bool) -> tuple:
+    """What the channel-term table keeps for a layout: both users' |g|^2 at
+    unit rho, from their complex ``gains`` by :func:`gain_snr`'s scalar form,
+    and the layout's spacing verdict."""
+    return [abs(g) ** 2 for g in gains.tolist()], spacing
 
 
 def _layout_terms(params: SystemParams, layout: AntennaLayout, users: tuple,
@@ -399,7 +400,7 @@ def _layout_terms(params: SystemParams, layout: AntennaLayout, users: tuple,
     value = terms.get((layout.xs, layout.feed_x))
     if value is None:
         value = terms[layout.xs, layout.feed_x] = _terms(
-            params, layout, pinching_gain(params, layout, users))
+            pinching_gain(params, layout, users), layout.spacing_ok(params))
     return value
 
 
@@ -495,14 +496,15 @@ def bisection_solve(
     left, right = users[1].x, users[0].x
     mid = 0.5 * (left + right)
     best = evaluated = None  # the best layout; the last iterate's evaluation, None for a row
-    best_rate, iterations = 0.0, 0
+    best_rate, iterations, pitch = 0.0, 0, None  # pitch: the rigid offsets, at a first miss
     while True:
         iterations += 1
         center = lo_bound if mid < lo_bound else hi_bound if mid > hi_bound else mid
         rigid = rigids.get(center)
         if rigid is None:
-            rigid = rigids[center] = AntennaLayout(
-                tuple(center + o for o in _pitch_offsets(params)), feed_point(params))
+            if pitch is None:
+                pitch, feed_x = _pitch_offsets(params), feed_point(params)
+            rigid = rigids[center] = AntennaLayout(tuple(center + o for o in pitch), feed_x)
         layout = fine_tune(params, rigid, users, cfg, tables)
         if not layouts and replayed < n_rows and recorded[replayed] is layout:
             rate, qos_ok, overall = rows[replayed]

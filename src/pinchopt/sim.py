@@ -29,7 +29,7 @@ from .channel import (
     conventional_effective_gain,
 )
 from .noma import ZERO_RATES, QosTargets, evaluate_snrs, snr_scale
-from .oracle import OracleConfig, exhaustive_placement, grid_points
+from .oracle import OracleConfig, exhaustive_placement, full_grid_shape, grid_points
 from .placement import AlgoConfig, bisection_solve, center_bounds, new_tables
 
 SCHEMES = ("pinching", *BASELINE_SCHEMES, "exhaustive")
@@ -203,16 +203,19 @@ def _run_group(jobs):
 
 def _check_tasks(plans) -> None:
     """Refuse, before any task runs, what a task would meet: an array that does
-    not fit the region, for the solver and the reference search, and a search
-    grid over its cap on the worst case, the whole region (the grid is clipped
-    to it).  Each distinct task configuration is checked once, in task order."""
-    configs = dict.fromkeys((t[0], t[4], t[5]) for _, rows, _ in plans
-                            for _, _, ts in rows for t in ts)
-    for params, scheme, oracle_cfg in configs:
+    not fit the region, for the solver and the reference search, a search grid
+    over its cap on the worst case, the whole region (the grid is clipped to
+    it), then a full-grid search its drop refuses.  Each is checked once, in order."""
+    tasks = [t for _, rows, _ in plans for _, _, ts in rows for t in ts]
+    for params, scheme, oracle_cfg in dict.fromkeys((t[0], t[4], t[5]) for t in tasks):
         if scheme in ("pinching", "exhaustive"):
             center_bounds(params)
         if scheme == "exhaustive":
             grid_points(params.side_d, oracle_cfg.resolved_step(params))
+    for params, scen, oracle_cfg in dict.fromkeys(
+            (t[0], t[1], t[5]) for t in tasks
+            if t[4] == "exhaustive" and t[5].strategy == "full-grid"):
+        full_grid_shape(params, (scen.user1, scen.user2), oracle_cfg)
 
 
 def _run_plans(plans, threads: int) -> list[SweepResult]:

@@ -1,15 +1,16 @@
 """References the tests compare the package against: the sum-rate
 objective f(alpha2) (criteria 1 and 3), its grid search (criterion 2), the
 composite-phase kernel as one out-of-place expression, the distance of two
-phases on the circle in radians, and the fine-tune pick as a scan of every
-candidate, one at a time on Python floats, in turns, antenna by antenna."""
+phases on the circle in radians, the fine-tune pick as a scan of every
+candidate, one at a time on Python floats, in turns, antenna by antenna, and
+the bisection search (Algorithm 1) as one plain loop over that scan."""
 import math
 
 import numpy as np
 
 from pinchopt import AntennaLayout, QosTargets, UserPosition, channel
 from pinchopt.channel import spacing_holds, wavelength
-from pinchopt.noma import noma_rates, qos_verdicts
+from pinchopt.noma import RATE_TOL, noma_rates, qos_verdicts
 from pinchopt.placement import CAP_SLACK, TWO_PI, _antenna_cap, center_index
 
 
@@ -139,3 +140,52 @@ def tune_layout_scan(params, layout, users, cfg):
             xs[n] = side * pick_candidate_scan(params, users if side > 0 else mirrored, cfg,
                                                side * layout.feed_x, cand, inner, cap)
     return AntennaLayout(tuple(xs), layout.feed_x), passed
+
+
+def bisection_scan(params, users, qos, cfg):
+    """Algorithm 1 as one loop on Python floats: bisect the centre antenna's
+    position on [x_strong, x_weak], at each midpoint (clamped so the array
+    fits the region) build the rigid minimum-pitch array fed from the
+    region's left edge, tune it by :func:`tune_layout_scan`, split the power
+    in closed form on |g|^2 from ``channel.pinching_gain``, keep the best
+    fully feasible iterate by sum rate, and move toward the strong user when
+    the three rate targets hold.  Stops once the interval is within epsilon
+    or its midpoint rounds onto an end.  Returns (layout, (r1, r2, sum rate),
+    iterations, feasible found): the best feasible iterate's, else the last
+    iterate's with zero rates."""
+    n, pitch, half = params.n_antennas, params.delta_min, params.side_d / 2.0
+    c = center_index(n)
+    lo, hi = -half + c * pitch, half - (n - 1 - c) * pitch
+    watts = [10.0 ** ((p - 30.0) / 10.0) for p in (params.pt_dbm, params.noise_dbm)]
+    rho = watts[0] / (n * watts[1])
+    gate = 2.0**qos.r1_min
+    left, right = users[1].x, users[0].x
+    best, iterations = None, 0
+    while True:
+        iterations += 1
+        mid = 0.5 * (left + right)
+        center = lo if mid < lo else hi if mid > hi else mid
+        rigid = AntennaLayout(tuple(center + (k - c) * pitch for k in range(n)), -half)
+        layout, _ = tune_layout_scan(params, rigid, users, cfg)
+        s1, s2 = (rho * abs(g) ** 2 for g in channel.pinching_gain(params, layout, users).tolist())
+        a2 = min(max((s1 + 1.0 - gate) / (s1 * gate), 0.0), 0.5) if s1 > 0.0 else 0.0
+        r1 = math.log2(1.0 + (1.0 - a2) * s1 / (a2 * s1 + 1.0))
+        r2 = math.log2(1.0 + a2 * s2)
+        r21 = math.log2(1.0 + (1.0 - a2) * s2 / (a2 * s2 + 1.0))
+        qos_ok = (r1 >= qos.r1_min - RATE_TOL and r2 >= qos.r2_min - RATE_TOL
+                  and r21 >= qos.r1_min - RATE_TOL)
+        gaps = [b - a for a, b in zip(layout.xs, layout.xs[1:])]
+        feasible = qos_ok and s2 >= s1 and all(g >= pitch - AntennaLayout.SPACING_SLACK
+                                              for g in gaps)
+        last = (layout, (r1, r2, r1 + r2))
+        if feasible and (best is None or r1 + r2 > best[1][2]):
+            best = last
+        if qos_ok:
+            right = mid
+        else:
+            left = mid
+        if not abs(right - left) > cfg.epsilon or 0.5 * (left + right) in (left, right):
+            break
+    if best is None:
+        return last[0], (0.0, 0.0, 0.0), iterations, False
+    return best[0], best[1], iterations, True

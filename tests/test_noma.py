@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pinchopt.noma import MAX_RATE, _alpha2_raw, evaluate_snrs, evaluate_snrs_batch, noma_rates
+from pinchopt.noma import (
+    MAX_RATE,
+    _alpha2_raw,
+    evaluate_snrs,
+    evaluate_snrs_batch,
+    gain_snr,
+    noma_rates,
+)
 
 from pinchopt import (
     AntennaLayout,
@@ -35,6 +42,24 @@ class TestSnrScale:
     def test_halves_when_antennas_double(self, params):
         p6 = SystemParams(n_antennas=6)
         assert snr_scale(p6) == pytest.approx(snr_scale(params) / 2.0, rel=1e-12)
+
+
+# a complex part: zero of either sign, subnormal, ordinary or huge, up to
+# where |g|^2 stays finite (a Python float's ** raises on overflow)
+GAIN_PARTS = (st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 9e153))
+              | st.floats(min_value=-1e-300, max_value=1e-300)
+              | st.floats(min_value=-9e153, max_value=9e153))
+
+
+@given(st.lists(st.builds(complex, GAIN_PARTS, GAIN_PARTS), min_size=1, max_size=6))
+@settings(max_examples=250, derandomize=True)
+@example([complex(3.0, 4.0), complex(-0.0, -0.0), complex(1e-160, -3e-161)])
+def test_gain_snr_scalar_form(gains):
+    """abs(g) ** 2 on Python complexes is gain_snr at unit rho, bit for bit:
+    both take C's hypot, then C's pow."""
+    g = np.array(gains)
+    want = gain_snr(1.0, g).tolist()
+    assert [(abs(z) ** 2).hex() for z in g.tolist()] == [x.hex() for x in want]
 
 
 class TestRates:

@@ -967,6 +967,51 @@ def test_tune_matches_per_antenna_scan(case):
         assert stored[1] is tuned.spacing_ok(params)
 
 
+
+def within_ulps(got: float, want: float, ulps: int = 4) -> bool:
+    return abs(got - want) <= ulps * math.ulp(want)
+
+
+@st.composite
+def bisection_cases(draw):
+    """A drop of 1 to 5 antennas in a region from a few pitches wide up to
+    30 m, its tolerance pair, epsilon, budget and rate targets, and 1 to 3
+    of its powers in the order they are solved."""
+    n_ant = draw(st.integers(min_value=1, max_value=5))
+    side_d = draw(st.sampled_from((10.0, 30.0, 0.05)) | st.floats(min_value=0.03, max_value=30.0))
+    scen = sample_scenario(trial_rng(draw(st.integers(0, 10**6)), 0), side_d)
+    cfg = AlgoConfig(epsilon=draw(st.sampled_from((1e-5, 1e-3, 0.3))),
+                     delta1=draw(TOLERANCES), delta2=draw(TOLERANCES),
+                     max_fine_shifts=draw(st.sampled_from((None, None, 60, 7, 1))))
+    qos = QosTargets(*draw(st.sampled_from(((0.5, 0.5), (4.0, 4.0), (0.0, 0.0), (60.0, 0.5)))
+                           | st.tuples(st.floats(0.0, 8.0), st.floats(0.0, 8.0))))
+    powers = draw(st.lists(st.floats(-20.0, 50.0), min_size=1, max_size=3))
+    params = [SystemParams(side_d=side_d, n_antennas=n_ant, pt_dbm=pt) for pt in powers]
+    return params, (scen.user1, scen.user2), qos, cfg
+
+
+@example(([SystemParams()], (UserPosition(-3.0, 4.0), UserPosition(2.0, 1.0)), QosTargets(),
+          AlgoConfig()))
+@given(bisection_cases())
+@settings(max_examples=140, deadline=None, derandomize=True)
+def test_bisection_matches_plain_loop(case):
+    """Each solve of a drop's powers, in drawn order on tables shared and
+    declaring their scales, has the layout, the iteration count and the
+    verdict of Algorithm 1 as a plain loop over the per-antenna tune scan,
+    bit for bit, and its rates within a few ulp."""
+    levels, users, qos, cfg = case
+    tables = new_tables({snr_scale(p) for p in levels})
+    for p in levels:
+        got = bisection_solve(p, users, qos, cfg, tables)
+        layout, (r1, r2, rate), iterations, feasible = grid_reference.bisection_scan(
+            p, users, qos, cfg)
+        assert [x.hex() for x in got.layout.xs] == [x.hex() for x in layout.xs]
+        assert got.layout.feed_x.hex() == layout.feed_x.hex()
+        assert (got.iterations, got.feasible_found) == (iterations, feasible)
+        assert within_ulps(got.rates.r1, r1) and within_ulps(got.rates.r2, r2)
+        assert within_ulps(got.rates.sum_rate, rate)
+
+
 class TestPickOnCraftedPhases:
     """The pick on composite phases that drawn geometry seldom produces."""
 

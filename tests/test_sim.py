@@ -17,6 +17,7 @@ from pinchopt import (
     SystemParams,
     UserPosition,
     evaluate_scheme,
+    exhaustive_placement,
     run_sweeps,
     sample_scenario,
     trial_rng,
@@ -340,6 +341,40 @@ def test_refused_before_any_task_or_never(names, d_values, n_antennas, schemes, 
             run_sweeps(names, params, QosTargets(), AlgoConfig(), spec, oracle_cfg)
         except (PlacementError, OracleSizeError):
             assert calls == []
+
+
+
+@pytest.mark.parametrize("side_d, n_antennas, oracle_cfg, seed, error, match", [
+    # drop 0's search has 7.0e4 layouts, drop 1's 2.9e8, over the cap
+    (1.5, 3, OracleConfig(search_window=0.02, strategy="full-grid"), 4,
+     OracleSizeError, "would enumerate 286562199 layouts"),
+    # drop 0's window holds two positions a step apart, drop 1's one
+    (10.0, 2, OracleConfig(position_step=4.0, search_window=0.01, strategy="full-grid"), 0,
+     PlacementError, "search window too small"),
+])
+def test_full_grid_refused_before_any_task(side_d, n_antennas, oracle_cfg, seed, error, match):
+    """A full-grid search that a later drop would refuse, over its combination
+    cap or with no layout, is refused before the first task, with the error
+    the search itself raises on that drop."""
+    params = SystemParams(side_d=side_d, n_antennas=n_antennas)
+    spec = SweepSpec(pt_dbm_values=(0.0,), d_values=(side_d,), trials=2, seed=seed,
+                     schemes=("pinching", "exhaustive"))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return evaluate_scheme(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "evaluate_scheme", counting)
+        with pytest.raises(error, match=match) as refused:
+            run_sweeps(["power"], params, QosTargets(), AlgoConfig(), spec, oracle_cfg)
+    assert calls == []
+    first, second = (sample_scenario(trial_rng(seed, t), side_d, t) for t in range(2))
+    exhaustive_placement(params, (first.user1, first.user2), QosTargets(), oracle_cfg)
+    with pytest.raises(error) as searched:
+        exhaustive_placement(params, (second.user1, second.user2), QosTargets(), oracle_cfg)
+    assert str(searched.value) == str(refused.value)
 
 
 class TestWorkerCount:

@@ -47,8 +47,12 @@ directory, which is removed again at the end.  From each tree, with its own
   ``pinch figures`` at ``system.n_antennas=3000`` (the array does not fit),
   ``pinch sweep oracle`` at ``oracle.position_step=1e-9`` and ``pinch sweep
   power`` of ``exhaustive`` at ``system.fc=1e14`` (reference grids over
-  their cap), ``pinch solve`` at ``algo.fine_step=1e-16`` (a fine-tune
-  budget over its cap) and ``pinch figures --threads -1``.
+  their cap), ``pinch sweep power`` of ``pinching`` and ``exhaustive`` with
+  ``oracle.strategy="full-grid"`` at D = 1.5 m, a 0.02 m window and 2
+  trials at ``--seed 4`` whatever the seed given (drop 0's search has
+  7.0e4 layouts, drop 1's 2.9e8, over the combination cap), ``pinch solve``
+  at ``algo.fine_step=1e-16`` (a fine-tune budget over its cap) and ``pinch
+  figures --threads -1``.
 
 Prints one line per comparison and exits 0 when every output matches, 1
 when one differs or a figures or sweep run that should succeed fails in
@@ -150,11 +154,16 @@ def outputs(tree: Path, seed: int, out: Path) -> dict[str, bytes | str]:
                                             "--set", "oracle.position_step=1e-9"),
         "sweep power exhaustive fc=1e14": ("sweep", "power", *to, "--set", "system.fc=1e14",
                                            "--set", 'sweep.schemes=["exhaustive"]'),
+        "sweep power full-grid over its cap on drop 1": (
+            "sweep", "power", *to, "--seed", "4", "--set", "system.side_d=1.5",
+            "--set", "sweep.d_values=[1.5]", "--set", "sweep.pt_dbm_values=[0]",
+            "--set", "oracle.search_window=0.02", "--set", 'oracle.strategy="full-grid"',
+            "--set", 'sweep.schemes=["pinching","exhaustive"]', "--set", "sweep.trials=2"),
         "solve fine_step=1e-16": ("solve", "--set", "algo.fine_step=1e-16"),
         "figures --threads -1": ("figures", *to, "--threads", "-1"),
     }
     for label, args in refusals.items():
-        proc = pinch(tree, *args, "--seed", str(seed))
+        proc = pinch(tree, *args, *(() if "--seed" in args else ("--seed", str(seed))))
         got[f"refused {label}: exit code"] = str(proc.returncode)
         got[f"refused {label}: stderr"] = proc.stderr
     return got
