@@ -15,7 +15,6 @@ import itertools
 import json
 import os
 from dataclasses import dataclass, field, replace
-from statistics import mean
 
 import numpy as np
 
@@ -140,8 +139,13 @@ def sample_scenario(rng: np.random.Generator, side_d: float, seed_id: int = 0) -
     raise SamplingError("could not draw a non-degenerate scenario in 100 attempts")
 
 
-def _conventional_record(params, users, qos, scheme) -> tuple:
-    g1_sq, g2_sq = conventional_effective_gain(params, users, scheme)
+def _conventional_record(params, users, qos, scheme, gains=None) -> tuple:
+    # ``gains``: scheme -> |g|^2 pair on this drop; it reads no power, so a
+    # drop's power levels share it (see _run_group)
+    gains = {} if gains is None else gains
+    if scheme not in gains:
+        gains[scheme] = conventional_effective_gain(params, users, scheme)
+    g1_sq, g2_sq = gains[scheme]
     # relabel up front so user 2 keeps the stronger effective channel;
     # the rate targets follow the weak/strong role, not the identity
     swapped = g2_sq < g1_sq
@@ -163,9 +167,10 @@ def evaluate_scheme(
     scheme: str,
     oracle_cfg: OracleConfig = OracleConfig(),
     tables: tuple | None = None,
+    gains: dict | None = None,
 ) -> TrialRecord:
     """Run one scheme on one scenario and summarise the outcome; the solver
-    runs on ``tables`` (see ``placement.new_tables``).
+    runs on ``tables`` (see ``placement.new_tables``), a baseline on ``gains``.
 
     The waveguide schemes keep the scenario's strong/weak labelling (a
     wrong ordering after optimisation counts as infeasible); the fixed
@@ -175,7 +180,7 @@ def evaluate_scheme(
     users = (scenario.user1, scenario.user2)
     iterations = 0
     if scheme in BASELINE_SCHEMES:
-        rates, split, feasible, swapped = _conventional_record(params, users, qos, scheme)
+        rates, split, feasible, swapped = _conventional_record(params, users, qos, scheme, gains)
     elif scheme in ("pinching", "exhaustive"):
         sol = (bisection_solve(params, users, qos, cfg, tables) if scheme == "pinching"
                else exhaustive_placement(params, users, qos, oracle_cfg))
@@ -196,9 +201,10 @@ def worker_count(threads: int, cpus: int, n_tasks: int) -> int:
 
 def _run_group(jobs):
     """The records of one drop's numbered tasks, which share one set of tables
-    declaring the SNR scales of the drop's solver tasks."""
+    declaring its solver tasks' SNR scales and one dict of baseline gains."""
     tables = new_tables({snr_scale(task[0]) for _, task in jobs if task[4] == "pinching"})
-    return [(i, evaluate_scheme(*task, tables)) for i, task in jobs]
+    gains: dict = {}
+    return [(i, evaluate_scheme(*task, tables, gains)) for i, task in jobs]
 
 
 def _check_tasks(plans) -> None:
@@ -246,6 +252,15 @@ def _run_plans(plans, threads: int) -> list[SweepResult]:
     return out
 
 
+def exact_mean(values) -> float:
+    """``statistics.mean`` of finite floats, bit for bit, at a fraction of its
+    cost: each float is an integer over a power of two, so the sum over the
+    largest denominator is exact, and one int division rounds it correctly."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)
+    return sum(n * (den // d) for n, d in ratios) / (den * len(ratios))
+
+
 def _power_plan(params, qos, cfg, sweep, oracle_cfg, drops):
     """fig2: mean sum rate per (transmit power, region size, scheme) cell.
 
@@ -261,7 +276,7 @@ def _power_plan(params, qos, cfg, sweep, oracle_cfg, drops):
                              [(p, scen, qos, cfg, scheme, oracle_cfg) for scen in drops(d)]))
     header = ("pt_dbm", "side_d_m", "scheme", "trials",
               "mean_sum_rate_bpshz", "feasible_fraction")
-    return header, rows, lambda recs: (mean(r.sum_rate for r in recs),
+    return header, rows, lambda recs: (exact_mean([r.sum_rate for r in recs]),
                                        sum(r.feasible for r in recs) / len(recs))
 
 
@@ -280,7 +295,7 @@ def _delta_plan(params, qos, cfg, sweep, oracle_cfg, drops):
             rows.append(((pt, d1, d2), (float(pt), float(d1), float(d2)),
                          [(p, scen, qos, c, "pinching", oracle_cfg) for scen in drops(d)]))
     header = ("pt_dbm", "delta1_rad", "delta2_rad", "mean_sum_rate_bpshz")
-    return header, rows, lambda recs: (mean(r.sum_rate for r in recs),)
+    return header, rows, lambda recs: (exact_mean([r.sum_rate for r in recs]),)
 
 
 def _oracle_stat(recs) -> tuple:

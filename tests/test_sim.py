@@ -1,10 +1,12 @@
 import csv
 import json
 import math
+import statistics
+from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pinchopt import (
@@ -24,6 +26,7 @@ from pinchopt import (
     write_table,
 )
 from pinchopt import placement, sim
+from pinchopt.channel import BASELINE_SCHEMES
 from pinchopt.noma import snr_scale
 from pinchopt.oracle import OracleSizeError
 from pinchopt.placement import PlacementError
@@ -313,6 +316,71 @@ class TestChunks:
         # within a chunk only the reference search's final evaluation takes
         # fresh tables
         assert len(fresh) == sum(task[4] == "exhaustive" for jobs in chunks for _, task in jobs)
+
+
+class TestBaselineGains:
+    """Each drop computes a baseline scheme's gains once, for all its powers."""
+
+    def test_one_gain_call_per_drop_and_scheme(self, monkeypatch):
+        calls = Counter()
+        gain = sim.conventional_effective_gain
+
+        def counted(params, users, scheme):
+            calls[users, replace(params, pt_dbm=0.0, noise_dbm=0.0), scheme] += 1
+            return gain(params, users, scheme)
+
+        monkeypatch.setattr(sim, "conventional_effective_gain", counted)
+        spec = SweepSpec(d_values=(10.0, 30.0), trials=3, schemes=("pinching", *BASELINE_SCHEMES))
+        run_sweeps(["power"], SystemParams(), QosTargets(), AlgoConfig(), spec)
+        assert len(spec.pt_dbm_values) == 9
+        assert len(calls) == len(spec.d_values) * spec.trials * len(BASELINE_SCHEMES)
+        assert set(calls.values()) == {1}
+
+    def test_records_on_drop_state_equal_fresh_ones(self, monkeypatch):
+        # seed 2 over 40 drops gives each scheme swapped, feasible and
+        # infeasible cells
+        made = []
+
+        def spy(*args):
+            made.append((args, evaluate_scheme(*args)))
+            return made[-1][1]
+
+        monkeypatch.setattr(sim, "evaluate_scheme", spy)
+        spec = SweepSpec(d_values=(10.0, 30.0), trials=40, seed=2, schemes=BASELINE_SCHEMES)
+        run_sweeps(["power"], SystemParams(), QosTargets(), AlgoConfig(), spec)
+        assert len(made) == len(spec.pt_dbm_values) * len(spec.d_values) * spec.trials * 2
+        drops = {}
+        for args, rec in made:
+            params, scen, qos, _, scheme, _, _, gains = args
+            # one dict per drop, holding each baseline scheme once it has run
+            assert drops.setdefault((params.side_d, scen.seed_id), gains) is gains
+            rates, split, ok, swapped = sim._conventional_record(
+                params, (scen.user1, scen.user2), qos, scheme)
+            assert (rec.sum_rate.hex(), rec.r1.hex(), rec.r2.hex(), rec.alpha2.hex(),
+                    rec.feasible, rec.swapped) == (
+                rates.sum_rate.hex(), rates.r1.hex(), rates.r2.hex(), split.alpha2.hex(),
+                ok, swapped)
+        assert len(drops) == len(spec.d_values) * spec.trials
+        assert all(set(g) == set(BASELINE_SCHEMES) for g in drops.values())
+        for scheme in BASELINE_SCHEMES:
+            cells = {(r.swapped, r.feasible) for a, r in made if a[4] == scheme}
+            assert {True, False} == {s for s, _ in cells} == {f for _, f in cells}
+
+
+SUBNORMALS = st.floats(min_value=5e-324, max_value=2.225e-308)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.just(0.0), SUBNORMALS, st.floats(1e-300, 1e300),
+                          st.floats(allow_nan=False, allow_infinity=False)),
+                min_size=1, max_size=200))
+@example([0.0, 5e-324, 1e-300, 1.0, 7.25, 1e300])
+@example([2.0**-1074] * 199 + [0.0])
+@example([1e300, -1e300, 5e-324])
+@example([0.1] * 10)
+def test_exact_mean_is_statistics_mean(values):
+    got, want = sim.exact_mean(values), statistics.mean(values)
+    assert type(got) is float and got.hex() == float(want).hex()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

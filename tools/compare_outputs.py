@@ -9,6 +9,10 @@ directory, which is removed again at the end.  From each tree, with its own
 
 - ``pinch figures`` at ``--threads 1`` and ``--threads 2``: fig2.csv,
   fig3.csv, fig4.csv and config.json are compared byte for byte;
+- ``pinch figures`` with ``sweep.schemes`` set to ``pinching`` and both
+  fixed-array baselines, at ``--threads 1`` and ``--threads 2``, so both
+  baselines share one drop's gains at every power, inside the figures task
+  list and in pool workers: the same four files;
 - ``pinch sweep oracle`` at D = 30 m and 0 dBm: its table and config.json;
 - ``pinch sweep power`` over every scheme (``pinching``, both fixed-array
   baselines and ``exhaustive``) at 4 trials, at ``--threads 1`` and ``2``:
@@ -70,6 +74,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 FIGURES = ("fig2.csv", "fig3.csv", "fig4.csv", "config.json")
 ORACLE_SET = ("--set", "sweep.d_values=[30]", "--set", "sweep.pt_dbm_values=[0]")
+ALL_BASELINES_SET = ("--set", 'sweep.schemes=["pinching","conventional-uniform",'
+                     '"conventional-mrt"]')
 POWER_SET = ("--set", 'sweep.schemes=["pinching","conventional-uniform",'
              '"conventional-mrt","exhaustive"]', "--set", "sweep.trials=4")
 QOS_SET = ("--set", "qos.r1_min=4", "--set", "qos.r2_min=4")
@@ -101,6 +107,11 @@ def outputs(tree: Path, seed: int, out: Path) -> dict[str, bytes | str]:
     runs = [(f"figures --threads {t}", out / f"figures-t{t}", FIGURES,
              ("figures", "--out", str(out / f"figures-t{t}"), "--threads", str(t)))
             for t in (1, 2)]
+    for t in (1, 2):
+        directory = out / f"figures-baselines-t{t}"
+        runs.append((f"figures both baselines --threads {t}", directory, FIGURES,
+                     ("figures", "--out", str(directory), "--threads", str(t),
+                      *ALL_BASELINES_SET)))
     runs.append(("sweep oracle", out / "oracle", ("oracle.csv", "config.json"),
                  ("sweep", "oracle", "--out", str(out / "oracle" / "oracle.csv"),
                   "--threads", "1", *ORACLE_SET)))
