@@ -200,10 +200,9 @@ def evaluate_snrs(
 
 def evaluate_snrs_batch(snr_weak: np.ndarray, snr_strong: np.ndarray, qos: QosTargets,
                         spacing: bool | np.ndarray = True):
-    """Sum rate, closed-form alpha2, the rate-target verdict and the overall
-    verdict at arrays of SNR pairs: :func:`evaluate_snrs` without the clamp
-    labels, bit for bit, as each step is the same correctly rounded
-    operation.  ``qos_ok`` is :attr:`FeasibilityReport.qos_ok` and
+    """Sum rate, the rate-target verdict and the overall verdict at arrays of
+    SNR pairs, :func:`evaluate_snrs`'s bit for bit, as each step is the same
+    correctly rounded operation: ``qos_ok`` is :attr:`FeasibilityReport.qos_ok`,
     ``overall`` :attr:`FeasibilityReport.overall` (the clamped alpha2 keeps
     the alpha order whenever the rates are numbers); ``spacing`` is the
     layouts' spacing verdict, a bool or an array of them.  The SNRs may be
@@ -217,7 +216,7 @@ def evaluate_snrs_batch(snr_weak: np.ndarray, snr_strong: np.ndarray, qos: QosTa
     r1, r2, r21 = noma_rates(snr_weak, snr_strong, 1.0 - a2, a2)
     r1_qos, r2_qos, sic = qos_verdicts(r1, r2, r21, qos)
     qos_ok = r1_qos & r2_qos & sic
-    return r1 + r2, a2, qos_ok, qos_ok & spacing & (snr_strong >= snr_weak)
+    return r1 + r2, qos_ok, qos_ok & spacing & (snr_strong >= snr_weak)
 
 
 def check_feasibility(

@@ -34,7 +34,6 @@ from .placement import (
     center_bounds,
     center_index,
     check_users,
-    evaluate_placement,
     feed_point,
     placement_solution,
 )
@@ -78,8 +77,8 @@ def batch_solution_metrics(
     feed_x: float,
     users: tuple[UserPosition, UserPosition],
     qos: QosTargets,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sum rate, feasibility and closed-form alpha2 for (M, N) layouts.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum rate and feasibility for (M, N) layouts.
 
     Layout rows are assumed to satisfy the spacing and region constraints
     already (the enumerators only generate admissible rows), so feasibility
@@ -87,8 +86,8 @@ def batch_solution_metrics(
     """
     # one kernel call for both users: each user's row is its own call's, bit for bit
     s1, s2 = gain_snr(snr_scale(params), pinching_gains_batch(params, xs_layouts, feed_x, users))
-    rates, alpha2, _, feasible = evaluate_snrs_batch(s1, s2, qos)
-    return rates, feasible, alpha2
+    rates, _, feasible = evaluate_snrs_batch(s1, s2, qos)
+    return rates, feasible
 
 
 def grid_points(length: float, step: float) -> int:
@@ -144,18 +143,6 @@ def _winner(
     return found if best is None or found[:2] > best[:2] else best
 
 
-def _finalize(
-    params: SystemParams,
-    xs: np.ndarray,
-    feed_x: float,
-    users,
-    qos: QosTargets,
-) -> PlacementSolution:
-    layout = AntennaLayout(xs=tuple(float(x) for x in xs), feed_x=feed_x)
-    evaluated = (layout, *evaluate_placement(params, layout, users, qos))
-    return placement_solution(params, evaluated, 0)
-
-
 def _full_grid_search(params, users, qos, cfg, feed_x) -> PlacementSolution:
     grid, gap, slack = full_grid_shape(params, users, cfg)
     n = params.n_antennas
@@ -165,10 +152,11 @@ def _full_grid_search(params, users, qos, cfg, feed_x) -> PlacementSolution:
     best_feasible = best_any = None
     while (idx := np.fromiter(itertools.islice(flat, _CHUNK * n), dtype=np.intp)).size:
         xs_rows = grid[idx.reshape(-1, n) + shift]
-        rates, feasible, _ = batch_solution_metrics(params, xs_rows, feed_x, users, qos)
+        rates, feasible = batch_solution_metrics(params, xs_rows, feed_x, users, qos)
         best_feasible = _winner(xs_rows, rates, feasible, best_feasible)
         best_any = _winner(xs_rows, rates, np.ones_like(feasible), best_any)
-    return _finalize(params, (best_feasible or best_any)[2], feed_x, users, qos)
+    xs = (best_feasible or best_any)[2]
+    return placement_solution(params, AntennaLayout(xs, feed_x), users, qos, 0)
 
 
 def _two_stage_search(params, users, qos, cfg, feed_x) -> PlacementSolution:
@@ -181,11 +169,11 @@ def _two_stage_search(params, users, qos, cfg, feed_x) -> PlacementSolution:
         centers = np.array([min(max(mid, lo_c), hi_c)])
 
     xs_rows = centers[:, None] + np.array(_pitch_offsets(params))[None, :]
-    rates, feasible, _ = batch_solution_metrics(params, xs_rows, feed_x, users, qos)
+    rates, feasible = batch_solution_metrics(params, xs_rows, feed_x, users, qos)
     stage1 = _winner(xs_rows, rates, feasible)
     if stage1 is None:
         fallback = _winner(xs_rows, rates, np.ones_like(feasible))
-        return _finalize(params, fallback[2], feed_x, users, qos)
+        return placement_solution(params, AntennaLayout(fallback[2], feed_x), users, qos, 0)
 
     # stage 2: one coordinate-descent pass over the off-centre antennas,
     # each sweeping +- one guided wavelength around its stage-1 position.
@@ -210,13 +198,13 @@ def _two_stage_search(params, users, qos, cfg, feed_x) -> PlacementSolution:
         cand = cand[ok]
         rows = np.tile(xs, (cand.size, 1))
         rows[:, n] = cand
-        rates, feasible, _ = batch_solution_metrics(params, rows, feed_x, users, qos)
+        rates, feasible = batch_solution_metrics(params, rows, feed_x, users, qos)
         pick = _winner(rows, rates, feasible)
         xs = pick[2]
         if pick[0] > best_rate:
             best_rate = pick[0]
             best_xs = xs
-    return _finalize(params, best_xs, feed_x, users, qos)
+    return placement_solution(params, AntennaLayout(best_xs, feed_x), users, qos, 0)
 
 
 def exhaustive_placement(

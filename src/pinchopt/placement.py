@@ -371,21 +371,6 @@ def pinned_antennas(params: SystemParams, layout: AntennaLayout) -> tuple[int, .
     return tuple(pinned)
 
 
-def placement_solution(
-    params: SystemParams,
-    evaluated: tuple[AntennaLayout, PowerSplit, RateReport, FeasibilityReport, Alpha2Result],
-    iterations: int,
-) -> PlacementSolution:
-    """The solution for a layout and its :func:`evaluate_placement` result;
-    its rates are zero unless every constraint holds."""
-    layout, split, rates, report, alpha = evaluated
-    return PlacementSolution(
-        layout=layout, split=split, rates=rates if report.overall else ZERO_RATES,
-        feasibility=report, iterations=iterations, feasible_found=report.overall,
-        alpha_clamped=alpha.clamped, pinned_antennas=pinned_antennas(params, layout),
-    )
-
-
 def _terms(gains: np.ndarray, spacing: bool) -> tuple:
     """What the channel-term table keeps for a layout: both users' |g|^2 at
     unit rho, from their complex ``gains`` by :func:`gain_snr`'s scalar form,
@@ -422,6 +407,19 @@ def evaluate_placement(
     return evaluate_snrs(rho * g1_sq, rho * g2_sq, qos, spacing)
 
 
+def placement_solution(params: SystemParams, layout: AntennaLayout, users: tuple,
+                       qos: QosTargets, iterations: int,
+                       tables: tuple | None = None) -> PlacementSolution:
+    """Each solver's solution for ``layout``, from the layout's own
+    :func:`evaluate_placement` result; zero rates unless every constraint holds."""
+    split, rates, report, alpha = evaluate_placement(params, layout, users, qos, tables)
+    return PlacementSolution(
+        layout=layout, split=split, rates=rates if report.overall else ZERO_RATES,
+        feasibility=report, iterations=iterations, feasible_found=report.overall,
+        alpha_clamped=alpha.clamped, pinned_antennas=pinned_antennas(params, layout),
+    )
+
+
 def _replay(params: SystemParams, users: tuple, walk: list, qos: QosTargets,
             tables: tuple) -> list:
     """(sum rate, qos_ok, overall) of each layout of ``walk``, a walk-table
@@ -442,7 +440,7 @@ def _replay(params: SystemParams, users: tuple, walk: list, qos: QosTargets,
         gains, spacing = walk[1]
         scales = [rho, *(s for s in tables[4] if s != rho and (s, qos) not in rows)]
         snr = np.multiply.outer(scales, gains)
-        rates, _, qos_ok, overall = evaluate_snrs_batch(snr[:, 0], snr[:, 1], qos, spacing)
+        rates, qos_ok, overall = evaluate_snrs_batch(snr[:, 0], snr[:, 1], qos, spacing)
         for scale, *columns in zip(scales, rates.tolist(), qos_ok.tolist(), overall.tolist()):
             rows[scale, qos] = list(zip(*columns))
     return rows[rho, qos]
@@ -477,9 +475,8 @@ def bisection_solve(
     While each layout :func:`fine_tune` returns *is* the walk's layout at
     that iterate, the iterate reads its row; from the first other layout on,
     iterates run :func:`evaluate_placement`, and the walk is recorded in
-    place of the last.  A returned iterate read from a row is evaluated once
-    more, so the solution is built from :func:`evaluate_placement`'s own
-    records.
+    place of the last.  The solution is built by :func:`placement_solution`
+    from the returned layout alone.
     """
     check_users(params, users)
     lo_bound, hi_bound = center_bounds(params)
@@ -490,12 +487,12 @@ def bisection_solve(
     walk = walks.get(key) or [[], None, {}]
     recorded = walk[0]
     rows = _replay(params, users, walk, qos, tables) if recorded else ()
-    replayed, n_rows = 0, len(rows)  # leading iterates read from rows; rows to read
+    replayed = 0  # leading iterates read from rows
     layouts = []  # the iterates after those
 
     left, right = users[1].x, users[0].x
     mid = 0.5 * (left + right)
-    best = evaluated = None  # the best layout; the last iterate's evaluation, None for a row
+    best = None  # the best feasible layout
     best_rate, iterations, pitch = 0.0, 0, None  # pitch: the rigid offsets, at a first miss
     while True:
         iterations += 1
@@ -506,17 +503,15 @@ def bisection_solve(
                 pitch, feed_x = _pitch_offsets(params), feed_point(params)
             rigid = rigids[center] = AntennaLayout(tuple(center + o for o in pitch), feed_x)
         layout = fine_tune(params, rigid, users, cfg, tables)
-        if not layouts and replayed < n_rows and recorded[replayed] is layout:
+        if not layouts and replayed < len(rows) and recorded[replayed] is layout:
             rate, qos_ok, overall = rows[replayed]
             replayed += 1
-            evaluated = None
         else:
-            evaluated = evaluate_placement(params, layout, users, qos, tables)
-            rate, report = evaluated[1].sum_rate, evaluated[2]
-            qos_ok, overall = report.qos_ok, report.overall
+            _, rates, report, _ = evaluate_placement(params, layout, users, qos, tables)
+            rate, qos_ok, overall = rates.sum_rate, report.qos_ok, report.overall
             layouts.append(layout)
         if overall and (best is None or rate > best_rate):
-            best, best_evaluated, best_rate = layout, evaluated, rate
+            best, best_rate = layout, rate
         if qos_ok:
             right = mid
         else:
@@ -529,13 +524,10 @@ def bisection_solve(
 
     if layouts:  # the walk left the recorded one, or there was none
         walks[key] = [recorded[:replayed] + layouts, None, {}]
-    if best is not None:
-        layout, evaluated = best, best_evaluated
-    if evaluated is None:
-        evaluated = evaluate_placement(params, layout, users, qos, tables)
-    return placement_solution(params, (layout, *evaluated), iterations)
+    return placement_solution(params, best or layout, users, qos, iterations, tables)
 
 
 def iteration_bound(params: SystemParams, cfg: AlgoConfig) -> int:
-    """Worst-case bisection iteration count for a region of side D."""
-    return math.ceil(math.log2(params.side_d / cfg.epsilon)) + 1
+    """Worst-case bisection iteration count for a region of side D, at least
+    one; the logs are taken apart, as D / epsilon overflows at a tiny epsilon."""
+    return max(1, math.ceil(math.log2(params.side_d) - math.log2(cfg.epsilon)) + 1)

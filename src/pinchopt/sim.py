@@ -88,6 +88,11 @@ class SweepSpec:
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ValueError(f"unknown scheme {s!r}; expected one of {SCHEMES}")
+        # a repeat would make rows that share one key, and so one cell's records
+        for name in ("pt_dbm_values", "d_values", "delta_pairs", "schemes"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} must not repeat a value, got {list(values)}")
 
 
 @dataclass(frozen=True)
@@ -227,7 +232,8 @@ def _check_tasks(plans) -> None:
 def _run_plans(plans, threads: int) -> list[SweepResult]:
     """Run sweeps' ``(header, rows, stat)`` plans as one task list.  A row is
     ``(key, cells, tasks)``, its table row ``cells + stat(records[key])``, and
-    ``records[key]`` the records of every row with that key, in task order.
+    ``records[key]`` the records of its tasks, in order; no two rows of a plan
+    share a key.
     A task is ``evaluate_scheme``'s arguments up to ``oracle_cfg``.  Each
     drop's tasks, from whichever sweep, run back to back as one chunk (in
     one worker when pooled) on one set of tables."""
@@ -246,7 +252,7 @@ def _run_plans(plans, threads: int) -> list[SweepResult]:
     for header, rows, stat in plans:
         records: dict = {}
         for key, _, row_tasks in rows:
-            records.setdefault(key, []).extend(itertools.islice(results, len(row_tasks)))
+            records[key] = list(itertools.islice(results, len(row_tasks)))
         table = tuple((*cells, *stat(records[key])) for key, cells, _ in rows)
         out.append(SweepResult(ResultTable(header, table), records))
     return out

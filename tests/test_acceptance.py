@@ -113,7 +113,7 @@ def algo_vs_oracle(reference_setting):
             if ks[i] - ks[i - 1] < 5:
                 ks[i] = ks[i - 1] + 5
         snapped = np.array([anchor + k * step for k in ks])
-        s_rate, s_feas, _ = batch_solution_metrics(
+        s_rate, s_feas = batch_solution_metrics(
             params, snapped[None, :], -params.side_d / 2, users, qos
         )
         if not s_feas[0]:
@@ -127,7 +127,7 @@ def algo_vs_oracle(reference_setting):
         triples = itertools.chain.from_iterable(itertools.combinations(range(len(grid) - 8), 3))
         combos = np.fromiter(triples, dtype=np.intp).reshape(-1, 3) + 4 * np.arange(3)
         rows = grid[combos]
-        rates, feas, _ = batch_solution_metrics(
+        rates, feas = batch_solution_metrics(
             params, rows, -params.side_d / 2, users, qos
         )
         best = float(rates[feas].max()) if feas.any() else -math.inf

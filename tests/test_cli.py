@@ -137,6 +137,12 @@ class TestSolveCommand:
         ("sweep.delta_pairs=[5]", "must be [delta1, delta2] pairs"),
         ("sweep.delta_pairs=[[0.5]]", "must be [delta1, delta2] pairs"),
         ("sweep.schemes=\"pinching\"", "schemes must be a list"),
+        # a repeated value would give rows that share one key, and so one cell's records
+        ("sweep.pt_dbm_values=[0,5,0.0]",
+         "pt_dbm_values must not repeat a value, got [0, 5, 0.0]"),
+        ("sweep.d_values=[10,10]", "d_values must not repeat a value"),
+        ("sweep.delta_pairs=[[0.5,0.02],[0.5,0.02]]", "delta_pairs must not repeat a value"),
+        ('sweep.schemes=["pinching","pinching"]', "schemes must not repeat a value"),
         # an override below a key that holds a number
         ("scenario.user1.x.y=1", "cannot override inside non-object key 'x'"),
         ('scenario={"user1":{"x":1e300,"y":1},"user2":{"x":0,"y":0.5}}',

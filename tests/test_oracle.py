@@ -28,7 +28,7 @@ from pinchopt import (
 )
 from pinchopt.noma import ZERO_RATES
 from pinchopt.oracle import _grid, _winner, batch_solution_metrics
-from pinchopt.placement import _pitch_offsets, center_bounds
+from pinchopt.placement import _pitch_offsets, center_bounds, placement_solution
 from pinchopt.sim import evaluate_scheme
 
 from grid_reference import grid_alpha2, sum_rate_objective
@@ -107,7 +107,7 @@ class TestExhaustivePlacementSingleAntenna:
         step = cfg.resolved_step(p)
         x = sol_o.layout.xs[0]
         probe = np.array([[x - step], [x], [x + step]])
-        rates, _, _ = batch_solution_metrics(p, probe, -p.side_d / 2, users, qos)
+        rates, _ = batch_solution_metrics(p, probe, -p.side_d / 2, users, qos)
         allowance = float(np.max(np.abs(rates - rates[1])))
         assert abs(sol_b.rates.sum_rate - sol_o.rates.sum_rate) <= allowance + 1e-9
 
@@ -133,7 +133,7 @@ class TestTwoStage:
                 if ks[i] - ks[i - 1] < 5:
                     ks[i] = ks[i - 1] + 5
             snapped = np.array([anchor + k * step for k in ks])
-            rates, feas, _ = batch_solution_metrics(
+            rates, feas = batch_solution_metrics(
                 params, snapped[None, :], -params.side_d / 2, users, qos
             )
             if not feas[0]:
@@ -149,7 +149,7 @@ class TestTwoStage:
                 for c in range(b + 5, len(grid))
             ]
             rows = grid[np.array(combos)]
-            full_rates, full_feas, _ = batch_solution_metrics(
+            full_rates, full_feas = batch_solution_metrics(
                 params, rows, -params.side_d / 2, users, qos
             )
             assert full_feas.any()
@@ -177,8 +177,8 @@ class TestTwoStage:
         cfg = OracleConfig()
         sol = exhaustive_placement(params, users, qos, cfg)
         rows = rigid_rows(params, users, cfg)
-        rates, feasible, _ = batch_solution_metrics(params, rows, -params.side_d / 2,
-                                                    users, qos)
+        rates, feasible = batch_solution_metrics(params, rows, -params.side_d / 2,
+                                                 users, qos)
         assert not feasible.any() and np.sum(rates == rates.max()) == 1
         assert sol.layout.xs == tuple(rows[np.argmax(rates)])
         assert not sol.feasible_found and sol.rates.sum_rate == 0.0
@@ -204,7 +204,7 @@ class TestTwoStage:
             rows = rigid_rows(params, users, cfg)
         except PlacementError:  # the pitch rounds past a region that it fills
             reject()
-        _, feasible, _ = batch_solution_metrics(params, rows, -params.side_d / 2, users, qos)
+        _, feasible = batch_solution_metrics(params, rows, -params.side_d / 2, users, qos)
         assume(feasible.any())
         sol = exhaustive_placement(params, users, qos, cfg)
         assert sol.feasible_found and sol.feasibility.overall
@@ -219,7 +219,7 @@ class TestTwoStage:
         rigid = params.delta_min * (np.arange(params.n_antennas) - 1)
         centers = np.arange(-3.0, 3.0, cfg.resolved_step(params))
         rows = centers[:, None] + rigid[None, :]
-        rates, feas, _ = batch_solution_metrics(
+        rates, feas = batch_solution_metrics(
             params, rows, -params.side_d / 2, users, qos
         )
         assert sol.rates.sum_rate >= float(rates[feas].max()) - 1e-9
@@ -243,7 +243,7 @@ class TestFullGrid:
         rows = grid[np.array(list(itertools.combinations(range(grid.size), n_antennas)))]
         rows = rows[np.all(np.diff(rows, axis=1)
                            >= p.delta_min - AntennaLayout.SPACING_SLACK, axis=1)]
-        rates, feas, _ = batch_solution_metrics(p, rows, -p.side_d / 2, users, qos)
+        rates, feas = batch_solution_metrics(p, rows, -p.side_d / 2, users, qos)
         assert abs(sol.rates.sum_rate - float(rates[feas].max())) <= 1e-12
 
     def test_no_feasible_row_returns_best_row(self):
@@ -256,7 +256,7 @@ class TestFullGrid:
         grid = _grid(p, users, cfg)
         rows = grid[np.array(list(itertools.combinations(range(grid.size), 2)))]
         rows = rows[rows[:, 1] - rows[:, 0] >= p.delta_min - AntennaLayout.SPACING_SLACK]
-        rates, feasible, _ = batch_solution_metrics(p, rows, -p.side_d / 2, users, qos)
+        rates, feasible = batch_solution_metrics(p, rows, -p.side_d / 2, users, qos)
         assert not feasible.any()
         assert sol.layout.xs == tuple(_winner(rows, rates, ~feasible)[2])
         assert not sol.feasible_found and sol.rates == ZERO_RATES
@@ -299,6 +299,19 @@ class TestFullGrid:
         a = exhaustive_placement(p, users, qos, cfg)
         b = exhaustive_placement(p, users, qos, cfg)
         assert a == b
+
+
+@pytest.mark.parametrize("strategy", ["full-grid", "two-stage"])
+@pytest.mark.parametrize("qos, feasible", [(QosTargets(), True), (QosTargets(50.0, 50.0), False)])
+def test_solution_is_its_layouts_own(strategy, qos, feasible):
+    """Each reference solution, feasible or not, is placement_solution's for
+    its own layout, bit for bit."""
+    p = SystemParams(n_antennas=2)
+    users = (UserPosition(0.15, 2.0), UserPosition(-0.15, 0.5))
+    sol = exhaustive_placement(p, users, qos, OracleConfig(strategy=strategy, search_window=0.01))
+    assert sol.feasible_found is feasible and sol.iterations == 0
+    assert all(type(x) is float for x in sol.layout.xs)
+    assert repr(sol) == repr(placement_solution(p, sol.layout, users, qos, 0))
 
 
 @pytest.mark.parametrize("strategy", ["full-grid", "two-stage"])
@@ -363,22 +376,22 @@ class TestEvaluationPathsAgree:
         qos = QosTargets()
         feed_x = -params.side_d / 2.0
         rows = self._grid_rows(params, self.USERS)
-        rates, feasible, alpha2 = batch_solution_metrics(
+        rates, feasible = batch_solution_metrics(
             params, rows, feed_x, self.USERS, qos
         )
         assert 0 < feasible.sum() < len(rows)
-        if pt_dbm == 0.0:
-            # the closed form is unclamped on part of the rows
-            assert np.any((alpha2 > 0.0) & (alpha2 < 0.5))
-        for row, rate, ok, a2 in zip(rows, rates, feasible, alpha2):
+        unclamped = False
+        for row, rate, ok in zip(rows, rates, feasible):
             layout = AntennaLayout(xs=tuple(row), feed_x=feed_x)
             split, report_rates, report, _ = evaluate_placement(
                 params, layout, self.USERS, qos
             )
-            assert split.alpha2 == a2
+            unclamped |= 0.0 < split.alpha2 < 0.5
             assert report.overall == ok
             # array and scalar log2 may differ in the last bit
             assert abs(report_rates.sum_rate - rate) <= 4 * np.spacing(rate)
+        if pt_dbm == 0.0:  # the closed form is unclamped on part of the rows
+            assert unclamped
 
     @pytest.mark.parametrize(
         "scheme", ["conventional-uniform", "conventional-mrt"], ids=["uniform", "mrt-strong"]

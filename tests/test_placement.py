@@ -46,6 +46,7 @@ from pinchopt.placement import (
     iteration_bound,
     new_tables,
     pinned_antennas,
+    placement_solution,
 )
 from pinchopt.sim import sample_scenario, trial_rng
 
@@ -609,6 +610,40 @@ class TestWarmWalks:
             assert all(a is b for a, b in zip(again[0], low[0]))
         assert parted > 0
 
+    def test_solution_is_its_layouts_own(self, params):
+        """Cold, fully replayed and parted solves, feasible or not, each
+        return placement_solution's solution for their own layout and
+        iteration count, bit for bit.  A cold solve evaluates every iterate,
+        then its answer once more."""
+        cfg = AlgoConfig()
+        key = (cfg.delta1, cfg.delta2, cfg.fine_step, cfg.max_fine_shifts)
+        evaluated, seen = [], set()
+
+        def evaluate(p, layout, u, q, tables):
+            evaluated.append(layout)
+            return evaluate_placement(p, layout, u, q, tables)
+
+        for qos in (QosTargets(), QosTargets(4.0, 4.0), QosTargets(60.0, 60.0)):
+            for t in range(6):
+                scen = sample_scenario(trial_rng(19, t), params.side_d)
+                users, tables = (scen.user1, scen.user2), new_tables()
+                for pt in (0.0, 40.0, 0.0):
+                    p = dataclasses.replace(params, pt_dbm=pt)
+                    walk = tables[3].get(key)
+                    evaluated.clear()
+                    with mock.patch.object(placement, "evaluate_placement", evaluate):
+                        sol = bisection_solve(p, users, qos, cfg, tables)
+                    kind = ("cold" if walk is None
+                            else "replayed" if tables[3][key] is walk else "parted")
+                    if kind == "cold":
+                        assert len(evaluated) == sol.iterations + 1
+                    assert evaluated[-1] is sol.layout
+                    seen.add((kind, sol.feasible_found))
+                    want = placement_solution(p, sol.layout, users, qos, sol.iterations)
+                    assert repr(sol) == repr(want)
+        assert seen == {(kind, feasible) for kind in ("cold", "replayed", "parted")
+                        for feasible in (True, False)}
+
     @pytest.mark.parametrize("drop_db, feasible", [(25.0, True), (50.0, False)])
     def test_walk_meeting_one_centre_again(self, params, qos, drop_db, feasible):
         """Users within delta_min of the right edge clamp every midpoint to
@@ -1148,7 +1183,7 @@ class TestBisectionSolve:
 
         def grid_argmax(step, span):
             grid = users[1].x + step * np.arange(-round(span / step), round(span / step) + 1)
-            rates, feas, _ = batch_solution_metrics(
+            rates, feas = batch_solution_metrics(
                 p, grid[:, None], -p.side_d / 2, users, qos
             )
             rates = np.where(feas, rates, -np.inf)
@@ -1162,11 +1197,17 @@ class TestBisectionSolve:
         assert abs(sol.layout.xs[0] - fine) <= 2 * cfg.epsilon
 
     def test_iteration_count_within_bound(self, params, qos, algo_cfg):
-        bound = iteration_bound(params, algo_cfg)
-        for t in range(20):
-            scen = sample_scenario(trial_rng(3, t), params.side_d, t)
-            sol = bisection_solve(params, (scen.user1, scen.user2), qos, algo_cfg)
-            assert 1 <= sol.iterations <= bound
+        """At the default epsilon, at and above D (one iteration), and at the
+        subnormal epsilons the config accepts, where D / epsilon overflows."""
+        for cfg in (algo_cfg, *(AlgoConfig(epsilon=e) for e in (10.0, 20.0, 100.0, 1e300,
+                                                                 1e-320, 5e-324))):
+            bound = iteration_bound(params, cfg)
+            for t in range(20):
+                scen = sample_scenario(trial_rng(3, t), params.side_d, t)
+                sol = bisection_solve(params, (scen.user1, scen.user2), qos, cfg)
+                assert 1 <= sol.iterations <= bound
+                if cfg.epsilon >= params.side_d:
+                    assert sol.iterations == bound == 1
 
     def test_epsilon_below_float_spacing_terminates(self, params, qos):
         # these scenarios never returned when the midpoint rounded onto an

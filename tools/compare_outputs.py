@@ -46,7 +46,9 @@ directory, which is removed again at the end.  From each tree, with its own
   (most picks find no fit and take the fallback), and at
   ``system.side_d=0.05``, alone and with ``system.n_antennas=7`` (a grid
   of 10 wavelengths is longer than the region, so every grid meets its
-  cap and is cut there): its standard output and exit code;
+  cap and is cut there), and at ``algo.epsilon`` 100 (above D: one
+  iteration) and 1e-320 (subnormal: the bisection stops where the
+  midpoint meets an endpoint): its standard output and exit code;
 - refused runs, each with its exit code and standard error byte for byte:
   ``pinch figures`` at ``system.n_antennas=3000`` (the array does not fit),
   ``pinch sweep oracle`` at ``oracle.position_step=1e-9`` and ``pinch sweep
@@ -90,7 +92,8 @@ SOLVE_SETS = ((), *(("--set", f"system.n_antennas={n}") for n in (1, 2, 4, 5)),
               ("--set", "algo.delta2=0"),
               ("--set", "algo.delta1=0.01", "--set", "algo.delta2=0.01"),
               ("--set", "system.side_d=0.05"),
-              ("--set", "system.side_d=0.05", "--set", "system.n_antennas=7"))
+              ("--set", "system.side_d=0.05", "--set", "system.n_antennas=7"),
+              ("--set", "algo.epsilon=100"), ("--set", "algo.epsilon=1e-320"))
 
 
 def pinch(tree: Path, *args: str) -> subprocess.CompletedProcess:
