@@ -45,6 +45,10 @@ MAX_N_EFF = 100.0
 # the float spacing of coordinates up to MAX_SIZE_M / 2 (6e-14 m), below
 # which the pitch rounds away; half a wavelength at 1 PHz is 1.5e-7 m.
 MIN_SPACING_M = 1e-9
+# Upper bound on the antenna count N.  Each bisection iteration tunes N - 1
+# antennas, so a solve's time grows with N: at D = 1000 m and fc = 1e15 Hz
+# one solve takes about 10 s at N = 1e4 and about 100 s at 1e5 (2 CPUs).
+MAX_ANTENNAS = 10_000
 
 
 class LayoutError(ValueError):
@@ -97,7 +101,7 @@ class SystemParams:
         for name in ("h", "side_d"):
             check_number(name, getattr(self, name), 0, MAX_SIZE_M, above=True)
         check_number("n_eff", self.n_eff, 1, MAX_N_EFF)
-        check_number("n_antennas", self.n_antennas, 1, integer=True)
+        check_number("n_antennas", self.n_antennas, 1, MAX_ANTENNAS, integer=True)
         for name in ("pt_dbm", "noise_dbm"):
             check_number(name, getattr(self, name), *POWER_RANGE_DBM)
         if self.delta_min is None:

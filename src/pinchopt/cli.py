@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .channel import SystemParams, UserPosition, check_number
 from .noma import QosTargets
 from .oracle import OracleConfig, OracleSizeError
-from .placement import AlgoConfig, bisection_solve, check_users
+from .placement import AlgoConfig, bisection_solve, check_users, pinned_antennas
 from .sim import (
     SWEEPS,
     SamplingError,
@@ -152,7 +152,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         "feasible": sol.feasible_found,
         "feasibility": sol.feasibility._asdict(),
         "iterations": sol.iterations,
-        "pinned_antennas": list(sol.pinned_antennas),
+        "pinned_antennas": list(pinned_antennas(cfg.system, sol.layout)),
     }
     print(json.dumps(out, indent=2, allow_nan=False))  # NaN is not JSON
     return 0 if sol.feasible_found else 2

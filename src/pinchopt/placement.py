@@ -97,7 +97,6 @@ class PlacementSolution:
     iterations: int
     feasible_found: bool
     alpha_clamped: str = "none"
-    pinned_antennas: tuple[int, ...] = ()
 
 
 def feed_point(params: SystemParams) -> float:
@@ -416,28 +415,24 @@ def placement_solution(params: SystemParams, layout: AntennaLayout, users: tuple
     return PlacementSolution(
         layout=layout, split=split, rates=rates if report.overall else ZERO_RATES,
         feasibility=report, iterations=iterations, feasible_found=report.overall,
-        alpha_clamped=alpha.clamped, pinned_antennas=pinned_antennas(params, layout),
-    )
+        alpha_clamped=alpha.clamped)
 
 
-def _replay(params: SystemParams, users: tuple, walk: list, qos: QosTargets,
+def _replay(params: SystemParams, users: tuple, walk: tuple, qos: QosTargets,
             tables: tuple) -> list:
     """(sum rate, qos_ok, overall) of each layout of ``walk``, a walk-table
     entry, at ``params``' powers: what :func:`evaluate_placement` gives the
     layout, bit for bit.  The entry's rows keep these lists per (rho, qos).
     On a miss, one :func:`evaluate_snrs_batch` call on (P, L) arrays makes
     the rows of this rho and of every scale the tables declare that has
-    none yet; ``np.multiply.outer`` is the same product as ``rho * gains``.
-    The first replay of a walk gathers its layouts' channel terms into the
-    entry, as arrays of |g1|^2, |g2|^2 at unit rho and spacing verdicts."""
+    none yet, from the layouts' entries in the channel-term table;
+    ``np.multiply.outer`` is the same product as ``rho * gains``."""
     rho = snr_scale(params)
-    rows = walk[2]
+    layouts, rows = walk
     if (rho, qos) not in rows:
-        if walk[1] is None:
-            terms = [_layout_terms(params, layout, users, tables) for layout in walk[0]]
-            walk[1] = (np.array([g for g, _ in terms]).T.copy(),
-                       np.array([spacing for _, spacing in terms]))
-        gains, spacing = walk[1]
+        terms = [_layout_terms(params, layout, users, tables) for layout in layouts]
+        gains = np.array([g for g, _ in terms]).T  # |g1|^2 and |g2|^2 rows
+        spacing = np.array([ok for _, ok in terms])
         scales = [rho, *(s for s in tables[4] if s != rho and (s, qos) not in rows)]
         snr = np.multiply.outer(scales, gains)
         rates, qos_ok, overall = evaluate_snrs_batch(snr[:, 0], snr[:, 1], qos, spacing)
@@ -466,10 +461,8 @@ def bisection_solve(
     The tuned layouts do not depend on the powers, so solves on the same
     ``tables`` at other powers walk the same layouts until a rate verdict
     parts them.  The walk table keeps, per tolerances, step and budget, the
-    last walk as ``[layouts, terms, rows]``: each iterate's tuned layout;
-    ``terms``, None until a later solve reuses the walk, then the layouts'
-    |g1|^2, |g2|^2 at unit rho and spacing verdicts as arrays; and ``rows``,
-    each layout's sum rate and verdicts per (rho, qos).  A solve that finds
+    last walk as ``(layouts, rows)``: each iterate's tuned layout, and each
+    layout's sum rate and verdicts per (rho, qos).  A solve that finds
     a walk reads its power's rows, made for every declared power in one
     batch (:func:`_replay`), bit for bit as :func:`evaluate_placement` would.
     While each layout :func:`fine_tune` returns *is* the walk's layout at
@@ -484,7 +477,7 @@ def bisection_solve(
     tables = tables or new_tables()
     rigids, walks = tables[2:4]
     key = (cfg.delta1, cfg.delta2, cfg.fine_step, cfg.max_fine_shifts)
-    walk = walks.get(key) or [[], None, {}]
+    walk = walks.get(key) or ([], {})
     recorded = walk[0]
     rows = _replay(params, users, walk, qos, tables) if recorded else ()
     replayed = 0  # leading iterates read from rows
@@ -523,7 +516,7 @@ def bisection_solve(
             break
 
     if layouts:  # the walk left the recorded one, or there was none
-        walks[key] = [recorded[:replayed] + layouts, None, {}]
+        walks[key] = (recorded[:replayed] + layouts, {})
     return placement_solution(params, best or layout, users, qos, iterations, tables)
 
 

@@ -19,6 +19,7 @@ from pinchopt import (
 )
 from pinchopt.channel import (
     FC_RANGE_HZ,
+    MAX_ANTENNAS,
     MAX_N_EFF,
     MIN_SPACING_M,
     SPEED_OF_LIGHT,
@@ -248,10 +249,14 @@ class TestBounds:
         ("fc", math.nextafter(FC_RANGE_HZ[1], math.inf)),
         ("n_eff", 1e306), ("n_eff", math.nextafter(1.0, 0.0)),
         ("n_eff", math.nextafter(MAX_N_EFF, math.inf)),
+        ("n_antennas", MAX_ANTENNAS + 1), ("n_antennas", 10**8),
     ])
     def test_refused_naming_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be in "):
             SystemParams(**{field: value})
+
+    def test_antenna_count_admitted_up_to_its_cap(self):
+        assert SystemParams(n_antennas=MAX_ANTENNAS).n_antennas == MAX_ANTENNAS
 
     @pytest.mark.parametrize("fc", [28e9, FC_RANGE_HZ[1]])
     @pytest.mark.parametrize("delta_min", [None, MIN_SPACING_M, 1e-3, 0.01])

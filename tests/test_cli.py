@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import pinchopt
 from pinchopt import AntennaLayout, sim
+from pinchopt.channel import MAX_ANTENNAS
 from pinchopt.cli import ConfigError, build_config, load_config, main
 from pinchopt.oracle import OracleSizeError
 from pinchopt.sim import SamplingError, run_sweeps
@@ -130,6 +131,8 @@ class TestSolveCommand:
         ("sweep.schemes=[]", "must be non-empty"),
         ('sweep.schemes=["beam-hopping"]', "unknown scheme 'beam-hopping'"),
         ("system.n_antennas=3000", "do not fit"),
+        # a count whose rigid array fits a 1000 m region at 1e15 Hz, over the cap
+        ("system.n_antennas=100000000", "n_antennas must be in [1, 10000], got 100000000"),
         *((v, "must be a JSON object") for v in (
             "system=5", "scenario=5", "scenario.user1=5",
         )),
@@ -526,13 +529,19 @@ def _strict_json(text: str):
 
 class TestExitCodeContract:
     @given(st.dictionaries(st.sampled_from(FUZZ_FIELDS), st.sampled_from(FUZZ_VALUES),
-                           min_size=1, max_size=3))
+                           min_size=1, max_size=3),
+           st.sampled_from((None,) * 7 + (MAX_ANTENNAS + 1, 10**5, 10**8)))
     @settings(max_examples=2000, deadline=None, derandomize=True)
-    def test_solve_on_extreme_fields(self, fields):
+    def test_solve_on_extreme_fields(self, fields, big_n):
         """``pinch solve`` with one to three fields set to extremes exits 0, 1
         or 2 without a traceback; a solution is strict JSON, and a feasible
-        layout is valid under the configuration it was solved on."""
+        layout is valid under the configuration it was solved on.  With
+        ``big_n``, the fields are set over an antenna count above the cap in
+        a region of side 1000 m at 1e15 Hz, where that many antennas fit:
+        the solve exits 1, as no value of FUZZ_VALUES is a valid count either."""
         overrides = [SCENARIO_SET] if any(k.startswith("scenario.") for k in fields) else []
+        if big_n is not None:
+            overrides += [f"system.n_antennas={big_n}", "system.side_d=1000", "system.fc=1e15"]
         for key, value in fields.items():
             value = [value] if key in ("sweep.pt_dbm_values", "sweep.d_values") else value
             overrides.append(f"{key}={json.dumps(value)}")
@@ -541,6 +550,7 @@ class TestExitCodeContract:
             code = main(["solve", *(a for o in overrides for a in ("--set", o))])
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
+        assert big_n is None or code == 1
         if code == 1:
             assert out.getvalue() == ""
             return

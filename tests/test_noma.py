@@ -5,12 +5,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pinchopt.noma import (
+    ALPHA_TOL,
     MAX_RATE,
+    RATE_TOL,
     _alpha2_raw,
     evaluate_snrs,
     evaluate_snrs_batch,
     gain_snr,
     noma_rates,
+    qos_verdicts,
 )
 
 from pinchopt import (
@@ -105,6 +108,11 @@ class TestRates:
         assert rate_report(0.0, 0.0, PowerSplit.from_alpha2(0.4)).r2 == 0.0
 
 
+def test_rate_targets_met_at_their_slack():
+    qos = QosTargets(1.0, 2.0)
+    assert qos_verdicts(1.0 - RATE_TOL, 2.0 - RATE_TOL, 1.0 - RATE_TOL, qos) == (True,) * 3
+
+
 class TestObjective:
     def test_reference_point(self):
         # oracle: 3 + (2/3)(1 + 3)(3)/(2) = 7, and log2(8) = 3 = R1 + R2
@@ -154,6 +162,9 @@ class TestOptimalAlpha2:
         # oracle: raw value (10 + 1 - 2**0.5) / (10 * 2**0.5) = 0.6778 > 0.5
         alpha2, clamped = optimal_alpha2(10.0, QosTargets(0.5, 0.0))
         assert (alpha2, clamped) == (0.5, "high")
+        # (1e17 + 1 - 2) / (1e17 * 2) rounds to 0.5 exactly: the clamp is inclusive
+        assert _alpha2_raw(1e17, QosTargets(r1_min=1.0)) == 0.5
+        assert optimal_alpha2(1e17, QosTargets(r1_min=1.0)) == (0.5, "high")
 
     def test_zero_channel_degenerates(self):
         assert optimal_alpha2(0.0, QosTargets(0.5, 0.5)) == (0.0, "low")
@@ -228,10 +239,10 @@ class TestCheckFeasibility:
         p = self._unit_rho_params()
         layout = AntennaLayout(xs=(0.0,), feed_x=0.0)
         gains = (complex(100.0), complex(200.0))
-        report = check_feasibility(
-            p, layout, gains, PowerSplit.from_alpha2(0.5), QosTargets(0.0, 0.0)
-        )
-        assert report.order_alpha
+        # the order's bound takes the split's ALPHA_TOL slack as well
+        for split in (PowerSplit.from_alpha2(0.5), PowerSplit(0.5 - ALPHA_TOL, 0.5 + ALPHA_TOL)):
+            report = check_feasibility(p, layout, gains, split, QosTargets(0.0, 0.0))
+            assert report.order_alpha
 
     def test_wrong_channel_order_flagged(self):
         p = self._unit_rho_params()

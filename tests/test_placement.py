@@ -533,20 +533,17 @@ class TestWarmWalks:
         tables = new_tables({snr_scale(params), snr_scale(later)})
         first = bisection_solve(params, users, qos, cfg, tables)
         walk = tables[3][key]
-        assert walk[1] is None and walk[2] == {}  # a cold solve gathers no terms or rows
+        layouts, rows = walk
+        assert rows == {}  # a cold solve makes no rows
         with mock.patch.object(placement, "evaluate_placement", evaluate), \
                 mock.patch.object(placement, "fine_tune", tune):
             got = bisection_solve(later, users, qos, cfg, tables)
         assert tables[3][key] is walk
-        # the replay kept its layouts' terms in the entry, bit for bit
-        gains, spacing = walk[1]
-        for n, layout in enumerate(walk[0]):
-            (g1, g2), ok = placement._layout_terms(params, layout, users, tables)
-            assert gains[:, n].tolist() == [g1, g2] and spacing[n] == ok
-        # and the rows of both declared powers, each what evaluate_placement gives
-        assert set(walk[2]) == {(snr_scale(params), qos), (snr_scale(later), qos)}
+        # the replay made the rows of both declared powers, each what
+        # evaluate_placement gives
+        assert set(rows) == {(snr_scale(params), qos), (snr_scale(later), qos)}
         for p in (params, later):
-            for layout, row in zip(walk[0], walk[2][snr_scale(p), qos], strict=True):
+            for layout, row in zip(layouts, rows[snr_scale(p), qos], strict=True):
                 _, rates, report, _ = evaluate_placement(p, layout, users, qos, tables)
                 assert row == (rates.sum_rate, report.qos_ok, report.overall)
         assert got.iterations == first.iterations > 1
@@ -576,13 +573,14 @@ class TestWarmWalks:
         with mock.patch.object(placement, "evaluate_snrs_batch", batch):
             got = [bisection_solve(p, users, loose, cfg, tables) for p in levels]
             walk = tables[3][key]
-            n = len(walk[0])
+            layouts, rows = walk
+            n = len(layouts)
             assert calls == [((len(levels), n), loose)]
             got.append(bisection_solve(levels[2], users, strict, cfg, tables))
         assert tables[3][key] is walk  # no solve parted from the cold solve's walk
         assert calls == [((len(levels), n), loose), ((len(levels), n), strict)]
-        assert set(walk[2]) == {(s, q) for s in scales for q in (loose, strict)}
-        assert walk[2][snr_scale(levels[2]), strict] != walk[2][snr_scale(levels[2]), loose]
+        assert set(rows) == {(s, q) for s in scales for q in (loose, strict)}
+        assert rows[snr_scale(levels[2]), strict] != rows[snr_scale(levels[2]), loose]
         for p, qos, sol in zip(levels + levels[2:3], [loose] * len(levels) + [strict], got):
             assert repr(sol) == repr(bisection_solve(p, users, qos, cfg))
 

@@ -19,8 +19,11 @@ spell of the host falls on both.
 
 Prints the median microseconds per cold and per warm solve for each side,
 and compares every pair of solutions, the reference searches' included,
-field by field, floats by their bits.  Exits 0 when every pair matches, 1
-when one differs.  Only the standard library and NumPy are used.
+field by field, floats by their bits, with each solution's pinned antennas,
+which each side computes untimed from the layout with its own
+``placement.pinned_antennas``, as ``pinch solve`` does.  Exits 0 when every
+pair matches, 1 when one differs.  Only the standard library and NumPy are
+used.
 """
 from __future__ import annotations
 
@@ -63,12 +66,14 @@ def bits(value):
     return value
 
 
-def fields(solution) -> tuple:
-    """Every field of a ``PlacementSolution``, as plain comparable values."""
+def fields(pkg, params, solution) -> tuple:
+    """Every field of a ``PlacementSolution`` and its layout's pinned
+    antennas from ``pkg.placement.pinned_antennas``, as plain comparable
+    values; ``params`` is the system the solution was solved on."""
     return bits((solution.layout.xs, solution.layout.feed_x, tuple(solution.split),
                  tuple(solution.rates), tuple(solution.feasibility), solution.iterations,
                  solution.feasible_found, solution.alpha_clamped,
-                 solution.pinned_antennas))
+                 pkg.placement.pinned_antennas(params, solution.layout)))
 
 
 class Side:
@@ -96,9 +101,9 @@ class Side:
             start = perf_counter_ns()
             solution = pkg.bisection_solve(params, users, self.qos, self.cfg, tables)
             (self.warm if i else self.cold).append(perf_counter_ns() - start)
-            got.append(fields(solution))
+            got.append(fields(pkg, params, solution))
         reference = pkg.exhaustive_placement(self.levels[0], users, self.qos, self.oracle)
-        return got + [fields(reference)]
+        return got + [fields(pkg, self.levels[0], reference)]
 
 
 def main(argv: list[str] | None = None) -> int:
